@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-json bench-check bench-parallel bench-scale bench-million bench-obs chaos chaos-smoke chaos-liveness query-smoke experiments figures examples clean
+.PHONY: all build test perfbench-selftest bench bench-smoke bench-json bench-check bench-parallel bench-scale bench-million bench-obs chaos chaos-smoke chaos-liveness query-smoke experiments figures examples clean
 
 all: build
 
@@ -7,6 +7,12 @@ build:
 
 test:
 	dune runtest
+
+# The benchmark's own correctness gate (perfbench/, BENCHMARK.json):
+# genuine workload results pass, falsified ones and drifting exact
+# metrics are refused.  Builds into .bench_build, exits 1 on failure.
+perfbench-selftest:
+	python3 perfbench/run.py --selftest
 
 bench:
 	dune exec bench/main.exe -- bench

@@ -32,13 +32,13 @@ let quiescence t =
   List.fold_left (fun acc f -> Float.max acc (time_of f)) 0.0 t.faults
 
 (* Child-stream derivation: the schedule's whole behaviour is a
-   function of (seed, index).  split_n child i depends only on the
+   function of (seed, index).  split_nth child i depends only on the
    parent state and i, and the two further splits tag fixed domains,
    so the graph stream, the fault stream and the run stream are each
    pure functions of (seed, index) — regeneration at replay or shrink
    time reproduces them exactly. *)
 let rngs ~seed ~index =
-  let child = (Sim.Rng.split_n (Sim.Rng.create ~seed) (index + 1)).(index) in
+  let child = Sim.Rng.split_nth (Sim.Rng.create ~seed) index in
   let structure, run = Sim.Rng.split child in
   let graph_rng, fault_rng = Sim.Rng.split structure in
   (graph_rng, fault_rng, run)

@@ -106,7 +106,7 @@ let sweep_replica ~seed ~index ~n =
   find_or_build
     { Topology.family = "sweep-replica"; n; seed; index; extra = n / 2 }
     (fun () ->
-      let child = (Sim.Rng.split_n (Sim.Rng.create ~seed) (index + 1)).(index) in
+      let child = Sim.Rng.split_nth (Sim.Rng.create ~seed) index in
       let graph_rng, _run = Sim.Rng.split child in
       Netgraph.Builders.random_connected graph_rng ~n ~extra_edges:(n / 2))
 

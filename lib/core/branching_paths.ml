@@ -23,82 +23,91 @@ let publish_paths ctx k =
           (Hardware.Registry.counter r "bpaths.paths_sent") k
     | _ -> ()
 
-(* The sends leaving one head: over pre-compiled routes when a route
-   table is supplied, else walk-built headers — the compiled route of a
-   path is exactly the header [send_walk] would build, so both arms
-   produce the same packets. *)
-let sends_for ctx ~routes labelling m =
+let send_route ctx m route = Network.send_compiled ~label:"bpaths" ctx ~route m
+
+let send_path ctx m walk =
+  Network.send_walk ~label:"bpaths" ~copy_at:(fun _ -> true) ctx ~walk m
+
+(* Ship [m] over every path leaving this head.  With multicast one
+   activation ships them all (they leave through distinct child links,
+   which the PARIS primitive covers); without it (ablation) each further
+   path needs its own software activation. *)
+let ship ~multicast ctx m paths send =
+  let count = Array.length paths in
+  publish_paths ctx count;
+  if multicast then
+    for i = 0 to count - 1 do
+      send ctx m paths.(i)
+    done
+  else if count > 0 then begin
+    send ctx m paths.(0);
+    let rec drain i =
+      if i < count then
+        Network.set_timer ~label:"bpaths-extra" ctx ~delay:0.0 (fun () ->
+            send ctx m paths.(i);
+            drain (i + 1))
+    in
+    drain 1
+  end
+
+(* Over the head's compiled routes when a route table is supplied, else
+   over walk-built headers — the compiled route of a path is exactly the
+   header [send_walk] would build, so both arms produce the same
+   packets. *)
+let send_paths ~multicast ~routes ctx labelling m =
   let self = Network.self ctx in
   match routes with
-  | Some table ->
-      Array.to_list
-        (Array.map
-           (fun route () -> Network.send_compiled ~label:"bpaths" ctx ~route m)
-           table.(self))
+  | Some table -> ship ~multicast ctx m table.(self) send_route
   | None ->
-      List.map
-        (fun path () ->
-          Network.send_walk ~label:"bpaths" ~copy_at:(fun _ -> true) ctx
-            ~walk:path m)
-        (Labels.paths_from labelling self)
+      ship ~multicast ctx m (Array.of_list (Labels.paths_from labelling self)) send_path
 
-let send_paths ~multicast ctx sends =
-  publish_paths ctx (List.length sends);
-  match sends with
-  | [] -> ()
-  | sends when multicast ->
-      (* one activation ships every path: they leave through distinct
-         child links, which the PARIS primitive covers *)
-      List.iter (fun s -> s ()) sends
-  | first :: rest ->
-      (* ablation: no multicast primitive - each further path needs its
-         own software activation *)
-      first ();
-      let rec drain = function
-        | [] -> ()
-        | s :: more ->
-            Network.set_timer ~label:"bpaths-extra" ctx ~delay:0.0 (fun () ->
-                s ();
-                drain more)
-      in
-      drain rest
-
-let spec ?precomputed ?routes ?recovery ~multicast ~reached ~view v =
-  let relayed_attempt = ref (-1) in
-  {
-    Network.on_start =
-      (fun ctx ->
-        let root = Network.self ctx in
-        let labelling =
-          match precomputed with
-          | Some l -> l
-          | None -> Labels.compute (tree_for ~view ~root)
-        in
-        let send attempt =
-          let m = Data { origin = root; labelling; attempt } in
-          send_paths ~multicast ctx (sends_for ctx ~routes labelling m)
-        in
-        send 0;
-        match recovery with
-        | None -> ()
-        | Some st ->
-            Broadcast.Recovery.start st ctx
-              ~resend:(fun ~attempt -> send attempt));
-    on_message =
-      (fun ctx ~via:_ m ->
-        match m with
-        | Data d ->
-            reached.(v) <- true;
-            if d.attempt > !relayed_attempt then begin
-              relayed_attempt := d.attempt;
-              (* the message shares the root's labelling: every relay
-                 would recompute the identical decomposition from the
-                 same tree description, so the paper's "tree description
-                 in the message" is carried as the decomposition itself *)
-              send_paths ~multicast ctx (sends_for ctx ~routes d.labelling m);
+(* One handler record serves every node of a run: each handler reads
+   its node from the context, so a run builds no per-node closures. *)
+let spec ?precomputed ?routes ?recovery ~multicast ~reached ~view =
+  let handlers =
+    {
+      Network.on_start =
+        (fun ctx ->
+          let root = Network.self ctx in
+          let labelling =
+            match precomputed with
+            | Some l -> l
+            | None -> Labels.compute (tree_for ~view ~root)
+          in
+          let send attempt =
+            send_paths ~multicast ~routes ctx labelling
+              (Data { origin = root; labelling; attempt })
+          in
+          send 0;
+          match recovery with
+          | None -> ()
+          | Some st ->
+              Broadcast.Recovery.start st ctx
+                ~resend:(fun ~attempt -> send attempt));
+      on_message =
+        (fun ctx ~via:_ m ->
+          match m with
+          | Data d -> (
+              let v = Network.self ctx in
+              (* without recovery there is one attempt, and the root
+                 never receives its own payload, so the first delivery
+                 is exactly the one that finds [v] unreached *)
+              let relay =
+                match recovery with
+                | None -> not reached.(v)
+                | Some st ->
+                    Broadcast.Recovery.first_relay st v ~attempt:d.attempt
+              in
+              reached.(v) <- true;
+              if relay then
+                (* the message shares the root's labelling: every relay
+                   would recompute the identical decomposition from the
+                   same tree description, so the paper's "tree
+                   description in the message" is carried as the
+                   decomposition itself *)
+                send_paths ~multicast ~routes ctx d.labelling m;
               match recovery with
-              | None -> ()
-              | Some _ -> (
+              | Some _ when relay -> (
                   (* acknowledge this attempt up the broadcast tree; a
                      lost ack is healed by the next retransmission
                      re-triggering it *)
@@ -109,13 +118,15 @@ let spec ?precomputed ?routes ?recovery ~multicast ~reached ~view v =
                       Network.send_walk ~label:"bpaths-ack" ctx ~walk
                         (Ack { src = v })
                   | None -> ())
-            end
-        | Ack { src } -> (
-            match recovery with
-            | Some st -> Broadcast.Recovery.ack st ~src
-            | None -> ()));
-    on_link_change = (fun _ ~peer:_ ~up:_ -> ());
-  }
+              | _ -> ())
+          | Ack { src } -> (
+              match recovery with
+              | Some st -> Broadcast.Recovery.ack st ~src
+              | None -> ()));
+      on_link_change = (fun _ ~peer:_ ~up:_ -> ());
+    }
+  in
+  fun _ -> handlers
 
 let run ?(config = Broadcast.default_config ()) ?(multicast = true) ?precomputed
     ?routes ~graph ~root () =

@@ -56,8 +56,11 @@ val spec :
   view:Netgraph.Graph.t ->
   int ->
   msg Hardware.Network.handlers
-(** Low-level handler factory (one node's handlers), for embedding the
-    broadcast in custom harnesses — {!run} wraps it.
+(** Low-level handler factory, for embedding the broadcast in custom
+    harnesses — {!run} wraps it.  [spec ... ~reached ~view] builds one
+    handler record, in O(1), and returns it for every node: each
+    handler takes its node from [Network.self ctx], so a run allocates
+    no per-node handlers.
 
     [precomputed] is the labelling of [tree_for ~view ~root] computed
     ahead of time (e.g. by a {!Compile.Topology} artifact); the root

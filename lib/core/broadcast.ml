@@ -59,6 +59,7 @@ module Recovery = struct
     mutable attempt : int;
     mutable dog : Sim.Timer.t option;
     rng : Sim.Rng.t;  (* the root's jitter stream *)
+    relayed : int array;  (* per node: the last attempt it relayed *)
   }
 
   let create config ~n ~root =
@@ -75,10 +76,18 @@ module Recovery = struct
             acks = 1;
             attempt = 0;
             dog = None;
-            rng = (Recover.streams rc ~n).(root);
+            rng = Recover.stream rc root;
+            relayed = Array.make n (-1);
           }
 
   let complete st = st.acks >= Array.length st.acked
+
+  let first_relay st v ~attempt =
+    if attempt > st.relayed.(v) then begin
+      st.relayed.(v) <- attempt;
+      true
+    end
+    else false
 
   (* Root side: record one ack, at most once per source; the watchdog
      is cancelled the instant the last ack lands, so a fault-free

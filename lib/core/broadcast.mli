@@ -71,6 +71,11 @@ module Recovery : sig
   val complete : t -> bool
   (** Every node has acknowledged the payload. *)
 
+  val first_relay : t -> int -> attempt:int -> bool
+  (** [first_relay st v ~attempt] is true, and records [attempt], iff
+      node [v] has not yet relayed this attempt or a later one: relays
+      forward once per attempt. *)
+
   val ack : t -> src:int -> unit
   (** Root side: record an ack from [src] (at most once per source);
       cancels the watchdog when the last ack lands. *)

@@ -9,7 +9,14 @@ type t = {
   (* int refs so the steady-state increment is [incr], not a
      remove-and-reinsert that allocates on every system call *)
   by_label : (string, int ref) Hashtbl.t;
+  (* the counter of the last label recorded, matched by physical
+     equality: a run of same-label syscalls hashes no string *)
+  mutable last_label : string;
+  mutable last_count : int ref;
 }
+
+(* never physically equal to a caller's label *)
+let no_label = String.init 1 (fun _ -> '\000')
 
 let create ~n =
   {
@@ -21,6 +28,8 @@ let create ~n =
     max_header = 0;
     per_node = Array.make n 0;
     by_label = Hashtbl.create 8;
+    last_label = no_label;
+    last_count = ref 0;
   }
 
 let n t = t.size
@@ -39,9 +48,20 @@ let record_hop t = t.hops <- t.hops + 1
 let record_syscall t ~node ~label =
   t.syscalls <- t.syscalls + 1;
   t.per_node.(node) <- t.per_node.(node) + 1;
-  match Hashtbl.find_opt t.by_label label with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.by_label label (ref 1)
+  if label == t.last_label then incr t.last_count
+  else begin
+    let r =
+      match Hashtbl.find_opt t.by_label label with
+      | Some r -> r
+      | None ->
+          let r = ref 0 in
+          Hashtbl.add t.by_label label r;
+          r
+    in
+    incr r;
+    t.last_label <- label;
+    t.last_count <- r
+  end
 
 let record_send t ~header_len =
   t.sends <- t.sends + 1;
@@ -64,6 +84,8 @@ let snapshot t =
     max_header = t.max_header;
     per_node = Array.copy t.per_node;
     by_label = copy_labels t.by_label;
+    last_label = no_label;
+    last_count = ref 0;
   }
 
 let diff later earlier =
@@ -89,6 +111,8 @@ let diff later earlier =
       (if later.max_header > earlier.max_header then later.max_header else 0);
     per_node = Array.init later.size (fun i -> later.per_node.(i) - earlier.per_node.(i));
     by_label;
+    last_label = no_label;
+    last_count = ref 0;
   }
 
 let pp ?(by_label = false) ?(per_node = false) ppf t =

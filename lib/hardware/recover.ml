@@ -20,6 +20,7 @@ let default ~n =
   }
 
 let streams t ~n = Sim.Rng.split_n (Sim.Rng.create ~seed:t.seed) n
+let stream t v = Sim.Rng.split_nth (Sim.Rng.create ~seed:t.seed) v
 
 let delay t ~rng ~attempt =
   Sim.Timer.backoff_delay t.backoff ~rng:(Some rng) ~attempt

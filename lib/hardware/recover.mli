@@ -26,6 +26,10 @@ val streams : t -> n:int -> Sim.Rng.t array
 (** The per-node jitter streams: child [v] drives node [v]'s backoff
     draws and nothing else. *)
 
+val stream : t -> int -> Sim.Rng.t
+(** [stream t v] is [(streams t ~n).(v)] for any [n > v], built without
+    its siblings. *)
+
 val delay : t -> rng:Sim.Rng.t -> attempt:int -> float
 (** Backoff delay before retry [attempt] (0-based), jittered from the
     node's own stream. *)

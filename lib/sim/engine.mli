@@ -19,15 +19,17 @@ type outcome =
 
 val create : ?queue_capacity:int -> unit -> t
 (** A fresh engine with the clock at time [0.].  [queue_capacity] is a
-    sizing hint for the event queue (see {!Heap.create}): a run whose
-    peak number of pending events is roughly known allocates once
-    instead of doubling up from 16. *)
+    sizing hint for the event queue: a run whose peak number of pending
+    events is roughly known allocates once instead of doubling up from
+    16.
+    @raise Invalid_argument if [queue_capacity] is negative. *)
 
 val reset : t -> unit
 (** Return the engine to its initial state — clock [0.], no pending
     events, zero executed — while keeping the event queue's grown
     allocation.  Replica loops reuse one engine instead of paying the
-    queue regrowth per run. *)
+    queue regrowth per run.  The dropped events' closures are released,
+    so nothing they capture stays reachable from the engine. *)
 
 val now : t -> float
 (** Current virtual time. *)
@@ -40,11 +42,11 @@ val pending : t -> int
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at time [now t +. delay].
-    Requires [delay >= 0.]. *)
+    @raise Invalid_argument unless [delay >= 0.] (NaN included). *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
-(** [schedule_at t ~time f] runs [f] at absolute [time], which must not
-    be in the past. *)
+(** [schedule_at t ~time f] runs [f] at absolute [time].
+    @raise Invalid_argument unless [time >= now t] (NaN included). *)
 
 val run : ?until:float -> ?max_events:int -> t -> outcome
 (** [run t] executes events in time order until the queue is empty, the

@@ -13,13 +13,20 @@ let split t =
   ( Random.State.make [| a; b; 0x73706c69 |],
     Random.State.make [| a; b; 0x74746572 |] )
 
+(* One pair of draws keys the whole family; child [i] is seeded by
+   (draws, i), so replica [i]'s stream is identical no matter how many
+   siblings exist or on which worker it runs. *)
+let child a b i = Random.State.make [| a; b; i; 0x73686172 |]
+
 let split_n t n =
   if n < 0 then invalid_arg "Rng.split_n: negative count";
-  (* One pair of draws keys the whole family; child [i] is seeded by
-     (draws, i), so replica [i]'s stream is identical no matter how
-     many siblings exist or on which worker it runs. *)
   let a = Random.State.bits t and b = Random.State.bits t in
-  Array.init n (fun i -> Random.State.make [| a; b; i; 0x73686172 |])
+  Array.init n (child a b)
+
+let split_nth t i =
+  if i < 0 then invalid_arg "Rng.split_nth: negative index";
+  let a = Random.State.bits t and b = Random.State.bits t in
+  child a b i
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

@@ -29,6 +29,12 @@ val split_n : t -> int -> t array
     {!Parallel.Pool} sweeps).
     @raise Invalid_argument if [n < 0]. *)
 
+val split_nth : t -> int -> t
+(** [split_nth t i] is child [i] of [split_n t k] for every [k > i],
+    without building its siblings: it advances [t] exactly as
+    [split_n] does and returns an identical stream.
+    @raise Invalid_argument if [i < 0]. *)
+
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound).  [bound] must be
     positive. *)

@@ -153,6 +153,28 @@ let test_precomputed_routes_parity () =
   in
   check_bool "identical results" true (plain = fast)
 
+(* The engine's allocation budget.  An untraced, registry-free
+   branching-paths broadcast over compiled routes runs one engine event
+   per system call and one per hop; the minor words it allocates per
+   event are a deterministic function of the binary: 27.4 measured,
+   50.9 before the engine queue and the per-run handlers. *)
+let words_per_event_bound = 30.0
+
+let test_bpaths_words_per_event () =
+  let art = Cache.random_connected ~seed:11 ~n:1024 ~extra_edges:512 in
+  let graph = Topology.graph art in
+  let precomputed = Topology.labelling art in
+  let routes = Topology.routes art ~chaos:None in
+  let run () = BP.run ~precomputed ?routes ~graph ~root:0 () in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let r = run () in
+  let words = Gc.minor_words () -. before in
+  let per_event = words /. float_of_int (r.syscalls + r.hops) in
+  if per_event > words_per_event_bound then
+    Alcotest.failf "%.2f minor words per engine event, bound %.1f" per_event
+      words_per_event_bound
+
 let test_publish_and_pp_stats () =
   Cache.clear ();
   ignore (Cache.random_connected ~seed:5 ~n:32 ~extra_edges:16);
@@ -204,4 +226,6 @@ let suite =
       test_stale_routes_violate_at_most_once;
     Alcotest.test_case "precomputed parity" `Quick
       test_precomputed_routes_parity;
+    Alcotest.test_case "bpaths minor words per event" `Quick
+      test_bpaths_words_per_event;
   ]

@@ -1,4 +1,5 @@
-(* Tests for Sim.Engine: clock, ordering, FIFO ties, horizons. *)
+(* Tests for Sim.Engine: clock, ordering, FIFO ties, horizons, and the
+   event queue behind them. *)
 
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
@@ -151,6 +152,154 @@ let test_reset_mid_flight_pending_dropped () =
     (Sim.Engine.run e = Sim.Engine.Quiescent);
   check_int "nothing executed" 0 (Sim.Engine.events_processed e)
 
+(* NaN compares false both ways, so [delay < 0.] and [time < now]
+   both let it through; the engine must refuse it. *)
+let test_nan_rejected () =
+  let e = Sim.Engine.create () in
+  Alcotest.check_raises "NaN delay" (Invalid_argument "Engine.schedule: delay is NaN")
+    (fun () -> Sim.Engine.schedule e ~delay:Float.nan (fun () -> ()));
+  Alcotest.check_raises "NaN time"
+    (Invalid_argument "Engine.schedule_at: time is NaN") (fun () ->
+      Sim.Engine.schedule_at e ~time:Float.nan (fun () -> ()));
+  check_int "nothing queued" 0 (Sim.Engine.pending e);
+  (* the queue still works and orders as before *)
+  let log = ref [] in
+  Sim.Engine.schedule e ~delay:1.0 (fun () -> log := 1 :: !log);
+  Sim.Engine.schedule e ~delay:0.5 (fun () -> log := 0 :: !log);
+  ignore (Sim.Engine.run e);
+  Alcotest.(check (list int)) "time order" [ 0; 1 ] (List.rev !log)
+
+(* -- the event queue ---------------------------------------------------- *)
+
+(* Schedule one event per [(time, name)] and return the names in firing
+   order. *)
+let fire_order ?queue_capacity events =
+  let e = Sim.Engine.create ?queue_capacity () in
+  let log = ref [] in
+  List.iter
+    (fun (time, name) -> Sim.Engine.schedule_at e ~time (fun () -> log := name :: !log))
+    events;
+  ignore (Sim.Engine.run e);
+  List.rev !log
+
+let test_queue_sorted_pop () =
+  let times = [ 5; 3; 9; 1; 7; 2; 8; 4; 6; 0 ] in
+  Alcotest.(check (list int)) "sorted" (List.init 10 Fun.id)
+    (fire_order (List.map (fun t -> (float_of_int t, t)) times))
+
+let test_queue_fifo_tie_break () =
+  (* time 0: a c e; time 1: b d f — insertion order within a time *)
+  Alcotest.(check (list string)) "insertion order within a time"
+    [ "a"; "c"; "e"; "b"; "d"; "f" ]
+    (fire_order
+       (List.mapi (fun i name -> (float_of_int (i mod 2), name))
+          [ "a"; "b"; "c"; "d"; "e"; "f" ]))
+
+let test_queue_growth () =
+  let events = List.init 1000 (fun i -> (float_of_int (999 - i), 999 - i)) in
+  Alcotest.(check (list int)) "1000 events in time order" (List.init 1000 Fun.id)
+    (fire_order events)
+
+let test_queue_capacity_hint () =
+  let events = List.init 1000 (fun i -> (float_of_int (i mod 7), i)) in
+  Alcotest.(check (list int)) "hint changes nothing"
+    (fire_order events) (fire_order ~queue_capacity:1000 events);
+  Alcotest.check_raises "negative capacity rejected"
+    (Invalid_argument "Engine.create: negative queue_capacity") (fun () ->
+      ignore (Sim.Engine.create ~queue_capacity:(-1) ()))
+
+(* Random interleavings of schedule / step / run ~until / reset, with
+   times drawn from a handful of values so ties abound, against a model
+   that fires the earliest pending event, first-scheduled first: the
+   stable sort on time of what is pending. *)
+type op = Push of int | Pop | Until of int | Reset
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun d -> Push d) (int_bound 3));
+        (3, return Pop);
+        (1, map (fun d -> Until d) (int_bound 3));
+        (1, return Reset);
+      ])
+
+let show_op = function
+  | Push d -> Printf.sprintf "push+%d" d
+  | Pop -> "pop"
+  | Until d -> Printf.sprintf "until+%d" d
+  | Reset -> "reset"
+
+let qcheck_queue_interleavings =
+  QCheck.Test.make ~name:"queue interleavings fire in stable time order" ~count:500
+    (QCheck.make ~print:(QCheck.Print.list show_op) QCheck.Gen.(list_size (int_bound 80) op_gen))
+    (fun ops ->
+      let e = Sim.Engine.create ~queue_capacity:2 () in
+      let fired = ref [] in
+      (* the model: pending (time, id) in scheduling order, and a clock *)
+      let pending = ref [] and clock = ref 0.0 and expected = ref [] in
+      let model_pop () =
+        match List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) !pending with
+        | [] -> false
+        | ((t, id) as first) :: _ ->
+            pending := List.filter (fun x -> x != first) !pending;
+            clock := t;
+            expected := id :: !expected;
+            true
+      in
+      List.iteri
+        (fun id op ->
+          match op with
+          | Push d ->
+              Sim.Engine.schedule e ~delay:(float_of_int d) (fun () -> fired := id :: !fired);
+              pending := !pending @ [ (!clock +. float_of_int d, id) ]
+          | Pop ->
+              ignore (Sim.Engine.step e);
+              ignore (model_pop ())
+          | Until d ->
+              let until = !clock +. float_of_int d in
+              ignore (Sim.Engine.run ~until e);
+              let rec drain () =
+                match !pending with
+                | [] -> ()
+                | _ ->
+                    if List.exists (fun (t, _) -> t <= until) !pending then begin
+                      ignore (model_pop ());
+                      drain ()
+                    end
+                    else clock := until
+              in
+              drain ()
+          | Reset ->
+              Sim.Engine.reset e;
+              pending := [];
+              clock := 0.0)
+        ops;
+      !fired = !expected
+      && Sim.Engine.pending e = List.length !pending
+      && Sim.Engine.now e = !clock)
+
+(* A closure the queue has fired, or dropped on [reset], must not stay
+   reachable from it: whatever the closure captures would otherwise
+   live as long as the engine. *)
+let[@inline never] schedule_watched e w slot ~delay =
+  let cell = ref 0 in
+  let f () = incr cell in
+  Weak.set w slot (Some f);
+  Sim.Engine.schedule e ~delay f
+
+let test_queue_releases_closures () =
+  let e = Sim.Engine.create () in
+  let w = Weak.create 2 in
+  schedule_watched e w 0 ~delay:1.0;
+  ignore (Sim.Engine.run e);
+  Gc.full_major ();
+  check_bool "fired closure collected" false (Weak.check w 0);
+  schedule_watched e w 1 ~delay:5.0;
+  Sim.Engine.reset e;
+  Gc.full_major ();
+  check_bool "reset-dropped closure collected" false (Weak.check w 1)
+
 let suite =
   [
     Alcotest.test_case "initial state" `Quick test_initial_state;
@@ -170,4 +319,12 @@ let suite =
     Alcotest.test_case "reset reuses the engine" `Quick test_reset_reuses_engine;
     Alcotest.test_case "reset drops pending" `Quick
       test_reset_mid_flight_pending_dropped;
+    Alcotest.test_case "NaN time rejected" `Quick test_nan_rejected;
+    Alcotest.test_case "queue sorted pop" `Quick test_queue_sorted_pop;
+    Alcotest.test_case "queue FIFO tie-break" `Quick test_queue_fifo_tie_break;
+    Alcotest.test_case "queue growth to 1000" `Quick test_queue_growth;
+    Alcotest.test_case "queue capacity hint" `Quick test_queue_capacity_hint;
+    Alcotest.test_case "queue releases closures" `Quick
+      test_queue_releases_closures;
+    QCheck_alcotest.to_alcotest qcheck_queue_interleavings;
   ]

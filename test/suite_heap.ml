@@ -1,141 +1,82 @@
-(* Tests for Sim.Heap: ordering, stability, dynamic growth. *)
+(* Tests for the event queue behind Sim.Engine, a binary min-heap over
+   (time, seq) that is private to the engine and so is driven here
+   through the engine's interface: [pending] is its length, [step] pops
+   and runs its minimum, [run ~until] peeks at the minimum, and [reset]
+   clears it.  The ordering, growth and stability cases live in
+   Suite_engine. *)
 
 let check_int = Alcotest.(check int)
+let check_float = Alcotest.(check (float 1e-9))
+let check_bool = Alcotest.(check bool)
 
 let test_empty () =
-  let h = Sim.Heap.create ~cmp:compare () in
-  Alcotest.(check bool) "is_empty" true (Sim.Heap.is_empty h);
-  check_int "length" 0 (Sim.Heap.length h);
-  Alcotest.(check bool) "pop None" true (Sim.Heap.pop h = None);
-  Alcotest.(check bool) "peek None" true (Sim.Heap.peek h = None)
+  let e = Sim.Engine.create () in
+  check_int "length" 0 (Sim.Engine.pending e);
+  check_bool "pop none" false (Sim.Engine.step e);
+  check_bool "run on empty is quiescent" true
+    (Sim.Engine.run ~until:1.0 e = Sim.Engine.Quiescent);
+  check_float "clock untouched" 0.0 (Sim.Engine.now e)
 
-let test_sorted_pop () =
-  let h = Sim.Heap.create ~cmp:compare () in
-  List.iter (fun p -> Sim.Heap.push h p p) [ 5; 3; 9; 1; 7; 2; 8; 4; 6; 0 ];
-  let rec drain acc =
-    match Sim.Heap.pop h with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" (List.init 10 Fun.id) (drain [])
-
+(* [run ~until] reads the minimum's time and stops before it without
+   popping: the horizon check must leave every event pending. *)
 let test_peek_does_not_remove () =
-  let h = Sim.Heap.create ~cmp:compare () in
-  Sim.Heap.push h 2 "b";
-  Sim.Heap.push h 1 "a";
-  Alcotest.(check bool) "peek min" true (Sim.Heap.peek h = Some (1, "a"));
-  check_int "length unchanged" 2 (Sim.Heap.length h)
+  let e = Sim.Engine.create () in
+  let fired = ref [] in
+  Sim.Engine.schedule e ~delay:2.0 (fun () -> fired := "b" :: !fired);
+  Sim.Engine.schedule e ~delay:1.0 (fun () -> fired := "a" :: !fired);
+  check_bool "stops before min" true
+    (Sim.Engine.run ~until:0.5 e = Sim.Engine.Time_limit);
+  check_int "length unchanged" 2 (Sim.Engine.pending e);
+  Alcotest.(check (list string)) "nothing fired" [] !fired;
+  check_bool "min is next" true (Sim.Engine.step e);
+  Alcotest.(check (list string)) "min fired first" [ "a" ] !fired
 
-let test_fifo_stability () =
-  let h = Sim.Heap.create ~cmp:compare () in
-  List.iteri (fun i name -> Sim.Heap.push h (i mod 2) name)
-    [ "a"; "b"; "c"; "d"; "e"; "f" ];
-  (* priority 0: a(0) c(2) e(4); priority 1: b d f *)
-  let rec drain acc =
-    match Sim.Heap.pop h with None -> List.rev acc | Some (_, v) -> drain (v :: acc)
-  in
-  Alcotest.(check (list string)) "insertion order within priority"
-    [ "a"; "c"; "e"; "b"; "d"; "f" ] (drain [])
-
-let test_growth () =
-  let h = Sim.Heap.create ~cmp:compare () in
-  for i = 999 downto 0 do
-    Sim.Heap.push h i i
-  done;
-  check_int "length" 1000 (Sim.Heap.length h);
-  let rec drain last count =
-    match Sim.Heap.pop h with
-    | None -> count
-    | Some (p, _) ->
-        Alcotest.(check bool) "non-decreasing" true (p >= last);
-        drain p (count + 1)
-  in
-  check_int "all popped" 1000 (drain min_int 0)
+(* Popping the minimum runs its closure and moves the clock to its
+   time; an empty queue pops nothing. *)
+let test_min_prio_and_pop_min () =
+  let e = Sim.Engine.create () in
+  let last = ref 0 in
+  List.iter
+    (fun p -> Sim.Engine.schedule e ~delay:(float_of_int p) (fun () -> last := 10 * p))
+    [ 4; 2; 7 ];
+  check_bool "pop_min" true (Sim.Engine.step e);
+  check_float "min_prio" 2.0 (Sim.Engine.now e);
+  check_int "pop_min value" 20 !last;
+  check_bool "pop_min again" true (Sim.Engine.step e);
+  check_float "next min_prio" 4.0 (Sim.Engine.now e);
+  check_int "pop_min value again" 40 !last;
+  check_bool "last pop" true (Sim.Engine.step e);
+  check_int "last" 70 !last;
+  check_bool "pop_min on empty" false (Sim.Engine.step e);
+  check_float "clock stays at last min" 7.0 (Sim.Engine.now e)
 
 let test_clear () =
-  let h = Sim.Heap.create ~cmp:compare () in
-  Sim.Heap.push h 1 ();
-  Sim.Heap.clear h;
-  Alcotest.(check bool) "empty after clear" true (Sim.Heap.is_empty h)
+  let e = Sim.Engine.create () in
+  let fired = ref false in
+  Sim.Engine.schedule e ~delay:1.0 (fun () -> fired := true);
+  Sim.Engine.reset e;
+  check_int "empty after clear" 0 (Sim.Engine.pending e);
+  check_bool "nothing to pop" false (Sim.Engine.step e);
+  check_bool "cleared event never fires" false !fired
 
+(* After a clear, FIFO tie-breaking starts over: the replica-loop reuse
+   case must behave exactly like a fresh queue. *)
 let test_clear_resets_fifo_seq () =
-  (* after clear, FIFO tie-breaking starts over: the replica-loop reuse
-     case must behave exactly like a fresh heap *)
-  let h = Sim.Heap.create ~cmp:compare () in
-  Sim.Heap.push h 0 "stale";
-  Sim.Heap.clear h;
-  Sim.Heap.push h 1 "a";
-  Sim.Heap.push h 1 "b";
-  Alcotest.(check (list string)) "fresh FIFO order" [ "a"; "b" ]
-    (List.map snd (Sim.Heap.to_sorted_list h))
-
-let test_capacity_hint () =
-  let h = Sim.Heap.create ~capacity:1000 ~cmp:compare () in
-  for i = 0 to 999 do
-    Sim.Heap.push h i i
-  done;
-  check_int "holds capacity items" 1000 (Sim.Heap.length h);
-  Alcotest.(check bool) "negative capacity rejected" true
-    (match Sim.Heap.create ~capacity:(-1) ~cmp:compare () with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-let test_min_prio_and_pop_min () =
-  let h = Sim.Heap.create ~cmp:compare () in
-  List.iter (fun p -> Sim.Heap.push h p (10 * p)) [ 4; 2; 7 ];
-  check_int "min_prio" 2 (Sim.Heap.min_prio h);
-  check_int "pop_min value" 20 (Sim.Heap.pop_min h);
-  check_int "next min_prio" 4 (Sim.Heap.min_prio h);
-  check_int "pop_min again" 40 (Sim.Heap.pop_min h);
-  check_int "last" 70 (Sim.Heap.pop_min h);
-  Alcotest.(check bool) "min_prio on empty raises" true
-    (match Sim.Heap.min_prio h with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  Alcotest.(check bool) "pop_min on empty raises" true
-    (match Sim.Heap.pop_min h with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-let test_to_sorted_list_nondestructive () =
-  let h = Sim.Heap.create ~cmp:compare () in
-  List.iter (fun p -> Sim.Heap.push h p p) [ 3; 1; 2 ];
-  let listed = List.map fst (Sim.Heap.to_sorted_list h) in
-  Alcotest.(check (list int)) "sorted listing" [ 1; 2; 3 ] listed;
-  check_int "heap intact" 3 (Sim.Heap.length h)
-
-let test_custom_comparator () =
-  let h = Sim.Heap.create ~cmp:(fun a b -> compare b a) () in
-  List.iter (fun p -> Sim.Heap.push h p p) [ 1; 3; 2 ];
-  Alcotest.(check bool) "max-heap peek" true (Sim.Heap.peek h = Some (3, 3))
-
-let qcheck_heap_sorts =
-  QCheck.Test.make ~name:"heap pops in sorted stable order" ~count:300
-    QCheck.(list (pair small_int small_int))
-    (fun items ->
-      let h = Sim.Heap.create ~cmp:compare () in
-      List.iter (fun (p, v) -> Sim.Heap.push h p v) items;
-      let rec drain acc =
-        match Sim.Heap.pop h with
-        | None -> List.rev acc
-        | Some (p, v) -> drain ((p, v) :: acc)
-      in
-      let popped = drain [] in
-      (* stable sort of the input by priority must equal the pop order *)
-      let expected = List.stable_sort (fun (a, _) (b, _) -> compare a b) items in
-      popped = expected)
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  Sim.Engine.schedule e ~delay:0.0 (fun () -> log := "stale" :: !log);
+  Sim.Engine.reset e;
+  Sim.Engine.schedule e ~delay:1.0 (fun () -> log := "a" :: !log);
+  Sim.Engine.schedule e ~delay:1.0 (fun () -> log := "b" :: !log);
+  ignore (Sim.Engine.run e);
+  Alcotest.(check (list string)) "fresh FIFO order" [ "a"; "b" ] (List.rev !log)
 
 let suite =
   [
     Alcotest.test_case "empty heap" `Quick test_empty;
-    Alcotest.test_case "sorted pop" `Quick test_sorted_pop;
     Alcotest.test_case "peek non-destructive" `Quick test_peek_does_not_remove;
-    Alcotest.test_case "FIFO tie-break" `Quick test_fifo_stability;
-    Alcotest.test_case "growth to 1000" `Quick test_growth;
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "clear resets FIFO sequence" `Quick
       test_clear_resets_fifo_seq;
-    Alcotest.test_case "capacity hint" `Quick test_capacity_hint;
     Alcotest.test_case "min_prio and pop_min" `Quick test_min_prio_and_pop_min;
-    Alcotest.test_case "to_sorted_list" `Quick test_to_sorted_list_nondestructive;
-    Alcotest.test_case "custom comparator" `Quick test_custom_comparator;
-    QCheck_alcotest.to_alcotest qcheck_heap_sorts;
   ]

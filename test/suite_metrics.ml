@@ -30,7 +30,14 @@ let test_counters () =
   check_int "label missing" 0 (M.syscalls_labelled m "zzz");
   check_int "sends" 2 (M.sends m);
   check_int "max header" 5 (M.max_header m);
-  check_int "drops" 1 (M.drops m)
+  check_int "drops" 1 (M.drops m);
+  (* a label counts by content, whether or not it is the same string
+     as the previous call's *)
+  M.record_syscall m ~node:0 ~label:(String.make 1 'a');
+  M.record_syscall m ~node:0 ~label:"b";
+  M.record_syscall m ~node:0 ~label:"b";
+  check_int "label a, copied string" 3 (M.syscalls_labelled m "a");
+  check_int "label b, repeated" 3 (M.syscalls_labelled m "b")
 
 let test_snapshot_independent () =
   let m = M.create ~n:2 in

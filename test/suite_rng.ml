@@ -137,6 +137,24 @@ let test_split_n_placement_independent () =
     (Invalid_argument "Rng.split_n: negative count") (fun () ->
       ignore (Sim.Rng.split_n (Sim.Rng.create ~seed:1) (-1)))
 
+let test_split_nth_matches_split_n () =
+  (* child i alone, and the parent's state after it, equal child i of
+     any family larger than i *)
+  let draws rng = List.init 16 (fun _ -> Sim.Rng.int rng 1_000_000_000) in
+  List.iter
+    (fun (seed, i, k) ->
+      let p1 = Sim.Rng.create ~seed and p2 = Sim.Rng.create ~seed in
+      let nth = Sim.Rng.split_nth p1 i in
+      let family = Sim.Rng.split_n p2 k in
+      let name = Printf.sprintf "seed %d child %d of %d" seed i k in
+      Alcotest.(check (list int)) name (draws family.(i)) (draws nth);
+      Alcotest.(check (list int)) (name ^ ": parent") (draws p2) (draws p1))
+    [ (42, 0, 1); (42, 0, 3); (42, 2, 3); (31, 2, 16); (31, 15, 16); (7, 255, 256);
+      (7, 3, 1000) ];
+  Alcotest.check_raises "negative rejected"
+    (Invalid_argument "Rng.split_nth: negative index") (fun () ->
+      ignore (Sim.Rng.split_nth (Sim.Rng.create ~seed:1) (-1)))
+
 (* Non-overlap of split streams: with 29-bit draws, any window of 4
    consecutive draws is a ~116-bit fingerprint, so two independent
    10^4-draw streams share a 4-window with probability ~ 10^8 * 2^-116
@@ -188,6 +206,8 @@ let suite =
     Alcotest.test_case "split pinned vector" `Quick test_split_pinned_vector;
     Alcotest.test_case "split_n placement independent" `Quick
       test_split_n_placement_independent;
+    Alcotest.test_case "split_nth matches split_n" `Quick
+      test_split_nth_matches_split_n;
     QCheck_alcotest.to_alcotest qcheck_shuffle_preserves;
     QCheck_alcotest.to_alcotest qcheck_split_streams_nonoverlapping;
   ]
