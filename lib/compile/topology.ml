@@ -65,12 +65,7 @@ let labelling_u t =
       t.labelling <- Some x;
       x
 
-let compile_routes labelling graph =
-  Array.init (Graph.n graph) (fun v ->
-      Array.of_list
-        (List.map
-           (fun path -> Anr.compile_walk ~copy_at:(fun _ -> true) graph path)
-           (Labels.paths_from labelling v)))
+let compile_routes = Core.Branching_paths.compile_routes
 
 let routes_u t =
   match t.routes with

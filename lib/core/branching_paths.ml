@@ -23,6 +23,14 @@ let publish_paths ctx k =
           (Hardware.Registry.counter r "bpaths.paths_sent") k
     | _ -> ()
 
+let compile_routes labelling graph =
+  Array.init (Graph.n graph) (fun v ->
+      Array.of_list
+        (List.map
+           (fun path ->
+             Hardware.Anr.compile_walk ~copy_at:(fun _ -> true) graph path)
+           (Labels.paths_from labelling v)))
+
 let send_route ctx m route = Network.send_compiled ~label:"bpaths" ctx ~route m
 
 let send_path ctx m walk =

@@ -47,6 +47,14 @@ val predicted_time_units : Netgraph.Tree.t -> int
     [(1 + this) * P] under the deterministic C=0 model (the extra unit
     is the root's own trigger activation). *)
 
+val compile_routes :
+  Labels.t -> Netgraph.Graph.t -> Hardware.Anr.route array array
+(** The route table of a labelling: element [v] holds the compiled
+    copy-all headers of [Labels.paths_from labelling v], in path
+    order ([[||]] for nodes that head no path or lie outside the
+    tree).  Headers are compiled against the physical [graph], so a
+    labelling of any subgraph's tree yields valid routes. *)
+
 val spec :
   ?precomputed:Labels.t ->
   ?routes:Hardware.Anr.route array array ->

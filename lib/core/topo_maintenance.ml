@@ -56,25 +56,29 @@ type outcome = {
 }
 
 (* The branching-paths relay needs the broadcast's decomposition; the
-   origin computes it once on its believed graph and the message
-   carries it, so relays reuse it instead of rebuilding the tree and
-   labelling per delivery (the same carried-labelling shape as
-   {!Branching_paths.msg}). *)
+   origin compiles it once into a route table over its believed tree
+   and the message carries the table, so a relay ships its own row
+   without rebuilding the tree, the labelling or any header.  Tables
+   are never mutated, so a message in flight keeps the one it left
+   with.  Flood and depth-first messages carry the empty table. *)
 type msg = {
   origin : int;
   seq : int;
   views : Topology.local_view list;
-  labelling : Labels.t option;
+  routes : Anr.route array array;
 }
 
 (* Per-node link state, indexed by the local link index (1..deg) of
    the CSR layout: one byte per incident link, updated in O(1) by the
    data-link notification — nothing is re-materialised per round. *)
 type node_state = {
-  mutable db : Topology.db;
+  db : Topology.db;
   mutable seq : int;
   local_up : Bytes.t;  (* byte [i-1] = link [i] believed up *)
   relayed : (int * int, unit) Hashtbl.t;
+  mutable routes : Anr.route array array;
+      (* the branching-paths table of the believed tree rooted here *)
+  mutable routes_at : int;  (* the db version [routes] was built at *)
 }
 
 type tour_item = Visit of int | Emit of int
@@ -135,15 +139,6 @@ let run ?(params = default_params ()) ?(node_events = []) ?chaos ~graph
     ~events () =
   let n = Graph.n graph in
   let engine = Engine.create ~queue_capacity:n () in
-  let states =
-    Array.init n (fun v ->
-        {
-          db = Topology.create ();
-          seq = 0;
-          local_up = Bytes.make (Graph.degree graph v) '\001';
-          relayed = Hashtbl.create 16;
-        })
-  in
   let origin_list =
     match params.origins with
     | None -> None
@@ -163,6 +158,22 @@ let run ?(params = default_params ()) ?(node_events = []) ?chaos ~graph
         let tbl = Hashtbl.create 16 in
         List.iter (fun o -> Hashtbl.replace tbl o ()) l;
         fun v -> Hashtbl.mem tbl v
+  in
+  (* broadcasters build trees over their believed edges, and the
+     all-origin check compares every node's; a pure relay only merges *)
+  let states =
+    Array.init n (fun v ->
+        {
+          db =
+            Topology.create
+              ?graph:(if is_origin v then Some graph else None)
+              ();
+          seq = 0;
+          local_up = Bytes.make (Graph.degree graph v) '\001';
+          relayed = Hashtbl.create 16;
+          routes = [||];
+          routes_at = -1;
+        })
   in
   (* The node's own view as a delta: collect the down local links into
      an exact-size sorted array (local indices ascend with peer id in
@@ -219,6 +230,14 @@ let run ?(params = default_params ()) ?(node_events = []) ?chaos ~graph
       end
     done
   in
+  let send_routes ctx m routes =
+    for i = 0 to Array.length routes - 1 do
+      Network.send_compiled ~label:"topo-bpaths" ctx ~route:routes.(i) m
+    done
+  in
+  let believed_tree st v =
+    Netgraph.Spanning.bfs_tree graph ~root:v ~edge_up:(Topology.believes st.db)
+  in
   let broadcast ctx =
     (match obs_broadcasts with
     | Some c -> Hardware.Registry.incr c
@@ -226,28 +245,32 @@ let run ?(params = default_params ()) ?(node_events = []) ?chaos ~graph
     let v = Network.self ctx in
     let st = states.(v) in
     st.seq <- st.seq + 1;
-    Topology.set_own st.db (own_view v);
+    let own = own_view v in
+    Topology.set_own st.db own;
     let views =
-      if params.full_view then Topology.all_views st.db else [ own_view v ]
+      if params.full_view then Topology.all_views st.db else [ own ]
     in
-    let believed = Topology.believed_graph st.db ~graph in
     match params.method_ with
     | Flood ->
-        let m = { origin = v; seq = st.seq; views; labelling = None } in
+        let m = { origin = v; seq = st.seq; views; routes = [||] } in
         Hashtbl.replace st.relayed (v, st.seq) ();
         send_local_links ctx v st ~except:None m ~label:"topo-flood"
     | Branching ->
-        let tree = Netgraph.Spanning.bfs_tree believed ~root:v in
-        let labelling = Labels.compute tree in
-        let m = { origin = v; seq = st.seq; views; labelling = Some labelling } in
+        (* the tree, its labelling and the headers are functions of the
+           believed edge set alone: rebuild them only when it moved *)
+        let version = Topology.version st.db in
+        if st.routes_at <> version then begin
+          st.routes <-
+            Branching_paths.compile_routes
+              (Labels.compute (believed_tree st v))
+              graph;
+          st.routes_at <- version
+        end;
+        let m = { origin = v; seq = st.seq; views; routes = st.routes } in
         Hashtbl.replace st.relayed (v, st.seq) ();
-        List.iter
-          (fun path ->
-            Network.send_walk ~label:"topo-bpaths" ~copy_at:(fun _ -> true) ctx
-              ~walk:path m)
-          (Labels.paths_from labelling v)
+        send_routes ctx m st.routes.(v)
     | Dfs_token -> (
-        let tree = Netgraph.Spanning.bfs_tree believed ~root:v in
+        let tree = believed_tree st v in
         let order =
           match params.dfs_child_order with
           | Some f -> fun ~self ~children -> f ~self ~children
@@ -256,16 +279,14 @@ let run ?(params = default_params ()) ?(node_events = []) ?chaos ~graph
         match tour_with_order tree order with
         | [] | [ _ ] -> ()
         | tour ->
-            let m = { origin = v; seq = st.seq; views; labelling = None } in
+            let m = { origin = v; seq = st.seq; views; routes = [||] } in
             let marked = Walks.mark_first_visits tour in
             let route =
               Anr.of_walk_marked (Network.graph (Network.network ctx)) marked
             in
             Network.send ~label:"topo-dfs" ctx ~route m)
   in
-  let relay ctx m =
-    let v = Network.self ctx in
-    let st = states.(v) in
+  let relay st m =
     if not (Hashtbl.mem st.relayed (m.origin, m.seq)) then begin
       Hashtbl.replace st.relayed (m.origin, m.seq) ();
       true
@@ -317,19 +338,9 @@ let run ?(params = default_params ()) ?(node_events = []) ?chaos ~graph
           match params.method_ with
           | Dfs_token -> ()
           | Flood ->
-              if relay ctx m then
+              if relay st m then
                 send_local_links ctx v st ~except:via m ~label:"topo-flood"
-          | Branching -> (
-              if relay ctx m then
-                match m.labelling with
-                | None -> ()
-                | Some labelling ->
-                    if Tree.mem (Labels.tree labelling) v then
-                      List.iter
-                        (fun path ->
-                          Network.send_walk ~label:"topo-bpaths"
-                            ~copy_at:(fun _ -> true) ctx ~walk:path m)
-                        (Labels.paths_from labelling v)));
+          | Branching -> if relay st m then send_routes ctx m m.routes.(v));
       on_link_change =
         (fun _ctx ~peer ~up ->
           let st = states.(v) in
@@ -374,7 +385,7 @@ let run ?(params = default_params ()) ?(node_events = []) ?chaos ~graph
          stale entries other nodes still hold (the ARPANET
          sequence-number lesson) *)
       let st = states.(node) in
-      st.db <- Topology.create ();
+      Topology.clear st.db;
       Hashtbl.reset st.relayed;
       Topology.set_own st.db (own_view node)
     end;
@@ -392,25 +403,24 @@ let run ?(params = default_params ()) ?(node_events = []) ?chaos ~graph
   in
   Hardware.Fault_plan.arm ~on_node net plan;
   Network.start_all net;
-  let actual_graph () =
-    Graph.of_edges ~n
-      (List.filter (fun (u, v) -> Network.link_is_up net u v) (Graph.edges graph))
-  in
   let correct_count =
     match origin_list with
     | None ->
+        (* the [T77] check against one live-link snapshot per round; a
+           node whose believed edges equal the live ones costs one
+           bitset compare *)
         fun () ->
-          let actual = actual_graph () in
+          let live = Topology.live graph ~up:(Network.link_is_up net) in
           Graph.fold_nodes
             (fun v acc ->
-              if Topology.consistent_with states.(v).db ~graph ~actual ~node:v
-              then acc + 1
+              if Topology.consistent_live states.(v).db live ~node:v then
+                acc + 1
               else acc)
             graph 0
     | Some origins ->
         (* dissemination check for the restricted-origin mode: a node
            is correct when it holds every origin's freshest view —
-           Θ(n·k) per round instead of n believed-graph rebuilds *)
+           Θ(n·k) per round, no believed topology involved *)
         fun () ->
           Graph.fold_nodes
             (fun v acc ->

@@ -62,11 +62,13 @@ type params = {
       (** when set, only these nodes run the periodic broadcast (the
           others still record link state, merge views and relay).
           Convergence then means dissemination: every node holds each
-          origin's freshest view — checked in Θ(n·k) per round instead
-          of n believed-graph rebuilds, which is what lets the scaling
-          bench run maintenance rounds at n=65536 and beyond.  [None]
-          (default) is the full protocol: every node broadcasts and
-          convergence is the [T77] consistency check. *)
+          origin's freshest view — checked in Θ(n·k) per round, and
+          only the k origins track a believed-edge bitset, which is
+          what lets the scaling bench run maintenance rounds at
+          n=65536 and beyond.  [None] (default) is the full protocol:
+          every node broadcasts and convergence is the [T77]
+          consistency check, one bitset compare per node against the
+          round's live links (DESIGN.md §15). *)
   recover : Hardware.Recover.t option;
       (** when set, a recovering origin resumes its round immediately:
           the node-recovery hook triggers an out-of-period rebroadcast

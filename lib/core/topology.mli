@@ -32,7 +32,14 @@ val reports_down : local_view -> int -> bool
 
 type db
 
-val create : unit -> db
+val create : ?graph:Netgraph.Graph.t -> unit -> db
+(** An empty database.  With [graph], it also {e tracks} its believed
+    edge set: a bitset over [graph]'s undirected edge ids, kept current
+    by {!update}, {!set_own}, {!attach_base} and {!clear} at O(degree)
+    per origin whose down-set changes (a fresher view with the same
+    [downs] costs nothing).  A node that broadcasts over, or is
+    checked against, its believed topology needs a tracking database;
+    a pure relay does not. *)
 
 val attach_base : db -> local_view array -> unit
 (** Install a shared base layer: a dense by-origin view array the
@@ -55,6 +62,10 @@ val set_own : db -> local_view -> unit
     used when the data-link layer reports a local change between
     broadcasts. *)
 
+val clear : db -> unit
+(** Forget every view, the base layer included (a recovering node's
+    amnesia).  The {!version} still moves forward. *)
+
 val find : db -> int -> local_view option
 val all_views : db -> local_view list
 (** Views sorted by origin. *)
@@ -66,15 +77,38 @@ val believed_edge : db -> int -> int -> bool
     reported and no reporting endpoint lists the other as down (the
     ARPANET AND rule; a single report is trusted). *)
 
-val believed_graph : db -> graph:Netgraph.Graph.t -> Netgraph.Graph.t
-(** The topology the database describes, enumerated over the physical
-    edge set (views are deltas, so the believed graph is a subgraph of
-    the real one by construction — routes computed on it are
-    well-formed ANR walks). *)
+val believes : db -> int -> bool
+(** [believes db e]: is the physical link with undirected edge id [e]
+    believed active — {!believed_edge} read from the tracked bitset, in
+    O(1).  The believed topology is the subgraph of these links, so it
+    is a subgraph of the physical one by construction.
+    @raise Invalid_argument if the database does not track. *)
+
+val version : db -> int
+(** Counts the changes of the tracked believed edge set: anything
+    derived from the believed topology (a spanning tree, a route
+    table) stays valid while the version stands still. *)
 
 val consistent_with :
   db -> graph:Netgraph.Graph.t -> actual:Netgraph.Graph.t -> node:int -> bool
 (** Eventual-consistency check of [T77]: does the believed topology
     agree with [actual] (the currently-active subgraph of the physical
     [graph]) on [node]'s actual connected component — same reachable
-    node set and same edge set within it? *)
+    node set and same edge set within it?  Works on any database; the
+    reference for {!consistent_live}. *)
+
+type live
+(** One snapshot of the live links of a physical graph: their bitset
+    and whether they connect the whole graph. *)
+
+val live : Netgraph.Graph.t -> up:(int -> int -> bool) -> live
+(** The links [(u, v)] of the graph with [up u v]; Θ(m) once per
+    snapshot. *)
+
+val consistent_live : db -> live -> node:int -> bool
+(** {!consistent_with} against the snapshot, for a tracking database:
+    equal edge bitsets are consistent; otherwise a connected live graph
+    makes [node]'s component the whole graph, so the node is
+    inconsistent; only a partitioned one falls back to the
+    per-component comparison.  Allocation-free unless it falls back.
+    @raise Invalid_argument if the database does not track. *)

@@ -1,15 +1,18 @@
-let bfs_tree g ~root =
-  let dist = Traversal.distances g ~root in
+let bfs_tree ?edge_up g ~root =
+  let dist = Traversal.distances ?edge_up g ~root in
+  let up e =
+    match edge_up with None -> true | Some up -> up (Graph.edge_uid g e)
+  in
+  (* smallest-id neighbour in the previous layer, over a usable link *)
+  let rec parent v i =
+    let e = Graph.edge_id g v i in
+    let u = Graph.edge_target g e in
+    if dist.(u) = dist.(v) - 1 && up e then u else parent v (i + 1)
+  in
   let parents = ref [] in
   Graph.iter_nodes
     (fun v ->
-      if v <> root && dist.(v) > 0 then begin
-        (* smallest-id neighbour in the previous layer *)
-        let p =
-          List.find (fun u -> dist.(u) = dist.(v) - 1) (Graph.neighbors g v)
-        in
-        parents := (v, p) :: !parents
-      end)
+      if v <> root && dist.(v) > 0 then parents := (v, parent v 1) :: !parents)
     g;
   Tree.of_parents ~root ~parents:!parents
 

@@ -5,10 +5,14 @@
     broadcaster (Section 3.1, step (1)); this is a BFS tree of the
     node's current view. *)
 
-val bfs_tree : Graph.t -> root:int -> Tree.t
+val bfs_tree : ?edge_up:(int -> bool) -> Graph.t -> root:int -> Tree.t
 (** Minimum-hop spanning tree of the connected component of [root].
     Each node's parent is its smallest-id neighbour in the previous
-    BFS layer, so the tree is a deterministic function of the graph. *)
+    BFS layer, so the tree is a deterministic function of the graph.
+    With [edge_up] (see {!Traversal.distances}) the tree spans [root]'s
+    component of the subgraph of links whose undirected edge id
+    satisfies it — the same tree as on that subgraph built as a graph
+    of its own. *)
 
 val dfs_tree : Graph.t -> root:int -> Tree.t
 (** Depth-first spanning tree of [root]'s component (neighbours in

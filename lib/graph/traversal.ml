@@ -1,4 +1,8 @@
-let distances g ~root =
+(* Breadth-first over the CSR slices: neighbours come out in
+   increasing id order, exactly as [Graph.neighbors] lists them, and
+   [edge_up] (an undirected-edge-id predicate) masks links without
+   materialising a filtered graph. *)
+let distances ?edge_up g ~root =
   let n = Graph.n g in
   let dist = Array.make n (-1) in
   dist.(root) <- 0;
@@ -6,13 +10,17 @@ let distances g ~root =
   Queue.add root q;
   while not (Queue.is_empty q) do
     let u = Queue.pop q in
-    List.iter
-      (fun v ->
-        if dist.(v) < 0 then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v q
-        end)
-      (Graph.neighbors g u)
+    for i = 1 to Graph.degree g u do
+      let e = Graph.edge_id g u i in
+      let v = Graph.edge_target g e in
+      if
+        dist.(v) < 0
+        && match edge_up with None -> true | Some up -> up (Graph.edge_uid g e)
+      then begin
+        dist.(v) <- dist.(u) + 1;
+        Queue.add v q
+      end
+    done
   done;
   dist
 

@@ -7,8 +7,11 @@ val bfs_order : Graph.t -> root:int -> int list
 val bfs_layers : Graph.t -> root:int -> int list list
 (** Reachable nodes grouped by hop distance; layer 0 is [[root]]. *)
 
-val distances : Graph.t -> root:int -> int array
-(** Hop distances from [root]; [-1] marks unreachable nodes. *)
+val distances : ?edge_up:(int -> bool) -> Graph.t -> root:int -> int array
+(** Hop distances from [root]; [-1] marks unreachable nodes.  With
+    [edge_up], only links whose undirected edge id satisfies it are
+    crossed — the distances in that subgraph of [g], computed over
+    [g]'s own adjacency. *)
 
 val dfs_preorder : Graph.t -> root:int -> int list
 (** Depth-first preorder from [root] (neighbours visited in increasing
