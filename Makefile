@@ -1,4 +1,4 @@
-.PHONY: all build test perfbench-selftest bench bench-smoke bench-json bench-check bench-parallel bench-scale bench-million bench-obs chaos chaos-smoke chaos-liveness query-smoke experiments figures examples clean
+.PHONY: all build test perfbench-selftest bench-parallel bench-scale bench-million bench-obs chaos chaos-smoke chaos-liveness query-smoke experiments figures examples clean
 
 all: build
 
@@ -14,66 +14,46 @@ test:
 perfbench-selftest:
 	python3 perfbench/run.py --selftest
 
-bench:
-	dune exec bench/main.exe -- bench
-
-bench-smoke:
-	dune exec bench/main.exe -- bench --smoke
-
-# Scaling suite (n = 64..4096) writing one BENCH_<n>.json per size:
-# the perf trajectory future PRs regress against (see DESIGN.md §7).
-bench-json:
-	dune exec bench/main.exe -- bench --json
-
-# Regression gate: diff each committed BENCH_<n>.json against its seed
-# baseline.  A pure file comparison (nothing is re-timed), so it is
-# deterministic on any machine; exits 4 on > 15% slow-down.
-bench-check:
-	dune exec bench/main.exe -- bench \
-	  --check BENCH_64.seed.json --check BENCH_256.seed.json \
-	  --check BENCH_1024.seed.json --check BENCH_4096.seed.json \
-	  --check BENCH_16384.seed.json --check BENCH_65536.seed.json
-
-# Scale smoke (DESIGN.md §12, §15): every scenario — broadcasts,
-# election on the random graph, 4-origin maintenance rounds, setup/ —
-# un-gated at n=16384 and 65536, timed one-shot, with the O(n) memory
-# gate armed (exit 7 when the heap high-water mark exceeds
-# 64 MiB + 10000 bytes/node) and the streamed-trace export on
+# Scale smoke (DESIGN.md §12, §15): every scenario row of
+# Experiments.Scaling — broadcasts, election on the random graph,
+# 4-origin maintenance rounds, the self-healing broadcast — at n=16384
+# and 65536, each compared with its line in
+# test/golden/bench_counters.jsonl (exit 4 on any differing counter),
+# with the O(n) memory gate armed (exit 7 when the heap high-water mark
+# exceeds 64 MiB + 10000 bytes/node) and the streamed-trace export on
 # (DESIGN.md §13: the full broadcast trace leaves the process through
 # a 64 KiB sink buffer, so the memory gate also proves streaming is
 # O(buffer)), then a 10^5 branching-paths sweep through the CLI to
 # prove the whole pipeline — graph build, BFS, labelling, route
 # compilation, broadcast — survives six figures with no stack
-# overflow.  Writes BENCH_16384.json and BENCH_65536.json for the
-# bench-check gate above.
+# overflow.
 bench-scale:
-	dune exec bench/main.exe -- bench --json --sizes 16384,65536 --mem-budget 10000 --stream
+	dune exec bench/main.exe -- bench --sizes 16384,65536 --mem-budget 10000 --stream
 	dune exec bin/futurenet_cli.exe -- bench -s bpaths -n 100000 -r 2 --jobs 1
 
 # The 10^6 smoke (DESIGN.md §15): branching-paths broadcast + election
-# at n=2^20 on the random benchmark graph, timed one-shot, BENCH json
-# streamed through the chunked sink, memory gate armed.  Election at
-# this size carries ~7.1M syscalls and a multi-GiB working set — the
-# budget is sized to its measured ~4.3 KiB/node plus GC headroom.
+# at n=2^20 on the random benchmark graph, memory gate armed (the
+# golden has no line at this size: the counters are printed, not
+# checked).  Election at this size carries ~7.1M syscalls and a
+# multi-GiB working set — the budget is sized to its measured
+# ~4.3 KiB/node plus GC headroom.
 bench-million:
-	dune exec bench/main.exe -- bench --json --sizes 1048576 \
+	dune exec bench/main.exe -- bench --sizes 1048576 \
 	  --scenarios bpaths,election --mem-budget 8000
 
-# Observability overhead gate (DESIGN.md §13): time each scenario with
+# Observability overhead gate (DESIGN.md §13): time each broadcast with
 # traces off, with a disabled trace attached, and with a streaming
-# file sink attached; record the ratios in the BENCH json and exit 8
-# when a budget is blown (disabled must be ~1.0x, streaming within its
-# declared budget).
+# file sink attached; exit 8 when a budget is blown (disabled must be
+# ~1.0x, streaming within its declared budget).
 bench-obs:
-	dune exec bench/main.exe -- bench --json --sizes 64,256 --obs-overhead
+	dune exec bench/main.exe -- bench --sizes 64,256 --obs-overhead
 
-# Multicore sweep check at the acceptance size: times the n=1024
-# scaling suite and the replica sweeps at 1 and 4 domains, records
-# wall clocks + speedup in BENCH_1024.json's "parallel" section, and
-# exits 5 if any sweep's per-replica metrics diverge between job
-# counts (the determinism invariant of DESIGN.md §10).
+# Multicore sweep check at the acceptance size: runs the n=1024
+# replica sweeps at 1 and 4 domains and exits 5 if any sweep's
+# per-replica metrics diverge between job counts (the determinism
+# invariant of DESIGN.md §10).
 bench-parallel:
-	dune exec bench/main.exe -- bench --json --sizes 1024 --jobs 4
+	dune exec bench/main.exe -- bench --sizes 1024 --jobs 4
 
 # Chaos soak smoke: 32 seeded fault schedules per scenario family at
 # n=64 (224 total).  Any oracle failure shrinks to a minimal
@@ -118,7 +98,7 @@ query-smoke:
 	cat _artifacts/query-smoke-report.txt _artifacts/query-diff-report.txt
 
 experiments:
-	dune exec bench/main.exe -- all
+	dune exec bin/futurenet_cli.exe -- experiment all
 
 figures:
 	dune exec bin/futurenet_cli.exe -- figures

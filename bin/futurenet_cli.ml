@@ -85,13 +85,13 @@ let json_flag =
   Arg.(value & flag
          & info [ "json" ] ~doc:"Emit the result as one JSON object on stdout.")
 
-(* JSON helpers shared by --json output paths; floats use %.12g like
-   the trace exporters so output is deterministic *)
-let json_float f = Printf.sprintf "%.12g" f
-
+(* JSON object of pre-rendered values, shared by --json output paths;
+   floats go through Sim.Json.float like the trace exporters so output
+   is deterministic *)
 let json_obj fields =
   "{"
-  ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) fields)
+  ^ String.concat ","
+      (List.map (fun (k, v) -> Sim.Json.string k ^ ":" ^ v) fields)
   ^ "}"
 
 (* -- experiment -------------------------------------------------------- *)
@@ -180,8 +180,8 @@ let broadcast_json ~algo ~topology ~graph ~root (r : Core.Broadcast.result) =
   json_obj
     [
       ("command", "\"broadcast\"");
-      ("algorithm", Printf.sprintf "%S" (algo_name algo));
-      ("topology", Printf.sprintf "%S" (topology_name topology));
+      ("algorithm", Sim.Json.string (algo_name algo));
+      ("topology", Sim.Json.string (topology_name topology));
       ("n", string_of_int (Netgraph.Graph.n graph));
       ("m", string_of_int (Netgraph.Graph.m graph));
       ("root", string_of_int root);
@@ -191,7 +191,7 @@ let broadcast_json ~algo ~topology ~graph ~root (r : Core.Broadcast.result) =
       ("sends", string_of_int r.sends);
       ("drops", string_of_int r.drops);
       ("max_header", string_of_int r.max_header);
-      ("time", json_float r.time);
+      ("time", Sim.Json.float r.time);
     ]
 
 let broadcast_cmd =
@@ -252,7 +252,7 @@ let election_json ~topology ~n (o : Core.Election.outcome) =
   json_obj
     [
       ("command", "\"election\"");
-      ("topology", Printf.sprintf "%S" (topology_name topology));
+      ("topology", Sim.Json.string (topology_name topology));
       ("n", string_of_int n);
       ("leader", string_of_int o.Core.Election.leader);
       ("election_syscalls", string_of_int o.election_syscalls);
@@ -263,7 +263,7 @@ let election_json ~topology ~n (o : Core.Election.outcome) =
       ("tours", string_of_int o.tours);
       ("captures", string_of_int o.captures);
       ("max_route", string_of_int o.max_route);
-      ("time", json_float o.time);
+      ("time", Sim.Json.float o.time);
       ( "everyone_informed",
         string_of_bool
           (Array.for_all
@@ -369,9 +369,9 @@ let trace_cmd =
                   ~fields:
                     [
                       ("scenario",
-                       Printf.sprintf "%S" (scenario_tag scenario));
+                       Sim.Json.string (scenario_tag scenario));
                       ("topology",
-                       Printf.sprintf "%S" (topology_name topology));
+                       Sim.Json.string (topology_name topology));
                       ("n", string_of_int n);
                       ("seed", string_of_int seed);
                       ("root", string_of_int root);
@@ -588,11 +588,11 @@ let profile_cmd =
             (json_obj
                [
                  ("command", "\"profile\"");
-                 ("scenario", Printf.sprintf "%S" (scenario_name scenario));
-                 ("topology", Printf.sprintf "%S" (topology_name topology));
+                 ("scenario", Sim.Json.string (scenario_name scenario));
+                 ("topology", Sim.Json.string (topology_name topology));
                  ("n", string_of_int n);
-                 ("c", json_float c);
-                 ("p", json_float p);
+                 ("c", Sim.Json.float c);
+                 ("p", Sim.Json.float p);
                  ("events", string_of_int (Analysis.Event_dag.size dag));
                  ("critical_path", Analysis.Critical_path.to_json cp);
                  ("slack", Analysis.Critical_path.slack_stats_json stats);

@@ -317,33 +317,17 @@ let pp ppf t =
     done
   end
 
-let json_float f = Printf.sprintf "%.12g" f
-
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+module J = Sim.Json
 
 let to_json t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf
        {|{"span":%s,"t_start":%s,"t_end":%s,"steps":%d,"deliveries":%d,"activations":%d,"hops":%d,"sends":%d,"p_time":%s,"c_time":%s,"queue_wait":%s,"fifo_wait":%s,"truncated":%d|}
-       (json_float t.span) (json_float t.t_start) (json_float t.t_end)
+       (J.float t.span) (J.float t.t_start) (J.float t.t_end)
        (List.length t.steps) t.deliveries t.activations t.hops t.sends
-       (json_float t.p_time) (json_float t.c_time) (json_float t.queue_wait)
-       (json_float t.fifo_wait) t.truncated);
+       (J.float t.p_time) (J.float t.c_time) (J.float t.queue_wait)
+       (J.float t.fifo_wait) t.truncated);
   let array name items render =
     Buffer.add_string buf (Printf.sprintf {|,"%s":[|} name);
     List.iteri
@@ -354,21 +338,21 @@ let to_json t =
     Buffer.add_char buf ']'
   in
   array "per_node" t.per_node (fun (v, tm) ->
-      Printf.sprintf {|{"node":%d,"time":%s}|} v (json_float tm));
+      Printf.sprintf {|{"node":%d,"time":%s}|} v (J.float tm));
   array "per_phase" t.per_phase (fun (ph, tm) ->
-      Printf.sprintf {|{"phase":%s,"time":%s}|} (json_string ph) (json_float tm));
+      Printf.sprintf {|{"phase":%s,"time":%s}|} (J.string ph) (J.float tm));
   array "per_link" t.per_link (fun ((u, v), tm) ->
-      Printf.sprintf {|{"src":%d,"dst":%d,"time":%s}|} u v (json_float tm));
+      Printf.sprintf {|{"src":%d,"dst":%d,"time":%s}|} u v (J.float tm));
   array "path" t.steps (fun s ->
       Printf.sprintf
         {|{"idx":%d,"kind":"%s","node":%d,"time":%s,"elapsed":%s,"work":%s,"wait":%s,"label":%s}|}
-        s.idx (kind_name s.kind) s.node (json_float s.time)
-        (json_float s.elapsed) (json_float s.work) (json_float s.wait)
-        (json_string s.label));
+        s.idx (kind_name s.kind) s.node (J.float s.time)
+        (J.float s.elapsed) (J.float s.work) (J.float s.wait)
+        (J.string s.label));
   Buffer.add_char buf '}';
   Buffer.contents buf
 
 let slack_stats_json s =
   Printf.sprintf
     {|{"events":%d,"zero_slack":%d,"max_slack":%s,"mean_slack":%s}|}
-    s.events s.zero_slack (json_float s.max_slack) (json_float s.mean_slack)
+    s.events s.zero_slack (J.float s.max_slack) (J.float s.mean_slack)

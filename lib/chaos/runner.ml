@@ -436,15 +436,10 @@ let publish soak r =
 
 (* -- JSON -------------------------------------------------------------- *)
 
-(* Verdict entries are keyed "schedule"/"oracle", never "name" paired
-   with "ns_per_run", so the bench --check regression parser skips
-   them when chaos output is merged into a bench file. *)
 let oracle_json (r : Monitor.report) =
-  Printf.sprintf "{\"oracle\":\"%s\",\"ok\":%b,\"detail\":\"%s\"}"
-    (Jsonx.escape r.Monitor.monitor)
-    r.ok (Jsonx.escape r.detail)
-
-let float_str f = Printf.sprintf "%.12g" f
+  Printf.sprintf "{\"oracle\":%s,\"ok\":%b,\"detail\":%s}"
+    (Sim.Json.string r.Monitor.monitor)
+    r.ok (Sim.Json.string r.detail)
 
 let verdict_json v =
   Printf.sprintf
@@ -457,7 +452,7 @@ let verdict_json v =
     v.liveness v.ok
     (String.concat "," (List.map oracle_json v.oracles))
     v.syscalls v.hops v.drops v.dropped_in_flight v.retransmits v.restarts
-    (float_str v.time)
+    (Sim.Json.float v.time)
 
 (* Byte-identical for a fixed (scenario, n, seed, schedules) whatever
    the job count: verdicts are in submission order and contain only
@@ -480,7 +475,7 @@ let repro_json v =
     List.filter_map
       (fun (r : Monitor.report) ->
         if r.Monitor.ok then None
-        else Some (Printf.sprintf "\"%s\"" (Jsonx.escape r.monitor)))
+        else Some (Sim.Json.string r.monitor))
       v.oracles
   in
   Printf.sprintf
@@ -508,13 +503,13 @@ let read_repro_full path =
     | contents -> Ok contents
     | exception Sys_error msg -> Error msg
   in
-  let* doc = Jsonx.parse contents in
-  let* magic = Result.bind (Jsonx.member "repro" doc) Jsonx.to_string in
+  let* doc = Sim.Json.parse contents in
+  let* magic = Result.bind (Sim.Json.member "repro" doc) Sim.Json.to_string in
   let* () =
     if magic = repro_magic then Ok ()
     else Error (Printf.sprintf "not a chaos repro file (magic %S)" magic)
   in
-  let* name = Result.bind (Jsonx.member "scenario" doc) Jsonx.to_string in
+  let* name = Result.bind (Sim.Json.member "scenario" doc) Sim.Json.to_string in
   let* scenario =
     match Sweep.scenario_of_string name with
     | Some s -> Ok s
@@ -522,11 +517,11 @@ let read_repro_full path =
   in
   (* pre-recovery repro files carry no liveness key: safety mode *)
   let* liveness =
-    match Jsonx.member "liveness" doc with
-    | Ok b -> Jsonx.to_bool b
+    match Sim.Json.member "liveness" doc with
+    | Ok b -> Sim.Json.to_bool b
     | Error _ -> Ok false
   in
-  let* schedule_obj = Jsonx.member "schedule" doc in
+  let* schedule_obj = Sim.Json.member "schedule" doc in
   let* schedule = Schedule.of_json_value schedule_obj in
   Ok (scenario, schedule, liveness)
 

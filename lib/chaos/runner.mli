@@ -124,9 +124,8 @@ val publish : soak -> Hardware.Registry.t -> unit
 (** {1 JSON} *)
 
 val verdict_json : verdict -> string
-(** Keyed ["schedule"]/["oracle"] — never a ["name"]/["ns_per_run"]
-    pair — so the bench [--check] regression parser ignores chaos
-    entries merged into a bench file. *)
+(** One verdict as a JSON object: scenario, schedule, oracles and the
+    run's counters. *)
 
 val soak_json : soak -> string
 (** Deterministic across job counts (no wall clock, no job count). *)

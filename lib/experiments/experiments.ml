@@ -30,6 +30,8 @@ let run_all () =
       run ())
     all
 
+module Scaling = Scaling
+
 let figures = Figures.run
 let timeline = Timeline.run
 

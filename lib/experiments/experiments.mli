@@ -12,6 +12,9 @@ val find : string -> (string * string * (unit -> unit)) option
 val run_all : unit -> unit
 (** Run every registered experiment, printing the tables to stdout. *)
 
+module Scaling = Scaling
+(** The benchmark scenario table and its counter golden. *)
+
 val figures : unit -> unit
 (** Render the paper's Figures 1-5 as ASCII (live objects where a
     computation is involved). *)

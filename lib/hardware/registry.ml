@@ -160,7 +160,7 @@ let sorted t =
     (fun (a, _) (b, _) -> String.compare a b)
     (Hashtbl.fold (fun name i acc -> (name, i) :: acc) t.instruments [])
 
-let float_str f = Printf.sprintf "%.12g" f
+module J = Sim.Json
 
 let pp_summary ppf t =
   let rows = sorted t in
@@ -171,34 +171,22 @@ let pp_summary ppf t =
         match i with
         | Counter (c, _) -> Format.fprintf ppf "%-28s %12d@." name c.count
         | Gauge (g, _) ->
-            Format.fprintf ppf "%-28s %12s@." name (float_str g.value)
+            Format.fprintf ppf "%-28s %12s@." name (J.float g.value)
         | Histogram (h, _) ->
             let mean = if h.total = 0 then 0.0 else h.sum /. float_of_int h.total in
             Format.fprintf ppf "%-28s %12d  sum=%s mean=%s@." name h.total
-              (float_str h.sum) (float_str mean);
+              (J.float h.sum) (J.float mean);
             List.iter
               (fun (bound, count) ->
                 if count > 0 then
                   if bound = infinity then
                     Format.fprintf ppf "  %-26s %12d@." "le=+inf" count
                   else
-                    Format.fprintf ppf "  le=%-23s %12d@." (float_str bound)
+                    Format.fprintf ppf "  le=%-23s %12d@." (J.float bound)
                       count)
               (histogram_buckets h))
       rows
   end
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let to_json t =
   let buf = Buffer.create 1024 in
@@ -207,23 +195,23 @@ let to_json t =
   List.iter
     (fun (name, i) ->
       if !first then first := false else Buffer.add_string buf ",";
-      Buffer.add_string buf (Printf.sprintf "\n  \"%s\": " (json_escape name));
+      Buffer.add_string buf (Printf.sprintf "\n  %s: " (J.string name));
       (match i with
       | Counter (c, _) ->
           Buffer.add_string buf
             (Printf.sprintf {|{"kind":"counter","value":%d}|} c.count)
       | Gauge (g, _) ->
           Buffer.add_string buf
-            (Printf.sprintf {|{"kind":"gauge","value":%s}|} (float_str g.value))
+            (Printf.sprintf {|{"kind":"gauge","value":%s}|} (J.float g.value))
       | Histogram (h, _) ->
           Buffer.add_string buf
             (Printf.sprintf {|{"kind":"histogram","count":%d,"sum":%s,"buckets":[|}
-               h.total (float_str h.sum));
+               h.total (J.float h.sum));
           List.iteri
             (fun i (bound, count) ->
               if i > 0 then Buffer.add_string buf ",";
               let le =
-                if bound = infinity then {|"+inf"|} else float_str bound
+                if bound = infinity then {|"+inf"|} else J.float bound
               in
               Buffer.add_string buf
                 (Printf.sprintf {|{"le":%s,"count":%d}|} le count))

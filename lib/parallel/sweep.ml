@@ -196,14 +196,12 @@ let run ?pool ?(replicas = 8) ?(trace_capacity = default_trace_capacity)
 
 (* -- JSON ------------------------------------------------------------- *)
 
-let float_str f = Printf.sprintf "%.12g" f
-
 let replica_json r =
   Printf.sprintf
     "{\"replica\":%d,\"syscalls\":%d,\"hops\":%d,\"sends\":%d,\"drops\":%d,\
      \"max_header\":%d,\"time\":%s,\"covered\":%d,\"trace_events\":%d}"
-    r.index r.syscalls r.hops r.sends r.drops r.max_header (float_str r.time)
-    r.covered r.trace_events
+    r.index r.syscalls r.hops r.sends r.drops r.max_header
+    (Sim.Json.float r.time) r.covered r.trace_events
 
 (* Everything parallelism must not change: per-replica metrics in
    submission order plus the merged registry.  No wall clock, no job
@@ -222,7 +220,7 @@ let to_json t =
     "{\"scenario\":\"%s\",\"n\":%d,\"seed\":%d,\"jobs\":%d,\"replicas\":%d,\
      \"wall_s\":%s,\"metrics\":%s}"
     (scenario_name t.scenario) t.n t.seed t.jobs
-    (Array.length t.replicas) (float_str t.wall_s) (metrics_json t)
+    (Array.length t.replicas) (Sim.Json.float t.wall_s) (metrics_json t)
 
 let pp ppf t =
   Format.fprintf ppf "%s sweep: n=%d seed=%d jobs=%d replicas=%d wall %.3fs@."

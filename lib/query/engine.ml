@@ -333,11 +333,9 @@ let pp ppf r =
                    (fun (k, v) ->
                      Printf.sprintf "%s=%s" k
                        (match v with
-                       | Sim.Trace_import.String s -> s
-                       | Sim.Trace_import.Number f ->
-                           Printf.sprintf "%g" f
-                       | Sim.Trace_import.Bool b -> string_of_bool b
-                       | Sim.Trace_import.Null -> "null"))
+                       | Sim.Json.Str s -> s
+                       | Sim.Json.Num f -> Printf.sprintf "%g" f
+                       | v -> Sim.Json.render v))
                    fs))
   | None -> Format.fprintf ppf "  header: none (bare event stream)@.");
   (match r.truncated with
@@ -368,15 +366,13 @@ let pp ppf r =
 
 let json_float f = Printf.sprintf "%.12g" (if Float.is_nan f then 0.0 else f)
 
-let json_string = Sim.Trace_export.json_string
-
 let to_json r =
   let header =
     match r.header with
     | None -> "null"
     | Some (sv, kind, _) ->
         Printf.sprintf "{\"schema_version\":%d,\"kind\":%s}" sv
-          (json_string kind)
+          (Sim.Json.string kind)
   in
   let truncated =
     match r.truncated with
@@ -391,14 +387,14 @@ let to_json r =
       (List.map
          (fun (k, c) ->
            Printf.sprintf "{\"kind\":%s,\"count\":%d}"
-             (json_string (kind_name k)) c)
+             (Sim.Json.string (kind_name k)) c)
          r.by_kind)
   in
   let other =
     String.concat ","
       (List.map
          (fun (k, c) ->
-           Printf.sprintf "{\"record\":%s,\"count\":%d}" (json_string k) c)
+           Printf.sprintf "{\"record\":%s,\"count\":%d}" (Sim.Json.string k) c)
          r.other)
   in
   let groups =
@@ -406,13 +402,13 @@ let to_json r =
     | None -> "null"
     | Some (gb, rows) ->
         Printf.sprintf "{\"by\":%s,\"rows\":[%s]}"
-          (json_string (group_by_name gb))
+          (Sim.Json.string (group_by_name gb))
           (String.concat ","
              (List.map
                 (fun g ->
                   Printf.sprintf
                     "{\"key\":%s,\"count\":%d,\"t_min\":%s,\"t_max\":%s}"
-                    (json_string g.g_key) g.g_count (json_float g.g_t_min)
+                    (Sim.Json.string g.g_key) g.g_count (json_float g.g_t_min)
                     (json_float g.g_t_max))
                 rows))
   in
@@ -420,6 +416,6 @@ let to_json r =
     "{\"source\":%s,\"header\":%s,\"lines\":%d,\"events\":%d,\"matched\":%d,\
      \"truncated\":%s,\"t_min\":%s,\"t_max\":%s,\"kinds\":[%s],\
      \"other\":[%s],\"groups\":%s,\"latency\":%s}"
-    (json_string r.source) header r.lines r.events r.matched truncated
+    (Sim.Json.string r.source) header r.lines r.events r.matched truncated
     (json_float r.t_min) (json_float r.t_max) kinds other groups
     (Latency.to_json r.latency)

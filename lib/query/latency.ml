@@ -282,9 +282,9 @@ let link_mean s = if s.ls_count = 0 then nan else s.ls_total /. float_of_int s.l
 let link_min s = if s.ls_count = 0 then nan else s.ls_min
 let link_max s = if s.ls_count = 0 then nan else s.ls_max
 
-(* -- rendering ---------------------------------------------------------- *)
+module J = Sim.Json
 
-let json_float f = Printf.sprintf "%.12g" f
+(* -- rendering ---------------------------------------------------------- *)
 
 let dist_fields h =
   [
@@ -301,7 +301,7 @@ let dist_fields h =
 let dist_json h =
   let field (k, v) =
     Printf.sprintf "\"%s\":%s" k
-      (json_float (if Float.is_nan v then 0.0 else v))
+      (J.float (if Float.is_nan v then 0.0 else v))
   in
   "{" ^ String.concat "," (List.map field (dist_fields h)) ^ "}"
 
@@ -318,7 +318,7 @@ let to_json ?(max_links = 64) t =
     split max_links all_links
   in
   let link_json ((u, v), s) =
-    let num f = json_float (if Float.is_nan f then 0.0 else f) in
+    let num f = J.float (if Float.is_nan f then 0.0 else f) in
     Printf.sprintf
       "{\"link\":\"%d->%d\",\"count\":%d,\"mean\":%s,\"min\":%s,\"max\":%s}"
       u v s.ls_count (num (link_mean s)) (num (link_min s)) (num (link_max s))
@@ -328,8 +328,8 @@ let to_json ?(max_links = 64) t =
      \"c_work\":%s,\"p_work\":%s,\"wait\":%s,\
      \"hop\":%s,\"delivery\":%s,\"end_to_end\":%s,\
      \"links\":[%s],\"links_elided\":%d}"
-    (json_float t.c) (json_float t.p) t.messages t.deliveries t.unknown
-    (json_float t.c_work) (json_float t.p_work) (json_float t.wait)
+    (J.float t.c) (J.float t.p) t.messages t.deliveries t.unknown
+    (J.float t.c_work) (J.float t.p_work) (J.float t.wait)
     (dist_json t.hop) (dist_json t.delivery) (dist_json t.e2e)
     (String.concat "," (List.map link_json shown))
     elided

@@ -10,6 +10,10 @@ exception Fail of string * int
 
 let fail msg pos = raise (Fail (msg, pos))
 
+(* Deeper input is refused rather than recursed into, so a hostile
+   line cannot overflow the stack. *)
+let max_depth = 512
+
 (* One mutable cursor over the input; every parse_* consumes exactly
    its value and leaves the cursor after it. *)
 type cursor = { src : string; mutable pos : int }
@@ -66,6 +70,19 @@ let hex_digit pos = function
   | 'A' .. 'F' as ch -> Char.code ch - Char.code 'A' + 10
   | _ -> fail "bad hex digit" pos
 
+let add_utf8 buf code =
+  let byte b = Buffer.add_char buf (Char.chr b) in
+  if code < 0x80 then byte code
+  else if code < 0x800 then begin
+    byte (0xC0 lor (code lsr 6));
+    byte (0x80 lor (code land 0x3F))
+  end
+  else begin
+    byte (0xE0 lor (code lsr 12));
+    byte (0x80 lor ((code lsr 6) land 0x3F));
+    byte (0x80 lor (code land 0x3F))
+  end
+
 let parse_string c =
   expect c '"';
   let buf = Buffer.create 16 in
@@ -91,17 +108,13 @@ let parse_string c =
             | 'u' ->
                 if c.pos + 4 > String.length c.src then
                   fail "truncated \\u escape" c.pos;
+                let digit i = hex_digit (c.pos + i) c.src.[c.pos + i] in
                 let code =
-                  (hex_digit c.pos c.src.[c.pos] lsl 12)
-                  lor (hex_digit c.pos c.src.[c.pos + 1] lsl 8)
-                  lor (hex_digit c.pos c.src.[c.pos + 2] lsl 4)
-                  lor hex_digit c.pos c.src.[c.pos + 3]
+                  (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4)
+                  lor digit 3
                 in
                 c.pos <- c.pos + 4;
-                (* the codec only escapes control characters, so a
-                   one-byte decode covers everything it emits *)
-                if code < 0x100 then Buffer.add_char buf (Char.chr code)
-                else fail "non-latin \\u escape unsupported" c.pos
+                add_utf8 buf code
             | _ -> fail "bad escape" c.pos);
             go ())
     | Some ch ->
@@ -112,8 +125,9 @@ let parse_string c =
   go ();
   Buffer.contents buf
 
-let rec parse_value c =
+let rec parse_value c depth =
   skip_ws c;
+  if depth > max_depth then fail "nesting too deep" c.pos;
   match peek c with
   | None -> fail "unexpected end of input" c.pos
   | Some '{' ->
@@ -129,7 +143,7 @@ let rec parse_value c =
           let key = parse_string c in
           skip_ws c;
           expect c ':';
-          let value = parse_value c in
+          let value = parse_value c (depth + 1) in
           skip_ws c;
           match peek c with
           | Some ',' ->
@@ -150,7 +164,7 @@ let rec parse_value c =
       end
       else
         let rec elements acc =
-          let value = parse_value c in
+          let value = parse_value c (depth + 1) in
           skip_ws c;
           match peek c with
           | Some ',' ->
@@ -170,7 +184,7 @@ let rec parse_value c =
 
 let parse src =
   let c = { src; pos = 0 } in
-  match parse_value c with
+  match parse_value c 0 with
   | value ->
       skip_ws c;
       if c.pos = String.length src then Ok value
@@ -206,8 +220,7 @@ let to_bool = function
   | Bool b -> Ok b
   | _ -> Error "expected a boolean"
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
+let escape_into buf s =
   String.iter
     (fun ch ->
       match ch with
@@ -219,5 +232,30 @@ let escape s =
       | ch when Char.code ch < 0x20 ->
           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
       | ch -> Buffer.add_char buf ch)
-    s;
+    s
+
+let escape s =
+  let buf = Buffer.create (String.length s) in
+  escape_into buf s;
   Buffer.contents buf
+
+let string s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  escape_into buf s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let float f = Printf.sprintf "%.12g" f
+
+let rec render = function
+  | Null -> "null"
+  | Bool b -> string_of_bool b
+  | Num f -> float f
+  | Str s -> string s
+  | Arr l -> "[" ^ String.concat "," (List.map render l) ^ "]"
+  | Obj fields ->
+      "{"
+      ^ String.concat ","
+          (List.map (fun (k, v) -> string k ^ ":" ^ render v) fields)
+      ^ "}"

@@ -1,32 +1,11 @@
-(* Serialisation is hand-rolled: the event vocabulary is tiny, the
-   output must be byte-stable for golden tests, and the repo carries no
-   JSON dependency.  Field order is fixed; floats go through %.12g
-   (enough for the simulator's sums of C/P delays, and stable). *)
+(* Serialisation is Printf around {!Json}'s writers: the event
+   vocabulary is tiny and the output must be byte-stable for golden
+   tests.  Field order is fixed; floats go through {!Json.float}. *)
 
-let json_float f = Printf.sprintf "%.12g" f
-
-(* Bumped whenever the JSONL record vocabulary or the BENCH json shape
-   changes incompatibly.  2: streamed headers + split dropped_ring /
+(* Bumped whenever the JSONL record vocabulary changes
+   incompatibly.  2: streamed headers + split dropped_ring /
    dropped_sink truncation accounting. *)
 let schema_version = 2
-
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
 
 (* -- JSONL ------------------------------------------------------------ *)
 
@@ -34,27 +13,27 @@ let jsonl_of_event (e : Trace.event) =
   match e with
   | Trace.Hop { src; dst; time; msg_id } ->
       Printf.sprintf {|{"type":"hop","time":%s,"src":%d,"dst":%d,"msg_id":%d}|}
-        (json_float time) src dst msg_id
+        (Json.float time) src dst msg_id
   | Trace.Syscall { node; time; label } ->
       Printf.sprintf {|{"type":"syscall","time":%s,"node":%d,"label":%s}|}
-        (json_float time) node (json_string label)
+        (Json.float time) node (Json.string label)
   | Trace.Send { node; time; msg_id; label } ->
       Printf.sprintf
         {|{"type":"send","time":%s,"node":%d,"msg_id":%d,"label":%s}|}
-        (json_float time) node msg_id (json_string label)
+        (Json.float time) node msg_id (Json.string label)
   | Trace.Receive { node; time; msg_id; label } ->
       Printf.sprintf
         {|{"type":"receive","time":%s,"node":%d,"msg_id":%d,"label":%s}|}
-        (json_float time) node msg_id (json_string label)
+        (Json.float time) node msg_id (Json.string label)
   | Trace.Drop { node; time; reason } ->
       Printf.sprintf {|{"type":"drop","time":%s,"node":%d,"reason":%s}|}
-        (json_float time) node (json_string reason)
+        (Json.float time) node (Json.string reason)
   | Trace.Link_change { u; v; up; time } ->
       Printf.sprintf {|{"type":"link_change","time":%s,"u":%d,"v":%d,"up":%b}|}
-        (json_float time) u v up
+        (Json.float time) u v up
   | Trace.Custom { time; label } ->
       Printf.sprintf {|{"type":"custom","time":%s,"label":%s}|}
-        (json_float time) (json_string label)
+        (Json.float time) (Json.string label)
 
 (* A bounded recorder that overflowed lost its oldest events; an export
    that silently looked complete would poison any analysis (profiles,
@@ -68,7 +47,7 @@ let truncation_time t =
 let truncation_record ~time t =
   Printf.sprintf
     {|{"type":"truncated","time":%s,"dropped":%d,"dropped_ring":%d,"dropped_sink":%d}|}
-    (json_float time) (Trace.dropped t) (Trace.dropped_ring t)
+    (Json.float time) (Trace.dropped t) (Trace.dropped_ring t)
     (Trace.dropped_sink t)
 
 let to_jsonl buf t =
@@ -95,7 +74,7 @@ let stream_header ?(kind = "trace") ?(fields = []) () =
       (List.map (fun (k, v) -> Printf.sprintf ",\"%s\":%s" k v) fields)
   in
   Printf.sprintf {|{"type":"header","schema_version":%d,"kind":%s%s}|}
-    schema_version (json_string kind) extra
+    schema_version (Json.string kind) extra
 
 let event_consumer sink e = Sink.emit sink (jsonl_of_event e)
 
@@ -114,7 +93,7 @@ let stream_finish ?(time = 0.0) sink t =
 (* -- Chrome trace_event ----------------------------------------------- *)
 
 (* One simulated time unit = 1000 Chrome microseconds. *)
-let ts time = json_float (time *. 1000.0)
+let ts time = Json.float (time *. 1000.0)
 
 let span_name label = if label = "" then "msg" else label
 
@@ -162,7 +141,7 @@ let to_chrome ?(process_name = "futurenet") ?(decorate = fun _ -> "") buf t =
   emit
     (Printf.sprintf
        {|{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":%s}}|}
-       (json_string process_name));
+       (Json.string process_name));
   List.iter
     (fun v ->
       emit
@@ -194,18 +173,18 @@ let to_chrome ?(process_name = "futurenet") ?(decorate = fun _ -> "") buf t =
           emit_d i
             (Printf.sprintf
                {|{"name":%s,"ph":"i","s":"t","cat":"syscall","pid":0,"tid":%d,"ts":%s|}
-               (json_string (span_name label)) node (ts time))
+               (Json.string (span_name label)) node (ts time))
       | Trace.Send { node; time; msg_id; label } ->
           emit_d i
             (Printf.sprintf
                {|{"name":%s,"ph":"i","s":"t","cat":"send","pid":0,"tid":%d,"ts":%s,"args":{"msg_id":%d}|}
-               (json_string (span_name label)) node (ts time) msg_id)
+               (Json.string (span_name label)) node (ts time) msg_id)
       | Trace.Receive { node; time; msg_id; label } -> (
           match Hashtbl.find_opt sends msg_id with
           | Some (src, sent_at, send_label) ->
               let id = !next_span in
               incr next_span;
-              let name = json_string (span_name send_label) in
+              let name = Json.string (span_name send_label) in
               emit_d i
                 (Printf.sprintf
                    {|{"name":%s,"ph":"b","cat":"msg","id":%d,"pid":0,"tid":%d,"ts":%s,"args":{"msg_id":%d}|}
@@ -218,23 +197,23 @@ let to_chrome ?(process_name = "futurenet") ?(decorate = fun _ -> "") buf t =
               emit_d i
                 (Printf.sprintf
                    {|{"name":%s,"ph":"i","s":"t","cat":"recv","pid":0,"tid":%d,"ts":%s,"args":{"msg_id":%d}|}
-                   (json_string (span_name label)) node (ts time) msg_id))
+                   (Json.string (span_name label)) node (ts time) msg_id))
       | Trace.Drop { node; time; reason } ->
           emit_d i
             (Printf.sprintf
                {|{"name":"drop","ph":"i","s":"t","cat":"drop","pid":0,"tid":%d,"ts":%s,"args":{"reason":%s}|}
-               node (ts time) (json_string reason))
+               node (ts time) (Json.string reason))
       | Trace.Link_change { u; v; up; time } ->
           emit_d i
             (Printf.sprintf
                {|{"name":%s,"ph":"i","s":"p","cat":"link","pid":0,"tid":%d,"ts":%s,"args":{"peer":%d}|}
-               (json_string (if up then "link-up" else "link-down"))
+               (Json.string (if up then "link-up" else "link-down"))
                u (ts time) v)
       | Trace.Custom { time; label } ->
           emit_d i
             (Printf.sprintf
                {|{"name":%s,"ph":"i","s":"g","cat":"custom","pid":0,"tid":0,"ts":%s|}
-               (json_string (span_name label)) (ts time)))
+               (Json.string (span_name label)) (ts time)))
     events;
   Buffer.add_string buf "\n  ]\n}\n"
 

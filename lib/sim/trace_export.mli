@@ -22,14 +22,8 @@
     what makes golden-file testing of the exporters possible. *)
 
 val schema_version : int
-(** Version of the JSONL record vocabulary and the BENCH json shape.
-    Streamed exports carry it in their header record; [bench --check]
-    refuses baselines written under a different version. *)
-
-val json_string : string -> string
-(** A JSON string literal with this writer's escaping, exported so
-    downstream renderers (the query engine's reports) escape labels
-    byte-identically to the trace stream they quote. *)
+(** Version of the JSONL record vocabulary.  Streamed exports carry
+    it in their header record; {!Trace_import} refuses newer ones. *)
 
 val jsonl_of_event : Trace.event -> string
 (** One event as a single-line JSON object (no trailing newline).

@@ -1,13 +1,10 @@
-(* A hand-rolled reader to match the hand-rolled writer: every record
-   the repo emits is a single-line flat JSON object, so the parser is
-   a few dozen lines and the library keeps its zero-dependency rule.
+(* Every record the repo emits is a single-line flat JSON object, so a
+   line is read with {!Json.parse} and then held to that shape.
    Strictness is deliberate — a malformed line means the stream was
    corrupted (or is not ours), and analysis over a corrupted stream
    should refuse, not guess. *)
 
-type value = String of string | Number of float | Bool of bool | Null
-
-type record = (string * value) list
+type record = (string * Json.t) list
 
 type line =
   | Header of { schema_version : int; kind : string; fields : record }
@@ -20,174 +17,30 @@ exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
-(* -- scanner ----------------------------------------------------------- *)
-
-type cursor = { s : string; mutable pos : int }
-
-let peek c = if c.pos < String.length c.s then Some c.s.[c.pos] else None
-
-let skip_ws c =
-  while
-    c.pos < String.length c.s
-    && (match c.s.[c.pos] with ' ' | '\t' | '\r' -> true | _ -> false)
-  do
-    c.pos <- c.pos + 1
-  done
-
-let expect c ch =
-  skip_ws c;
-  match peek c with
-  | Some x when x = ch -> c.pos <- c.pos + 1
-  | Some x -> bad "expected %c at byte %d, found %c" ch c.pos x
-  | None -> bad "expected %c at byte %d, found end of line" ch c.pos
-
-let hex_digit = function
-  | '0' .. '9' as ch -> Char.code ch - Char.code '0'
-  | 'a' .. 'f' as ch -> Char.code ch - Char.code 'a' + 10
-  | 'A' .. 'F' as ch -> Char.code ch - Char.code 'A' + 10
-  | ch -> bad "bad hex digit %c in \\u escape" ch
-
-(* Decodes the escapes [Trace_export.json_string] produces; \uXXXX is
-   decoded for the control range it is emitted for (and to UTF-8 for
-   anything larger, so foreign writers round-trip too). *)
-let parse_string c =
-  expect c '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> bad "unterminated string"
-    | Some '"' -> c.pos <- c.pos + 1
-    | Some '\\' ->
-        c.pos <- c.pos + 1;
-        (match peek c with
-        | None -> bad "unterminated escape"
-        | Some ch ->
-            c.pos <- c.pos + 1;
-            (match ch with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '/' -> Buffer.add_char buf '/'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 'b' -> Buffer.add_char buf '\b'
-            | 'f' -> Buffer.add_char buf '\012'
-            | 'u' ->
-                if c.pos + 4 > String.length c.s then bad "truncated \\u escape";
-                let code =
-                  (hex_digit c.s.[c.pos] lsl 12)
-                  lor (hex_digit c.s.[c.pos + 1] lsl 8)
-                  lor (hex_digit c.s.[c.pos + 2] lsl 4)
-                  lor hex_digit c.s.[c.pos + 3]
-                in
-                c.pos <- c.pos + 4;
-                if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                else if code < 0x800 then begin
-                  Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-                else begin
-                  Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                  Buffer.add_char buf
-                    (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-            | ch -> bad "unknown escape \\%c" ch));
-        go ()
-    | Some ch ->
-        c.pos <- c.pos + 1;
-        Buffer.add_char buf ch;
-        go ()
-  in
-  go ();
-  Buffer.contents buf
-
-let is_number_char = function
-  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-  | _ -> false
-
-let parse_value c =
-  skip_ws c;
-  match peek c with
-  | None -> bad "expected a value, found end of line"
-  | Some '"' -> String (parse_string c)
-  | Some ('{' | '[') ->
-      bad "nested values are not part of the schema-v2 vocabulary"
-  | Some 't' when c.pos + 4 <= String.length c.s
-                  && String.sub c.s c.pos 4 = "true" ->
-      c.pos <- c.pos + 4;
-      Bool true
-  | Some 'f' when c.pos + 5 <= String.length c.s
-                  && String.sub c.s c.pos 5 = "false" ->
-      c.pos <- c.pos + 5;
-      Bool false
-  | Some 'n' when c.pos + 4 <= String.length c.s
-                  && String.sub c.s c.pos 4 = "null" ->
-      c.pos <- c.pos + 4;
-      Null
-  | Some ch when is_number_char ch ->
-      let start = c.pos in
-      while
-        c.pos < String.length c.s && is_number_char c.s.[c.pos]
-      do
-        c.pos <- c.pos + 1
-      done;
-      let span = String.sub c.s start (c.pos - start) in
-      (match float_of_string_opt span with
-      | Some f -> Number f
-      | None -> bad "bad number %S" span)
-  | Some ch -> bad "unexpected character %c at byte %d" ch c.pos
-
-let parse_record_exn s =
-  let c = { s; pos = 0 } in
-  expect c '{';
-  skip_ws c;
-  let fields =
-    if peek c = Some '}' then begin
-      c.pos <- c.pos + 1;
-      []
-    end
-    else begin
-      let rec members acc =
-        let key = (skip_ws c; parse_string c) in
-        expect c ':';
-        let v = parse_value c in
-        skip_ws c;
-        match peek c with
-        | Some ',' ->
-            c.pos <- c.pos + 1;
-            members ((key, v) :: acc)
-        | Some '}' ->
-            c.pos <- c.pos + 1;
-            List.rev ((key, v) :: acc)
-        | _ -> bad "expected , or } at byte %d" c.pos
-      in
-      members []
-    end
-  in
-  skip_ws c;
-  if c.pos <> String.length c.s then
-    bad "trailing garbage after object at byte %d" c.pos;
-  fields
+let flat = function Json.Arr _ | Json.Obj _ -> false | _ -> true
 
 let parse_record s =
-  match parse_record_exn s with
-  | fields -> Ok fields
-  | exception Bad msg -> Error msg
+  match Json.parse s with
+  | Ok (Json.Obj fields) when List.for_all (fun (_, v) -> flat v) fields ->
+      Ok fields
+  | Ok (Json.Obj _) ->
+      Error "nested values are not part of the schema-v2 vocabulary"
+  | Ok _ -> Error "expected a flat JSON object"
+  | Error _ as e -> e
 
 (* -- field access ------------------------------------------------------- *)
 
 let number fields key =
-  match List.assoc_opt key fields with Some (Number f) -> Some f | _ -> None
+  match List.assoc_opt key fields with Some (Json.Num f) -> Some f | _ -> None
 
 let int_field fields key =
   match number fields key with Some f -> Some (int_of_float f) | None -> None
 
 let string_field fields key =
-  match List.assoc_opt key fields with Some (String s) -> Some s | _ -> None
+  match List.assoc_opt key fields with Some (Json.Str s) -> Some s | _ -> None
 
 let bool_field fields key =
-  match List.assoc_opt key fields with Some (Bool b) -> Some b | _ -> None
+  match List.assoc_opt key fields with Some (Json.Bool b) -> Some b | _ -> None
 
 let req_number fields key =
   match number fields key with
@@ -301,9 +154,9 @@ let classify fields =
       | None -> Other { kind; fields })
 
 let parse_line s =
-  match classify (parse_record_exn s) with
-  | l -> Ok l
-  | exception Bad msg -> Error msg
+  match parse_record s with
+  | Error _ as e -> e
+  | Ok fields -> ( try Ok (classify fields) with Bad msg -> Error msg)
 
 (* -- files -------------------------------------------------------------- *)
 

@@ -13,10 +13,9 @@
     Reading is streaming: {!fold_file} keeps one line resident, so a
     10^6-event stream is analysed in O(longest line) memory. *)
 
-type value = String of string | Number of float | Bool of bool | Null
-
-type record = (string * value) list
-(** Fields of one flat object, in source order, ["type"] included. *)
+type record = (string * Json.t) list
+(** Fields of one flat object, in source order, ["type"] included; no
+    value is an [Arr] or an [Obj]. *)
 
 type line =
   | Header of { schema_version : int; kind : string; fields : record }
@@ -31,8 +30,9 @@ type line =
           telemetry, ...); [kind] is the ["type"] field *)
 
 val parse_record : string -> (record, string) result
-(** Parse one line as a flat JSON object.  Nested arrays or objects
-    are rejected: nothing in the schema-v2 vocabulary emits them. *)
+(** Parse one line with {!Json.parse} and require a flat object.
+    Nested arrays or objects are rejected: nothing in the schema-v2
+    vocabulary emits them.  Never raises. *)
 
 val parse_line : string -> (line, string) result
 (** Classify one line.  Blank lines are an error (the writers never

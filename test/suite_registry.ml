@@ -111,6 +111,28 @@ let test_json_and_summary_render () =
   Format.pp_print_flush out ();
   check_bool "summary non-empty" true (Buffer.length buf > 0)
 
+(* Names are free-form strings: control bytes and quotes must come
+   back out of Registry.to_json through the one JSON reader intact. *)
+let test_json_parses_back () =
+  let r = R.create () in
+  let odd = "odd\tname\r\"q\"\\ \001end" in
+  R.add (R.counter r odd) 3;
+  R.set (R.gauge r "g") 2.5;
+  R.observe (R.histogram r ~buckets:[| 1.0 |] "h") 0.5;
+  match Sim.Json.parse (R.to_json r) with
+  | Error msg -> Alcotest.failf "Registry.to_json is not JSON: %s" msg
+  | Ok json ->
+      let field path =
+        List.fold_left (fun j k -> Result.bind j (Sim.Json.member k)) (Ok json)
+          path
+      in
+      check_bool "odd counter" true
+        (Result.bind (field [ odd; "value" ]) Sim.Json.to_int = Ok 3);
+      check_bool "gauge" true
+        (Result.bind (field [ "g"; "value" ]) Sim.Json.to_float = Ok 2.5);
+      check_bool "histogram" true
+        (Result.bind (field [ "h"; "count" ]) Sim.Json.to_int = Ok 1)
+
 (* Integration: the instruments a broadcast publishes must agree with
    the exact Metrics accounting the result reports. *)
 let test_broadcast_publishes_consistent_instruments () =
@@ -329,6 +351,7 @@ let suite =
       test_disabled_registry_is_inert;
     Alcotest.test_case "json and summary render" `Quick
       test_json_and_summary_render;
+    Alcotest.test_case "json parses back" `Quick test_json_parses_back;
     Alcotest.test_case "broadcast publishes consistent instruments" `Quick
       test_broadcast_publishes_consistent_instruments;
     Alcotest.test_case "election publishes consistent instruments" `Quick

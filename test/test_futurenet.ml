@@ -10,6 +10,7 @@ let () =
       ("sim.sink", Suite_sink.suite);
       ("sim.trace", Suite_trace.suite);
       ("sim.trace_export", Suite_trace_export.suite);
+      ("sim.json", Suite_json.suite);
       ("graph.graph", Suite_graph.suite);
       ("graph.tree", Suite_tree.suite);
       ("graph.traversal", Suite_traversal.suite);
@@ -43,6 +44,7 @@ let () =
       ("parallel", Suite_parallel.suite);
       ("compile", Suite_compile.suite);
       ("scale_parity", Suite_scale_parity.suite);
+      ("bench_counters", Suite_bench_counters.suite);
       ("chaos", Suite_chaos.suite);
       ("chaos.recover", Suite_recover.suite);
       ("query", Suite_query.suite);
