@@ -11,11 +11,14 @@ module S = Experiments.Scaling
 
 let sizes = [ 64; 256; 1024; 4096; 16384; 65536 ]
 
+(* from the test sandbox under dune runtest, or from the repo root *)
 let golden =
   lazy
-    (match S.read_golden "golden/bench_counters.jsonl" with
-    | Ok lines -> lines
-    | Error msg -> Alcotest.fail msg)
+    (let local = "golden/bench_counters.jsonl" in
+     let path = if Sys.file_exists local then local else S.golden_path in
+     match S.read_golden path with
+     | Ok lines -> lines
+     | Error msg -> Alcotest.fail msg)
 
 let line_for (r : S.row) ~n =
   match S.golden_line (Lazy.force golden) ~name:(r.name ~n) with
