@@ -239,6 +239,21 @@ let test_crash_after_declaration () =
   check_int "pinned deliveries" 33 o.E.election_deliveries;
   check_int "pinned syscalls" 52 o.E.chaos_syscalls
 
+(* Byte-level pins of the whole election: the JSONL trace renders every
+   syscall, send, hop and delivery with its time, so any change to a
+   route (tour, walk home or the announcement's first-visit copies) or
+   to event order moves the digest. *)
+let trace_digest graph =
+  let trace = Sim.Trace.create () in
+  ignore (E.run ~trace ~graph () : E.outcome);
+  Digest.to_hex (Digest.string (Sim.Trace_export.jsonl trace))
+
+let test_trace_digests () =
+  Alcotest.(check string) "ring 32" "946156d5021c0160ae9fe9b9ee2ed15d" (trace_digest (B.ring 32));
+  let n = 64 in
+  let g = B.random_connected (Sim.Rng.create ~seed:1) ~n ~extra_edges:(n / 2) in
+  Alcotest.(check string) "random n=64 seed 1" "7ee4ea2061547525d0fe1cbec12db9da" (trace_digest g)
+
 let suite =
   [
     Alcotest.test_case "singleton" `Quick test_singleton;
@@ -263,6 +278,7 @@ let suite =
       test_candidate_crash_mid_run;
     Alcotest.test_case "crash after declaration" `Quick
       test_crash_after_declaration;
+    Alcotest.test_case "trace digests pinned" `Quick test_trace_digests;
     QCheck_alcotest.to_alcotest qcheck_election_valid;
     QCheck_alcotest.to_alcotest qcheck_partial_start;
   ]
