@@ -54,8 +54,6 @@ let phase size =
   let rec go p = if 1 lsl (p + 1) > size then p else go (p + 1) in
   go 0
 
-let level_of_token t = (t.tsize, t.torigin)
-
 let route_len_buckets =
   [| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0; 256.0; 512.0; 1024.0 |]
 
@@ -115,6 +113,10 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
     | Some (_, _, h) -> Hardware.Registry.observe h (float_of_int len)
     | None -> ()
   in
+  (* a candidate's level (size, origin), ordered lexicographically, as
+     one int: origins are below n *)
+  let level ~size ~origin = (size * n) + origin in
+  let level_of_token t = level ~size:t.tsize ~origin:t.torigin in
   let starters =
     match starters with
     | None -> List.init n Fun.id
@@ -336,16 +338,16 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
             };
         begin_tour ctx v
 
+  (* The leader's spanning tree, toured once with a copy at every
+     first visit; the tour comes packed straight from the table. *)
   and announce ctx v st =
-    match Walks.euler_tour_truncated (Inout.spanning_tree st.inout) with
-    | [] | [ _ ] -> ()
-    | tour ->
-        let marked = Walks.mark_first_visits tour in
-        let route =
-          Anr.of_walk_marked (Network.graph (Network.network ctx)) marked
-        in
-        Network.send ~label:"announce" ctx ~route
-          (Announce { leader = v; aepoch = epoch_of v })
+    let tour = Inout.tour st.inout in
+    if Array.length tour > 1 then
+      let route =
+        Anr.compile_walk_marked_arr (Network.graph (Network.network ctx)) tour
+      in
+      Network.send_compiled ~label:"announce" ctx ~route
+        (Announce { leader = v; aepoch = epoch_of v })
   in
 
   (* The comparison of rules (2.1)-(2.4), performed when [v]'s own
@@ -358,7 +360,7 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
         | None -> ()
         | Some j ->
             st.waiting <- None;
-            let lv = (Inout.size st.inout, v) in
+            let lv = level ~size:(Inout.size st.inout) ~origin:v in
             if lv > level_of_token j then return_unsuccessful ctx v j
             else capture ctx v j)
     | Captured _ | Unstarted -> ()
@@ -383,7 +385,7 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
     match roles.(v) with
     | Unstarted -> assert false
     | Origin st -> (
-        let lv = (Inout.size st.inout, v) in
+        let lv = level ~size:(Inout.size st.inout) ~origin:v in
         let lt = level_of_token token in
         match st.cstatus with
         | `Leader ->
@@ -446,7 +448,9 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
     | Captured _ | Unstarted -> assert false
   in
 
-  let handlers _v =
+  (* One handler record serves every node of a run: each handler reads
+     its node from the context, so a run builds no per-node closures. *)
+  let handlers =
     {
       Network.on_start =
         (fun ctx ->
@@ -514,7 +518,7 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
      hard dmax of 2n + 2 must never fire - enforced live *)
   let net =
     Network.create ?trace ?registry ~dmax:((2 * n) + 2) ~engine ~cost ~graph
-      ~handlers ()
+      ~handlers:(fun _ -> handlers) ()
   in
   (match chaos with
   | Some plan -> (

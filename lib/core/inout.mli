@@ -9,7 +9,13 @@
     When candidate [i] captures domain [v] through OUT-node [o], the
     two trees are combined by attaching [v]'s tree (re-rooted at [o])
     at the edge that already joins [o] to [i]'s tree; [IN] and [OUT]
-    are merged with [OUT := OUT_i ∪ OUT_v − IN]. *)
+    are merged with [OUT := OUT_i ∪ OUT_v − IN].
+
+    A domain is one open-addressing int table over its members, each
+    slot packing the member's tree parent and its IN/OUT bit, plus
+    IN/OUT counters and a lazy min-heap of OUT nodes: membership,
+    parent and side are one int hash and a linear probe, and climbing
+    the tree allocates nothing. *)
 
 type t
 
@@ -37,32 +43,34 @@ val out_min : t -> int option
 (** The smallest OUT node, or [None] when OUT is empty — equal to the
     head of {!out_nodes} without building or sorting the list. *)
 
-val route : t -> src:int -> dst:int -> int list
-(** The walk between two recorded nodes along the tree; length is at
-    most the number of recorded nodes (the "linear length ANR").
+val route_array : t -> src:int -> dst:int -> int array
+(** The walk between two recorded nodes along the tree, [src] first;
+    length is at most the number of recorded nodes (the "linear length
+    ANR").  The parent table is climbed directly (no tree
+    materialisation) and the only allocation is the exact-size result.
     @raise Invalid_argument if either endpoint is not recorded. *)
 
-val route_array : t -> src:int -> dst:int -> int array
-(** {!route} as a preallocated int array: the parent map is climbed
-    directly (no tree materialisation) and the only allocation is the
-    exact-size result.  Same walk, element for element. *)
-
-val merge : winner:t -> victim:t -> entry:int -> t
-(** Combine after a capture through [entry].  [entry] must be an OUT
-    node of [winner] and an IN node of [victim].
-    @raise Invalid_argument otherwise. *)
-
 val merge_into : winner:t -> victim:t -> entry:int -> unit
-(** In-place {!merge}: the winner absorbs the victim, visiting only
-    the victim's members — Θ(victim) per capture, so the winner's
-    growing tables are never re-copied.  The victim is not modified
-    (election freezes and aliases captured structures).
+(** Combine after a capture through [entry], in place: the winner
+    absorbs the victim, visiting only the victim's members — Θ(victim)
+    per capture, so the winner's growing table is never re-copied.
+    [entry] must be an OUT node of [winner] and an IN node of
+    [victim].  The victim is not modified (election freezes and
+    aliases captured structures).
     @raise Invalid_argument (before any mutation) on a bad capture. *)
 
 val spanning_tree : t -> Netgraph.Tree.t
 (** The internal tree over all recorded nodes (IN and OUT), rooted at
     the origin.  When OUT is empty — the leader's final state — this
     spans the whole network and carries the announcement tour. *)
+
+val tour : t -> int array
+(** The announcement tour: the Euler tour of {!spanning_tree} from the
+    origin, children in ascending order, cut after the last first
+    visit.  Position [i] packs [(node lsl 1) lor first], where [first]
+    is 1 exactly at a node's first visit — position for position what
+    [Walks.mark_first_visits (Walks.euler_tour_truncated
+    (spanning_tree t))] lists, built from the table without a tree. *)
 
 val is_valid : graph:Netgraph.Graph.t -> t -> bool
 (** Structural invariants: the tree is a subgraph of [graph], IN and

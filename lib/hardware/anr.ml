@@ -93,6 +93,24 @@ let compile_walk_arr ?(copy_at = fun _ -> false) g walk =
     codes
   end
 
+(* Packed-walk variant of {!of_walk_marked}: [walk.(i)] is
+   [(node lsl 1) lor flag], as {!Inout.tour} emits it. *)
+let compile_walk_marked_arr g walk =
+  let len = Array.length walk in
+  if len = 0 then invalid_arg "Anr.compile_walk_marked_arr: empty walk"
+  else if len = 1 then [||]
+  else begin
+    let first = walk.(0) lsr 1 in
+    let codes = Array.make len 0 in
+    for i = 0 to len - 2 do
+      let u = walk.(i) lsr 1 and v = walk.(i + 1) lsr 1 in
+      let link = Netgraph.Graph.link_index g u v in
+      let copy = u <> first && walk.(i) land 1 = 1 in
+      codes.(i) <- (link lsl 1) lor (if copy then 1 else 0)
+    done;
+    codes
+  end
+
 let concat a b =
   match List.rev a with
   | { link = 0; copy = false } :: rev_prefix -> List.rev_append rev_prefix b

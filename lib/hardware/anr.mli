@@ -92,6 +92,12 @@ val compile_walk_arr :
     array-based route bookkeeping produces — so building the route
     allocates nothing beyond the result. *)
 
+val compile_walk_marked_arr : Netgraph.Graph.t -> int array -> route
+(** [compile (of_walk_marked g walk)] over a packed walk: position [i]
+    is [(node lsl 1) lor flag].  The election compiles its
+    announcement tour this way, straight from the leader's table.
+    @raise Invalid_argument if the walk is empty. *)
+
 val concat : t -> t -> t
 (** [concat a b] splices two headers: [a]'s terminating NCU element is
     dropped and [b] is appended, so a packet follows [a]'s walk and

@@ -140,6 +140,30 @@ let qcheck_of_walk_roundtrip =
       let route = A.of_walk g walk in
       A.walk_of g ~src:0 route = walk)
 
+let qcheck_compile_walk_marked_arr =
+  QCheck.Test.make ~name:"packed marked walk compiles like of_walk_marked"
+    ~count:200
+    QCheck.(pair (int_range 1 30) (int_range 0 10_000))
+    (fun (n, seed) ->
+      let rng = Sim.Rng.create ~seed in
+      let g = B.random_connected rng ~n ~extra_edges:n in
+      let tree = Netgraph.Spanning.bfs_tree g ~root:(Sim.Rng.int rng n) in
+      let marked =
+        List.map
+          (fun v -> (v, Sim.Rng.bool rng))
+          (Core.Walks.euler_tour tree)
+      in
+      let packed =
+        Array.of_list
+          (List.map (fun (v, f) -> (v lsl 1) lor if f then 1 else 0) marked)
+      in
+      let compiled = A.compile_walk_marked_arr g packed in
+      let expected = A.of_walk_marked g marked in
+      A.route_length compiled = A.length expected
+      && List.for_all2 ( = )
+           (List.init (A.route_length compiled) (A.route_elem compiled))
+           expected)
+
 let suite =
   [
     Alcotest.test_case "of_walk simple" `Quick test_of_walk_simple;
@@ -163,4 +187,5 @@ let suite =
     Alcotest.test_case "id bits scale with degree" `Quick test_id_bits_scales_with_degree;
     QCheck_alcotest.to_alcotest qcheck_encode_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_of_walk_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_compile_walk_marked_arr;
   ]
