@@ -3,24 +3,29 @@ module Graph = Netgraph.Graph
 
 type report = Monitor.report
 
-let deliveries_per_node ~n trace =
-  let counts = Array.make n 0 in
-  List.iter
-    (fun event ->
-      match event with
-      | Sim.Trace.Receive { node; _ } -> counts.(node) <- counts.(node) + 1
-      | _ -> ())
-    (Sim.Trace.events trace);
-  counts
+type tap = { receives : int array; fifo : Monitor.Fifo.t }
 
-let trace_complete trace =
-  let dropped = Sim.Trace.dropped trace in
+let tap ~n = { receives = Array.make n 0; fifo = Monitor.Fifo.create () }
+
+let observe t event =
+  (match event with
+  | Sim.Trace.Receive { node; _ } -> t.receives.(node) <- t.receives.(node) + 1
+  | Sim.Trace.Hop _ -> Monitor.Fifo.observe t.fifo event
+  | _ -> ());
+  true
+
+let deliveries t = t.receives
+
+let trace_complete ~capacity trace =
+  let evicted = Sim.Trace.recorded trace - capacity in
   {
     Monitor.monitor = "trace-complete";
-    ok = dropped = 0;
+    ok = evicted <= 0;
     detail =
-      (if dropped = 0 then "ring buffer kept every event"
-       else Printf.sprintf "%d events evicted — delivery oracles unsound" dropped);
+      (if evicted <= 0 then "ring buffer kept every event"
+       else
+         Printf.sprintf "%d events evicted — delivery oracles unsound"
+           evicted);
   }
 
 let worst_node counts limit_of =
@@ -66,9 +71,32 @@ let degree_bounded_delivery ~graph ~deliveries =
             (Graph.degree graph v) c;
       }
 
+(* The root's component in the final state: a BFS over the graph that
+   skips links the schedule leaves down. *)
+let surviving_component ~graph ~schedule ~root =
+  let { Schedule.up; _ } = Schedule.final_state ~graph schedule in
+  let inside = Array.make (Graph.n graph) false in
+  let queue = Array.make (Graph.n graph) root in
+  inside.(root) <- true;
+  let tail = ref 1 in
+  let head = ref 0 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    for i = 1 to Graph.degree graph u do
+      let d = Graph.edge_id graph u i in
+      let v = Graph.edge_target graph d in
+      if up.(Graph.edge_uid graph d) && not inside.(v) then begin
+        inside.(v) <- true;
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
+  done;
+  inside
+
 let static_component_scope ~graph ~schedule ~root ~deliveries ~reached =
-  let surviving_graph, _alive = Schedule.surviving ~graph schedule in
-  let in_component = Netgraph.Traversal.reachable surviving_graph ~root in
+  let in_component = surviving_component ~graph ~schedule ~root in
   let size =
     Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 in_component
   in
@@ -162,9 +190,7 @@ let convergence ~converged ~rounds =
        else Printf.sprintf "still inconsistent after %d rounds" rounds);
   }
 
-let fifo_per_link trace =
-  let report = Monitor.fifo_per_link trace in
-  { report with Monitor.monitor = "fifo-per-link" }
+let fifo_per_link t = Monitor.Fifo.report t.fifo
 
 (* -- Liveness oracles (healing schedules only) ------------------------- *)
 

@@ -1,4 +1,5 @@
-(** Safety oracles checked after a chaos schedule's quiescence point.
+(** Safety oracles: trace oracles checked online while a chaos
+    schedule runs, the rest after its quiescence point.
 
     Every oracle produces a {!Hardware.Monitor.report}, so chaos
     verdicts speak the same language as the paper-bound monitors and
@@ -16,13 +17,37 @@
 
 type report = Hardware.Monitor.report
 
-val deliveries_per_node : n:int -> Sim.Trace.t -> int array
-(** [Receive] trace events per node — NCU payload deliveries (software
-    activations and timers are [Syscall] events and don't count). *)
+(** {1 Trace oracles, checked online}
 
-val trace_complete : Sim.Trace.t -> report
-(** Guard oracle: the delivery-counting oracles are sound only if the
-    ring buffer evicted nothing. *)
+    The oracles that read a run's trace consume its events as they are
+    recorded: a {!tap} is the per-run state they need, and
+    [observe tap] is the {!Sim.Trace.streaming} consumer that feeds it.
+    Nothing is retained, so a run checked this way keeps no event
+    list. *)
+
+type tap
+
+val tap : n:int -> tap
+(** Fresh state for one run on an [n]-node network. *)
+
+val observe : tap -> Sim.Trace.event -> bool
+(** Count a [Receive], clock a [Hop] on its directed link
+    ({!Hardware.Monitor.Fifo}); ignore the rest.  Always [true], so the
+    consumer never counts as a refusing sink. *)
+
+val deliveries : tap -> int array
+(** [Receive] events per node so far — NCU payload deliveries
+    (software activations and timers are [Syscall] events and don't
+    count). *)
+
+val fifo_per_link : tap -> report
+(** The §2 monitor over the hops observed so far: delay jitter must
+    never reorder a directed link ({!Hardware.Monitor.Fifo}). *)
+
+val trace_complete : capacity:int -> Sim.Trace.t -> report
+(** Guard oracle: the run recorded ({!Sim.Trace.recorded}) no more
+    events than a [capacity]-event ring keeps, so a ring replay of the
+    same run ({!Runner.run_schedule_traced}) sees every event. *)
 
 val at_most_once_delivery : deliveries:int array -> report
 (** One-way broadcasts (branching paths, DFS token, direct, layered):
@@ -59,10 +84,6 @@ val convergence : converged:bool -> rounds:int -> report
 (** Theorem-1 eventual consistency of the surviving components, as
     decided by [Topo_maintenance.run]'s per-component convergence
     check. *)
-
-val fifo_per_link : Sim.Trace.t -> report
-(** Re-export of the §2 monitor: delay jitter must never reorder a
-    directed link ({!Hardware.Monitor.fifo_per_link}). *)
 
 (** {1 Liveness oracles}
 

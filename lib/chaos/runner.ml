@@ -49,10 +49,24 @@ let broadcast_algo ?precomputed scenario ~config ~graph ~root () =
   | Sweep.Layered -> Core.Layered_broadcast.run ~config ~graph ~root ()
   | Sweep.Election | Sweep.Maintenance -> assert false
 
-let run_broadcast ~liveness scenario (s : Schedule.t) graph =
-  let trace = Sim.Trace.create ~capacity:trace_capacity () in
-  let registry = Registry.create () in
+(* The trace oracles consume events as they are recorded, so a run
+   retains none; only a traced replay ([keep]), whose events feed a
+   diff, also keeps them in a ring. *)
+let tapped ~keep n =
+  let tap = Oracle.tap ~n in
+  let consumer = Oracle.observe tap in
+  (tap, Sim.Trace.streaming ~keep ~capacity:trace_capacity ~consumer ())
+
+let trace_oracles tap trace =
+  [
+    Oracle.trace_complete ~capacity:trace_capacity trace;
+    Oracle.fifo_per_link tap;
+  ]
+
+let run_broadcast ~liveness ~keep scenario (s : Schedule.t) graph =
   let n = s.Schedule.n in
+  let tap, trace = tapped ~keep n in
+  let registry = Registry.create () in
   let config =
     {
       (Core.Broadcast.default_config ()) with
@@ -69,9 +83,9 @@ let run_broadcast ~liveness scenario (s : Schedule.t) graph =
     | _ -> None
   in
   let r = broadcast_algo ?precomputed scenario ~config ~graph ~root:0 () in
-  let deliveries = Oracle.deliveries_per_node ~n trace in
+  let deliveries = Oracle.deliveries tap in
   let oracles =
-    [ Oracle.trace_complete trace; Oracle.fifo_per_link trace ]
+    trace_oracles tap trace
     @ (if liveness then
          (* retransmission waves legitimately re-deliver, so the
             at-most-once delivery-count oracles don't apply — acceptance
@@ -103,17 +117,17 @@ let run_broadcast ~liveness scenario (s : Schedule.t) graph =
     r.time,
     Some trace )
 
-let run_election ~liveness (s : Schedule.t) graph =
-  let trace = Sim.Trace.create ~capacity:trace_capacity () in
-  let registry = Registry.create () in
+let run_election ~liveness ~keep (s : Schedule.t) graph =
   let n = s.Schedule.n in
+  let tap, trace = tapped ~keep n in
+  let registry = Registry.create () in
   let recover = if liveness then Some (Hardware.Recover.default ~n) else None in
   let o =
     Core.Election.run_chaos ~cost:(Schedule.cost s) ?recover ~trace ~registry
       ~chaos:(Schedule.compile s) ~graph ()
   in
   let oracles =
-    [ Oracle.trace_complete trace; Oracle.fifo_per_link trace ]
+    trace_oracles tap trace
     @
     if liveness then
       [
@@ -194,7 +208,7 @@ let run_maintenance ~liveness (s : Schedule.t) graph =
 let liveness_scenarios =
   [ Sweep.Bpaths; Sweep.Flood; Sweep.Election; Sweep.Maintenance ]
 
-let run_schedule_full ?(liveness = false) scenario (s : Schedule.t) =
+let run_schedule_full ?(liveness = false) ~keep scenario (s : Schedule.t) =
   if liveness && not (List.mem scenario liveness_scenarios) then
     invalid_arg
       "Runner: liveness mode supports bpaths, flood, election and maintenance";
@@ -209,8 +223,8 @@ let run_schedule_full ?(liveness = false) scenario (s : Schedule.t) =
         trace ) =
     match scenario with
     | Sweep.Bpaths | Sweep.Flood | Sweep.Dfs | Sweep.Direct | Sweep.Layered ->
-        run_broadcast ~liveness scenario s graph
-    | Sweep.Election -> run_election ~liveness s graph
+        run_broadcast ~liveness ~keep scenario s graph
+    | Sweep.Election -> run_election ~liveness ~keep s graph
     | Sweep.Maintenance -> run_maintenance ~liveness s graph
   in
   ( {
@@ -230,10 +244,10 @@ let run_schedule_full ?(liveness = false) scenario (s : Schedule.t) =
     trace )
 
 let run_schedule ?liveness scenario s =
-  fst (run_schedule_full ?liveness scenario s)
+  fst (run_schedule_full ?liveness ~keep:false scenario s)
 
 let run_schedule_traced ?liveness scenario s =
-  match run_schedule_full ?liveness scenario s with
+  match run_schedule_full ?liveness ~keep:true scenario s with
   | v, Some trace -> (v, Some (Sim.Trace.events trace))
   | v, None -> (v, None)
 

@@ -3,10 +3,13 @@
     One schedule runs one scenario instance end to end: regenerate the
     graph from [(seed, index)], arm the compiled fault plan, run to
     quiescence (maintenance: to its round budget), then evaluate the
-    scenario's oracles.  A soak fans [schedules] consecutive indices
-    through a {!Parallel.Pool}; because every verdict is a pure
-    function of [(scenario, n, seed, index)], {!soak_json} is
-    byte-identical at any job count. *)
+    scenario's oracles.  The trace oracles (delivery counts, per-link
+    FIFO) consume events online through an {!Oracle.tap}, so
+    {!run_schedule} retains no event; only {!run_schedule_traced}
+    keeps a ring, for {!baseline_divergence}.  A soak fans [schedules]
+    consecutive indices through a {!Parallel.Pool}; because every
+    verdict is a pure function of [(scenario, n, seed, index)],
+    {!soak_json} is byte-identical at any job count. *)
 
 type scenario = Parallel.Sweep.scenario
 
@@ -50,10 +53,11 @@ val run_schedule : ?liveness:bool -> scenario -> Schedule.t -> verdict
 
 val run_schedule_traced :
   ?liveness:bool -> scenario -> Schedule.t -> verdict * Sim.Trace.event list option
-(** Same run, also returning the recorded trace events (in order).
-    [None] for scenarios that run untraced by design (maintenance:
-    unbounded rounds would overflow any ring and make the delivery
-    oracles unsound on a truncated trace). *)
+(** Same run and same verdict, also returning the recorded trace
+    events (in order; the last 262,144 if the run recorded more, which
+    fails the [trace-complete] oracle).  [None] for scenarios that run
+    untraced by design (maintenance: unbounded rounds would overflow
+    any ring). *)
 
 val baseline_divergence : ?window:int -> verdict -> (string, string) result
 (** Localise a failing verdict: replay its schedule traced, replay the

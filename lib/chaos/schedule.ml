@@ -217,15 +217,28 @@ let is_static t =
          | Link_up _ | Node_recover _ | Drop_in_flight _ -> false)
        t.faults
 
-let surviving ~graph t =
+type final = { up : bool array; dead : bool array }
+
+(* The network's semantics on flat arrays: crash downs incident links,
+   recovery re-ups them except toward still-dead peers, later Link_ups
+   win.  A link fault naming a pair the graph lacks (out-of-range
+   endpoints included) changes nothing. *)
+let final_state ~graph t =
   let n = Graph.n graph in
-  let up = Hashtbl.create 64 in
-  let key u v = (Stdlib.min u v, Stdlib.max u v) in
-  List.iter (fun (u, v) -> Hashtbl.replace up (key u v) true) (Graph.edges graph);
-  let set u v state =
-    if Hashtbl.mem up (key u v) then Hashtbl.replace up (key u v) state
-  in
+  let up = Array.make (Graph.m graph) true in
   let dead = Array.make n false in
+  let set u v state =
+    if u >= 0 && u < n && v >= 0 && v < n then
+      match Graph.undirected_edge_id graph u v with
+      | e -> up.(e) <- state
+      | exception Not_found -> ()
+  in
+  let set_incident node f =
+    for i = 1 to Graph.degree graph node do
+      let d = Graph.edge_id graph node i in
+      f (Graph.edge_uid graph d) (Graph.edge_target graph d)
+    done
+  in
   List.iter
     (fun fault ->
       match fault with
@@ -234,32 +247,23 @@ let surviving ~graph t =
       | Node_crash { node; _ } ->
           if not dead.(node) then begin
             dead.(node) <- true;
-            List.iter (fun peer -> set node peer false) (Graph.neighbors graph node)
+            set_incident node (fun e _ -> up.(e) <- false)
           end
       | Node_recover { node; _ } ->
           if dead.(node) then begin
             dead.(node) <- false;
-            List.iter
-              (fun peer -> if not dead.(peer) then set node peer true)
-              (Graph.neighbors graph node)
+            set_incident node (fun e peer ->
+                if not dead.(peer) then up.(e) <- true)
           end
       | Drop_in_flight _ -> ())
     (by_time t.faults);
-  let edges =
-    List.filter (fun (u, v) -> Hashtbl.find up (key u v)) (Graph.edges graph)
-  in
-  (Graph.of_edges ~n edges, Array.map not dead)
+  { up; dead }
 
 (* -- Healing schedules ------------------------------------------------- *)
 
-let edge_key u v = (Stdlib.min u v, Stdlib.max u v)
-
 let heals t =
-  let graph = graph_of t in
-  let surviving_graph, alive = surviving ~graph t in
-  Array.for_all Fun.id alive
-  && List.length (Graph.edges surviving_graph)
-     = List.length (Graph.edges graph)
+  let { up; dead } = final_state ~graph:(graph_of t) t in
+  (not (Array.exists Fun.id dead)) && Array.for_all Fun.id up
 
 let generate_healing ?(horizon = default_horizon) ~n ~seed ~index () =
   let s = generate ~horizon ~n ~seed ~index () in
@@ -268,31 +272,29 @@ let generate_healing ?(horizon = default_horizon) ~n ~seed ~index () =
      events at 0.8 * horizon land after all damage but still strictly
      before the horizon — the quiescence budget is unchanged *)
   let heal_at = horizon *. 0.8 in
-  let _, alive = surviving ~graph s in
-  let recovers =
-    List.filter_map
-      (fun v ->
-        if alive.(v) then None
-        else Some (Node_recover { at = heal_at; node = v }))
-      (List.init n Fun.id)
-  in
+  let damaged = final_state ~graph s in
+  let recovers = ref [] in
+  for v = n - 1 downto 0 do
+    if damaged.dead.(v) then
+      recovers := Node_recover { at = heal_at; node = v } :: !recovers
+  done;
   (* recovery re-ups crash-downed links by itself; only edges still
      missing after every node is back need an explicit Link_up *)
-  let after, _ =
-    surviving ~graph { s with faults = by_time (s.faults @ recovers) }
+  let healed =
+    if !recovers = [] then damaged
+    else final_state ~graph { s with faults = by_time (s.faults @ !recovers) }
   in
-  let up = Hashtbl.create 64 in
-  List.iter
-    (fun (u, v) -> Hashtbl.replace up (edge_key u v) ())
-    (Graph.edges after);
-  let ups =
-    List.filter_map
-      (fun (u, v) ->
-        if Hashtbl.mem up (edge_key u v) then None
-        else Some (Link_up { at = heal_at +. 0.25; u; v }))
-      (Graph.edges graph)
-  in
-  { s with faults = by_time (s.faults @ recovers @ ups) }
+  (* CSR slices are sorted, so this visits edges in Graph.edges order *)
+  let ups = ref [] in
+  for u = n - 1 downto 0 do
+    for i = Graph.degree graph u downto 1 do
+      let d = Graph.edge_id graph u i in
+      let v = Graph.edge_target graph d in
+      if u < v && not healed.up.(Graph.edge_uid graph d) then
+        ups := Link_up { at = heal_at +. 0.25; u; v } :: !ups
+    done
+  done;
+  { s with faults = by_time (s.faults @ !recovers @ !ups) }
 
 (* -- Codec ------------------------------------------------------------- *)
 

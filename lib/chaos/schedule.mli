@@ -12,7 +12,12 @@
 
     Delay jitter is realised as a [Cost_model.uniform_random] hop
     delay; the network's per-link FIFO clamp (DESIGN.md §7) re-orders
-    nothing, so jitter preserves per-link FIFO order by construction. *)
+    nothing, so jitter preserves per-link FIFO order by construction.
+
+    A schedule's end state ({!final_state}) is replayed on flat arrays
+    over the graph's undirected edge ids and nodes, never by building a
+    surviving graph; {!heals}, {!generate_healing} and the
+    component-scoped oracle all read it. *)
 
 type fault =
   | Link_down of { at : float; u : int; v : int }
@@ -52,7 +57,7 @@ val generate_healing :
     still a pure function of [(seed, index)]. *)
 
 val heals : t -> bool
-(** The schedule's final state (per {!surviving}) is fully healed:
+(** The schedule's final state (per {!final_state}) is fully healed:
     every node alive and every original edge up.  The liveness oracles
     only apply to healing schedules — a permanent partition legitimately
     forfeits termination — and the liveness shrinker keeps this
@@ -97,11 +102,19 @@ val is_static : t -> bool
     time 0: the topology never changes mid-run, so oracles may scope
     budgets to the surviving component. *)
 
-val surviving : graph:Netgraph.Graph.t -> t -> Netgraph.Graph.t * bool array
-(** Replay the fault list against link/liveness state (the exact
-    [Network] semantics: crash downs incident links, recovery re-ups
-    them except toward still-dead peers, later [Link_up]s win) and
-    return the final surviving graph plus per-node liveness. *)
+type final = {
+  up : bool array;  (** by {!Netgraph.Graph.undirected_edge_id} *)
+  dead : bool array;  (** by node *)
+}
+
+val final_state : graph:Netgraph.Graph.t -> t -> final
+(** Replay the fault list, in time order, into link and liveness state
+    with the exact [Network] semantics: a crash downs the node's
+    incident links, a recovery re-ups them except toward still-dead
+    peers, and a later [Link_up] wins.  A link fault naming a pair
+    [graph] lacks, out-of-range endpoints included, is ignored.  The
+    replay builds no graph: it writes one flag per undirected edge id
+    and one per node. *)
 
 (** {1 Repro-file codec} *)
 

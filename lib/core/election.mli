@@ -36,10 +36,11 @@ type outcome = {
   notify_syscalls : int;
       (** deliveries of supporter notifications; 0 unless
           [notify_supporters] *)
-  spanning_tree : Netgraph.Tree.t;
+  spanning_tree : Netgraph.Tree.t Lazy.t;
       (** the leader's final INOUT tree — a spanning tree of the
           network rooted at the leader, a useful by-product: it can
-          carry the Section 3 broadcasts of the reorganised network *)
+          carry the Section 3 broadcasts of the reorganised network.
+          Built when first forced. *)
 }
 
 val run :

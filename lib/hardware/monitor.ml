@@ -35,37 +35,95 @@ let dmax_ceiling ~dmax ~max_header =
       Printf.sprintf "max header %d elements (dmax %d)" max_header dmax;
   }
 
-let fifo_per_link trace =
-  (* Hop completions per directed link must be chronological in trace
-     (= recording) order; the trace is already chronological overall,
-     so one pass with a per-link clock suffices. *)
-  let clocks = Hashtbl.create 64 in
-  let violation = ref None in
-  List.iter
-    (fun e ->
-      match e with
-      | Sim.Trace.Hop { src; dst; time; _ } -> (
-          if !violation = None then
-            match Hashtbl.find_opt clocks (src, dst) with
-            | Some last when time < last ->
-                violation :=
-                  Some
-                    (Printf.sprintf
-                       "link %d->%d: hop at %g completed after one at %g" src
-                       dst time last)
-            | _ -> Hashtbl.replace clocks (src, dst) time)
-      | _ -> ())
-    (Sim.Trace.events trace);
-  {
-    monitor = "fifo-per-link";
-    ok = !violation = None;
-    detail =
-      (match !violation with
-      | None ->
-          Printf.sprintf "hop order FIFO on all %d directed links"
-            (Hashtbl.length clocks)
-      | Some v -> v);
+module Fifo = struct
+  (* One clock per directed link, in an open-addressing table keyed by
+     the link's endpoints packed into one int: [keys.(i) < 0] marks a
+     free slot, [clocks.(i)] is the last hop time on [keys.(i)].  No
+     tuple is allocated or hashed, and a clock update allocates
+     nothing.  Linear probing; the table doubles past half full. *)
+  type t = {
+    mutable keys : int array;
+    mutable clocks : float array;
+    mutable links : int;
+    mutable violation : string option;
   }
+
+  let create () =
+    {
+      keys = Array.make 64 (-1);
+      clocks = Array.make 64 0.0;
+      links = 0;
+      violation = None;
+    }
+
+  let node_limit = 1 lsl 30
+
+  (* top-level rather than a closure inside [slot], so a lookup
+     allocates nothing *)
+  let rec probe keys mask key i =
+    let k = keys.(i) in
+    if k = key || k < 0 then i else probe keys mask key ((i + 1) land mask)
+
+  let slot keys key =
+    let mask = Array.length keys - 1 in
+    probe keys mask key (((key * 0x9E3779B97F4A7C1) lsr 32) land mask)
+
+  let grow t =
+    let keys = t.keys and clocks = t.clocks in
+    t.keys <- Array.make (2 * Array.length keys) (-1);
+    t.clocks <- Array.make (2 * Array.length keys) 0.0;
+    Array.iteri
+      (fun i key ->
+        if key >= 0 then begin
+          let j = slot t.keys key in
+          t.keys.(j) <- key;
+          t.clocks.(j) <- clocks.(i)
+        end)
+      keys
+
+  (* Hop completions per directed link must be chronological in
+     recording order; the trace is already chronological overall, so
+     one clock per link suffices.  Checking stops at the first
+     violation, which is the one reported. *)
+  let observe t event =
+    match (event, t.violation) with
+    | Sim.Trace.Hop { src; dst; time; _ }, None ->
+        if src < 0 || src >= node_limit || dst < 0 || dst >= node_limit then
+          invalid_arg
+            (Printf.sprintf "Monitor.Fifo: hop %d->%d outside [0, 2^30)" src
+               dst);
+        let key = (src lsl 30) lor dst in
+        let i = slot t.keys key in
+        if t.keys.(i) < 0 then begin
+          t.keys.(i) <- key;
+          t.clocks.(i) <- time;
+          t.links <- t.links + 1;
+          if 2 * t.links > Array.length t.keys then grow t
+        end
+        else if time < t.clocks.(i) then
+          t.violation <-
+            Some
+              (Printf.sprintf "link %d->%d: hop at %g completed after one at %g"
+                 src dst time t.clocks.(i))
+        else t.clocks.(i) <- time
+    | _ -> ()
+
+  let report t =
+    {
+      monitor = "fifo-per-link";
+      ok = t.violation = None;
+      detail =
+        (match t.violation with
+        | None ->
+            Printf.sprintf "hop order FIFO on all %d directed links" t.links
+        | Some v -> v);
+    }
+end
+
+let fifo_per_link trace =
+  let fifo = Fifo.create () in
+  List.iter (Fifo.observe fifo) (Sim.Trace.events trace);
+  Fifo.report fifo
 
 let one_way_delivery ~n ~syscalls =
   {

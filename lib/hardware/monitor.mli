@@ -41,11 +41,31 @@ val election_budget : n:int -> election_syscalls:int -> report
 val dmax_ceiling : dmax:int -> max_header:int -> report
 (** §2: no injected header may exceed [dmax] elements. *)
 
-val fifo_per_link : Sim.Trace.t -> report
 (** §2 link model: hop completions on each directed link appear in
     non-decreasing time order — the switching hardware never reorders
-    a link's packets.  Needs an enabled trace; an empty or disabled
-    trace passes vacuously. *)
+    a link's packets.  The check consumes one event at a time, so it
+    runs online as a {!Sim.Trace.streaming} consumer (the chaos runner
+    does so) or over a recorded ring ({!fifo_per_link}). *)
+module Fifo : sig
+  type t
+
+  val create : unit -> t
+  (** No link seen yet. *)
+
+  val observe : t -> Sim.Trace.event -> unit
+  (** Advance the hop's directed-link clock; any other event is
+      ignored.  Checking stops at the first violation, which
+      {!report} names.
+      @raise Invalid_argument on a hop endpoint outside [0, 2^30). *)
+
+  val report : t -> report
+  (** Monitor ["fifo-per-link"]: the first reordered hop, or the
+      number of directed links seen. *)
+end
+
+val fifo_per_link : Sim.Trace.t -> report
+(** {!Fifo} folded over a trace's recorded events.  Needs an enabled
+    trace; an empty or disabled trace passes vacuously. *)
 
 val one_way_delivery : n:int -> syscalls:int -> report
 (** The one-way property underlying Theorem 1: a one-way broadcast

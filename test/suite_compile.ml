@@ -123,7 +123,8 @@ let test_stale_routes_violate_at_most_once () =
   let stale = Topology.compile_routes (Core.Labels.compute stale_tree) g in
   let mixed = Array.init n (fun v -> Array.append fresh.(v) stale.(v)) in
   let deliveries_with routes =
-    let trace = Sim.Trace.create () in
+    let tap = Chaos.Oracle.tap ~n in
+    let trace = Sim.Trace.streaming ~consumer:(Chaos.Oracle.observe tap) () in
     let config =
       { (Core.Broadcast.default_config ()) with trace = Some trace }
     in
@@ -131,7 +132,7 @@ let test_stale_routes_violate_at_most_once () =
       (BP.run ~config ~precomputed:(Topology.labelling art) ~routes ~graph:g
          ~root:0 ()
         : Core.Broadcast.result);
-    Chaos.Oracle.deliveries_per_node ~n trace
+    Chaos.Oracle.deliveries tap
   in
   let ok routes =
     (Chaos.Oracle.at_most_once_delivery ~deliveries:(deliveries_with routes))
@@ -195,6 +196,30 @@ let test_election_words_per_event () =
     Alcotest.failf "%.2f minor words per engine event, bound %.1f" per_event
       election_words_per_event_bound
 
+(* The heal op's allocation budget: generate a healing schedule and run
+   it in liveness mode with the recovery layer on, the benchmark's heal
+   shape, over eight fixed n=256 schedules.  Minor words per system
+   call: 266.5 measured, 369.7 with the tuple-table fault replay and a
+   retained trace ring. *)
+let heal_words_per_syscall_bound = 290.0
+
+let test_heal_words_per_syscall () =
+  Cache.clear ();
+  let indices = List.init 8 Fun.id in
+  let op index =
+    let s = Chaos.Schedule.generate_healing ~n:256 ~seed:3 ~index () in
+    Chaos.Runner.run_schedule ~liveness:true Parallel.Sweep.Bpaths s
+  in
+  List.iter (fun index -> ignore (op index : Chaos.Runner.verdict)) indices;
+  let before = Gc.minor_words () in
+  let syscalls =
+    List.fold_left (fun acc index -> acc + (op index).syscalls) 0 indices
+  in
+  let per_syscall = (Gc.minor_words () -. before) /. float_of_int syscalls in
+  if per_syscall > heal_words_per_syscall_bound then
+    Alcotest.failf "%.2f minor words per syscall, bound %.1f" per_syscall
+      heal_words_per_syscall_bound
+
 let test_publish_and_pp_stats () =
   Cache.clear ();
   ignore (Cache.random_connected ~seed:5 ~n:32 ~extra_edges:16);
@@ -250,4 +275,6 @@ let suite =
       test_bpaths_words_per_event;
     Alcotest.test_case "election minor words per event" `Quick
       test_election_words_per_event;
+    Alcotest.test_case "heal minor words per syscall" `Quick
+      test_heal_words_per_syscall;
   ]
