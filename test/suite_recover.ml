@@ -278,6 +278,22 @@ let test_liveness_heartbeat_fields () =
   check_bool "carries restart tally" true (contains final {|"restarts":|});
   Sim.Sink.close sink
 
+(* -- stranded tours ------------------------------------------------------ *)
+
+(* Two healing schedules on which a fault loses a capture's Return: a
+   later tour climbs the captured node's parent walk to an origin that
+   never merged its domain, so the tour has no route home.  The
+   election must drop it and heal through its origin's watchdog. *)
+let test_election_drops_stranded_tours () =
+  List.iter
+    (fun (seed, index) ->
+      let s = Sch.generate_healing ~n:256 ~seed ~index () in
+      let v = R.run_schedule ~liveness:true Sweep.Election s in
+      if not v.R.ok then
+        Alcotest.failf "(%d,%d): %s" seed index
+          (String.concat "; " (failed_oracles v)))
+    [ (23, 50); (85, 18) ]
+
 (* -- the qcheck liveness property -------------------------------------- *)
 
 let prop_healing_schedules_live =
@@ -336,4 +352,6 @@ let suite =
     Alcotest.test_case "liveness heartbeat fields" `Quick
       test_liveness_heartbeat_fields;
     QCheck_alcotest.to_alcotest prop_healing_schedules_live;
+    Alcotest.test_case "election drops stranded tours" `Quick
+      test_election_drops_stranded_tours;
   ]
