@@ -65,13 +65,11 @@ let labelling_u t =
       t.labelling <- Some x;
       x
 
-let compile_routes = Core.Branching_paths.compile_routes
-
 let routes_u t =
   match t.routes with
   | Some x -> x
   | None ->
-      let x = compile_routes (labelling_u t) t.graph in
+      let x = Core.Branching_paths.compile_routes t.graph ~root:0 in
       t.routes <- Some x;
       x
 

@@ -41,17 +41,13 @@ val labelling : t -> Core.Labels.t
 (** The labelling / path decomposition of {!tree}. *)
 
 val routes : t -> chaos:Hardware.Fault_plan.t option -> Hardware.Anr.route array array option
-(** The branching-paths route table: element [v] holds the compiled
-    copy-all headers of [Labels.paths_from (labelling t) v] in path
-    order.  Returns [None] when a fault plan is armed: the plan
-    mutates the live topology, and compiled routes must never be
+(** The branching-paths route table,
+    [Core.Branching_paths.compile_routes (graph t) ~root:0]: element
+    [v] holds the compiled copy-all headers of
+    [Labels.paths_from (labelling t) v] in path order, built without
+    the tree or the labelling.  Returns [None] when a fault plan is
+    armed: the plan mutates the live topology, and compiled routes must never be
     replayed across such a mutation — callers then rebuild headers
     from walks at send time (the route cache is invalidated, the
     graph and labelling remain valid because broadcasts compute them
     from the static view). *)
-
-val compile_routes :
-  Core.Labels.t -> Netgraph.Graph.t -> Hardware.Anr.route array array
-(** The raw route-table compilation step, exposed for the [setup/]
-    bench group and for building tables against explicit labellings in
-    tests. *)

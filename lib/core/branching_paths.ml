@@ -23,13 +23,127 @@ let publish_paths ctx k =
           (Hardware.Registry.counter r "bpaths.paths_sent") k
     | _ -> ()
 
-let compile_routes labelling graph =
-  Array.init (Graph.n graph) (fun v ->
-      Array.of_list
-        (List.map
-           (fun path ->
-             Hardware.Anr.compile_walk ~copy_at:(fun _ -> true) graph path)
-           (Labels.paths_from labelling v)))
+(* The route table of [root]'s minimum-hop tree over the links
+   [edge_up] keeps, in one pass over int arrays — the same tree,
+   labelling and chains as [Labels.compute (tree_for ...)], without
+   building either:
+   (1) a BFS over the CSR that skips masked links; [order] lists the
+       reached nodes layer by layer;
+   (2) the parent of a node is its smallest-id neighbour in the
+       previous layer: scanning [u] in ascending order finds it first,
+       and [link] keeps the parent's local link index to the child, so
+       no hop needs a [Graph.link_index] search;
+   (3) labels in reverse BFS order (children lie one layer deeper, so
+       it is a post-order), pushing each label into its parent's two
+       largest child labels;
+   (4) the same-label child continuing a chain, unique by Lemma 1;
+   (5) each head's chains, in ascending child order, written straight
+       into ANR codes: a copy on every hop after the first, then the
+       NCU. *)
+let compile_routes ?edge_up graph ~root =
+  let n = Graph.n graph in
+  let up e =
+    match edge_up with None -> true | Some up -> up (Graph.edge_uid graph e)
+  in
+  let dist = Array.make n (-1) and order = Array.make n root in
+  dist.(root) <- 0;
+  let reached = ref 1 and next_out = ref 0 in
+  while !next_out < !reached do
+    let u = order.(!next_out) in
+    incr next_out;
+    for i = 1 to Graph.degree graph u do
+      let e = Graph.edge_id graph u i in
+      let v = Graph.edge_target graph e in
+      if dist.(v) < 0 && up e then begin
+        dist.(v) <- dist.(u) + 1;
+        order.(!reached) <- v;
+        incr reached
+      end
+    done
+  done;
+  let parent = Array.make n (-1) and link = Array.make n 0 in
+  for u = 0 to n - 1 do
+    if dist.(u) >= 0 then
+      for i = 1 to Graph.degree graph u do
+        let e = Graph.edge_id graph u i in
+        let v = Graph.edge_target graph e in
+        if dist.(v) = dist.(u) + 1 && parent.(v) < 0 && up e then begin
+          parent.(v) <- u;
+          link.(v) <- i
+        end
+      done
+  done;
+  (* a node gets top+1 when >= 2 children carry the maximal child
+     label, else top (0 at a leaf) *)
+  let label = Array.make n 0
+  and top = Array.make n (-1)
+  and second = Array.make n (-1) in
+  for k = !reached - 1 downto 0 do
+    let v = order.(k) in
+    let t = top.(v) in
+    let l = if t < 0 then 0 else if t = second.(v) then t + 1 else t in
+    label.(v) <- l;
+    let p = parent.(v) in
+    if p >= 0 then
+      if l > top.(p) then begin
+        second.(p) <- top.(p);
+        top.(p) <- l
+      end
+      else if l > second.(p) then second.(p) <- l
+  done;
+  let chain_next = Array.make n (-1) in
+  for k = 1 to !reached - 1 do
+    let v = order.(k) in
+    let p = parent.(v) in
+    if label.(v) = label.(p) then begin
+      (* two same-label children would contradict Lemma 1 *)
+      assert (chain_next.(p) = -1);
+      chain_next.(p) <- v
+    end
+  done;
+  (* the chain a head starts through child [c]: one code per walk
+     node, the last one delivering *)
+  let chain_route c =
+    let len = ref 2 and w = ref c in
+    while chain_next.(!w) >= 0 do
+      incr len;
+      w := chain_next.(!w)
+    done;
+    let codes = Array.make !len 0 in
+    codes.(0) <- link.(c) lsl 1;
+    let w = ref c in
+    for j = 1 to !len - 2 do
+      let s = chain_next.(!w) in
+      codes.(j) <- (link.(s) lsl 1) lor 1;
+      w := s
+    done;
+    Hardware.Anr.route_of_codes codes
+  in
+  let heads u c = parent.(c) = u && (u = root || label.(c) <> label.(u)) in
+  let none = Hardware.Anr.route_of_codes [||] in
+  let table = Array.make n [||] in
+  for u = 0 to n - 1 do
+    if dist.(u) >= 0 then begin
+      let deg = Graph.degree graph u in
+      let count = ref 0 in
+      for i = 1 to deg do
+        if heads u (Graph.peer_via graph u i) then incr count
+      done;
+      if !count > 0 then begin
+        let routes = Array.make !count none in
+        let j = ref 0 in
+        for i = 1 to deg do
+          let c = Graph.peer_via graph u i in
+          if heads u c then begin
+            routes.(!j) <- chain_route c;
+            incr j
+          end
+        done;
+        table.(u) <- routes
+      end
+    end
+  done;
+  table
 
 let send_route ctx m route = Network.send_compiled ~label:"bpaths" ctx ~route m
 

@@ -48,12 +48,20 @@ val predicted_time_units : Netgraph.Tree.t -> int
     is the root's own trigger activation). *)
 
 val compile_routes :
-  Labels.t -> Netgraph.Graph.t -> Hardware.Anr.route array array
-(** The route table of a labelling: element [v] holds the compiled
-    copy-all headers of [Labels.paths_from labelling v], in path
-    order ([[||]] for nodes that head no path or lie outside the
-    tree).  Headers are compiled against the physical [graph], so a
-    labelling of any subgraph's tree yields valid routes. *)
+  ?edge_up:(int -> bool) ->
+  Netgraph.Graph.t ->
+  root:int ->
+  Hardware.Anr.route array array
+(** The branching-paths route table of [root]'s minimum-hop spanning
+    tree over the links [edge_up] keeps (an undirected-edge-id
+    predicate, default all): element [v] holds the compiled copy-all
+    headers of the chains [v] heads, in ascending order of their first
+    child ([[||]] for nodes that head no chain or lie outside [root]'s
+    component).  It equals compiling
+    [Labels.paths_from (Labels.compute (Netgraph.Spanning.bfs_tree
+    ?edge_up graph ~root)) v] walk by walk, but builds no tree, no
+    labelling and no list: one masked BFS over the CSR and a few
+    int arrays of length [n] (DESIGN.md §12). *)
 
 val spec :
   ?precomputed:Labels.t ->

@@ -24,44 +24,51 @@ let forward ctx ~except m =
     | _ -> ()
 
 (* [ack_tree] (recovery only) is a BFS tree of the root's view: the
-   fixed routes acks climb to reach the root. *)
-let spec ?recovery ?ack_tree ~reached ~view:_ v =
-  let seen_attempt = ref (-1) in
-  {
-    Network.on_start =
-      (fun ctx ->
-        let send attempt =
-          forward ctx ~except:None (Data { origin = Network.self ctx; attempt })
-        in
-        send 0;
-        match recovery with
-        | None -> ()
-        | Some st ->
-            Broadcast.Recovery.start st ctx
-              ~resend:(fun ~attempt -> send attempt));
-    on_message =
-      (fun ctx ~via m ->
-        match m with
-        | Data d ->
-            reached.(v) <- true;
-            if d.attempt > !seen_attempt then begin
-              seen_attempt := d.attempt;
-              forward ctx ~except:via m;
-              match (recovery, ack_tree) with
-              | Some _, Some tree -> (
-                  match Broadcast.Recovery.ack_walk tree v with
-                  | Some walk ->
-                      Network.send_walk ~label:"flood-ack" ctx ~walk
-                        (Ack { src = v })
-                  | None -> ())
-              | _ -> ()
-            end
-        | Ack { src } -> (
-            match recovery with
-            | Some st -> Broadcast.Recovery.ack st ~src
-            | None -> ()));
-    on_link_change = (fun _ ~peer:_ ~up:_ -> ());
-  }
+   fixed routes acks climb to reach the root.  One handler record
+   serves every node of a run: each handler reads its node from the
+   context, and [seen_attempt.(v)] is the last attempt [v] flooded. *)
+let spec ?recovery ?ack_tree ~reached ~view:_ =
+  let seen_attempt = Array.make (Array.length reached) (-1) in
+  let handlers =
+    {
+      Network.on_start =
+        (fun ctx ->
+          let send attempt =
+            forward ctx ~except:None
+              (Data { origin = Network.self ctx; attempt })
+          in
+          send 0;
+          match recovery with
+          | None -> ()
+          | Some st ->
+              Broadcast.Recovery.start st ctx
+                ~resend:(fun ~attempt -> send attempt));
+      on_message =
+        (fun ctx ~via m ->
+          match m with
+          | Data d ->
+              let v = Network.self ctx in
+              reached.(v) <- true;
+              if d.attempt > seen_attempt.(v) then begin
+                seen_attempt.(v) <- d.attempt;
+                forward ctx ~except:via m;
+                match (recovery, ack_tree) with
+                | Some _, Some tree -> (
+                    match Broadcast.Recovery.ack_walk tree v with
+                    | Some walk ->
+                        Network.send_walk ~label:"flood-ack" ctx ~walk
+                          (Ack { src = v })
+                    | None -> ())
+                | _ -> ()
+              end
+          | Ack { src } -> (
+              match recovery with
+              | Some st -> Broadcast.Recovery.ack st ~src
+              | None -> ()));
+      on_link_change = (fun _ ~peer:_ ~up:_ -> ());
+    }
+  in
+  fun _ -> handlers
 
 let run ?(config = Broadcast.default_config ()) ~graph ~root () =
   let recovery = Broadcast.Recovery.create config ~n:(Graph.n graph) ~root in

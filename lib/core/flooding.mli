@@ -24,7 +24,10 @@ val spec :
   int ->
   msg Hardware.Network.handlers
 (** Low-level handler factory, for embedding in custom harnesses.
-    [ack_tree] must accompany [recovery]: the fixed tree acks climb. *)
+    [spec ... ~reached ~view] builds one handler record per run and
+    returns it for every node: each handler takes its node from
+    [Network.self ctx].  [ack_tree] must accompany [recovery]: the
+    fixed tree acks climb. *)
 
 val run :
   ?config:Broadcast.config ->

@@ -77,10 +77,10 @@ let broadcast_timeline ~algorithm ~graph ~root =
   in
   match algorithm with
   | `Branching ->
-      execute (fun ~reached ~view v ->
-          Core.Branching_paths.spec ~multicast:true ~reached ~view v)
-  | `Flooding ->
-      execute (fun ~reached ~view v -> Core.Flooding.spec ~reached ~view v)
+      execute
+        (Core.Branching_paths.spec ?precomputed:None ?routes:None
+           ?recovery:None ~multicast:true)
+  | `Flooding -> execute (Core.Flooding.spec ?recovery:None ?ack_tree:None)
 
 let run () =
   let g = Netgraph.Builders.grid ~rows:4 ~cols:4 in

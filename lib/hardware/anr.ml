@@ -49,34 +49,20 @@ let compile t =
     t;
   codes
 
+let route_of_codes codes =
+  let len = Array.length codes in
+  if len > 0 && codes.(len - 1) <> 0 then
+    invalid_arg "Anr.route_of_codes: a route must end with the NCU element";
+  codes
+
 let route_length r = Array.length r
 let route_link r i = r.(i) lsr 1
 let route_copy r i = r.(i) land 1 <> 0
 let route_elem r i = { link = route_link r i; copy = route_copy r i }
 
-(* [compile_walk g walk = compile (of_walk g walk)] element for
-   element, without the intermediate list — setup-pipeline callers
-   compile whole route tables this way. *)
-let compile_walk ?(copy_at = fun _ -> false) g walk =
-  match walk with
-  | [] -> invalid_arg "Anr.compile_walk: empty walk"
-  | [ _ ] -> [||]
-  | first :: _ ->
-      let codes = Array.make (List.length walk) 0 in
-      let rec fill i = function
-        | [] | [ _ ] -> codes.(i) <- 0 (* deliver *)
-        | u :: (v :: _ as rest) ->
-            let link = Netgraph.Graph.link_index g u v in
-            let copy = u <> first && copy_at u in
-            codes.(i) <- (link lsl 1) lor (if copy then 1 else 0);
-            fill (i + 1) rest
-      in
-      fill 0 walk;
-      codes
-
-(* Array-walk variant of {!compile_walk}: the walk arrives as the int
-   array an {!Inout.route_array} climb produced, so compiling the
-   route touches no list at all. *)
+(* [compile (of_walk ?copy_at g walk)] over an int-array walk, as an
+   {!Inout.route_array} climb produces it, so compiling the route
+   touches no list at all. *)
 let compile_walk_arr ?(copy_at = fun _ -> false) g walk =
   let len = Array.length walk in
   if len = 0 then invalid_arg "Anr.compile_walk_arr: empty walk"

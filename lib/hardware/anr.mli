@@ -68,6 +68,14 @@ type route
 
 val compile : t -> route
 
+val route_of_codes : int array -> route
+(** Adopt packed elements, [(link lsl 1) lor copy] each and ending in
+    the NCU element [0], as a route without copying them — for a
+    compiler that knows every local link index already, as the
+    branching-paths route table does.  The array must not be
+    mutated afterwards.  [[||]] is the empty route.
+    @raise Invalid_argument if a non-empty array does not end in [0]. *)
+
 val route_length : route -> int
 (** Number of elements — equals {!length} of the source header. *)
 
@@ -80,17 +88,12 @@ val route_copy : route -> int -> bool
 val route_elem : route -> int -> elem
 (** The element at a cursor position, re-materialised (testing aid). *)
 
-val compile_walk :
-  ?copy_at:(int -> bool) -> Netgraph.Graph.t -> int list -> route
-(** [compile_walk g walk] is [compile (of_walk ?copy_at g walk)]
-    without the intermediate list — for compiling route tables ahead
-    of time (see {!Network.send_compiled}). *)
-
 val compile_walk_arr :
   ?copy_at:(int -> bool) -> Netgraph.Graph.t -> int array -> route
-(** {!compile_walk} over an int-array walk — the form the election's
-    array-based route bookkeeping produces — so building the route
-    allocates nothing beyond the result. *)
+(** [compile (of_walk ?copy_at g walk)] over an int-array walk — the
+    form the election's array-based route bookkeeping produces —
+    without the intermediate list, so building the route allocates
+    nothing beyond the result. *)
 
 val compile_walk_marked_arr : Netgraph.Graph.t -> int array -> route
 (** [compile (of_walk_marked g walk)] over a packed walk: position [i]

@@ -115,12 +115,14 @@ let test_stale_routes_violate_at_most_once () =
     | None -> Alcotest.fail "routes must compile"
   in
   (* a stale epoch: the path 0-1-2-...-5 is also a spanning tree of the
-     complete graph; its single chain covers every node *)
-  let stale_tree =
-    Netgraph.Tree.of_parents ~root:0
-      ~parents:(List.init (n - 1) (fun i -> (i + 1, i)))
-  in
-  let stale = Topology.compile_routes (Core.Labels.compute stale_tree) g in
+     complete graph; its single chain covers every node.  Masking every
+     other edge makes it the BFS tree the compiler builds. *)
+  let path_edge = Array.make (Netgraph.Graph.m g) false in
+  for i = 0 to n - 2 do
+    path_edge.(Netgraph.Graph.undirected_edge_id g i (i + 1)) <- true
+  done;
+  let stale = BP.compile_routes ~edge_up:(Array.get path_edge) g ~root:0 in
+  check_int "one chain from the root" 1 (Array.length stale.(0));
   let mixed = Array.init n (fun v -> Array.append fresh.(v) stale.(v)) in
   let deliveries_with routes =
     let tap = Chaos.Oracle.tap ~n in
@@ -252,6 +254,57 @@ let test_publish_and_pp_stats () =
   (* publishing into a disabled registry is a silent no-op *)
   Cache.publish (R.disabled ())
 
+(* The route compiler against the pipeline it replaced: BFS tree,
+   labelling, then each chain's copy-all header built from its walk. *)
+let reference_routes ?edge_up g ~root =
+  let l = Core.Labels.compute (Netgraph.Spanning.bfs_tree ?edge_up g ~root) in
+  Array.init (G.n g) (fun v ->
+      Array.of_list
+        (List.map
+           (fun walk ->
+             Hardware.Anr.(compile (of_walk ~copy_at:(fun _ -> true) g walk)))
+           (Core.Labels.paths_from l v)))
+
+(* Random connected graphs, each edge kept with a per-case probability
+   (low ones disconnect the graph), compiled from every root. *)
+let qcheck_routes_match_reference =
+  QCheck.Test.make ~name:"compile_routes equals the labelling reference"
+    ~count:200
+    QCheck.(pair (int_range 1 40) (int_range 0 10_000))
+    (fun (n, salt) ->
+      let rng = Sim.Rng.create ~seed:((n * 7919) + salt) in
+      let g = B.random_connected rng ~n ~extra_edges:(Sim.Rng.int rng (n + 1)) in
+      let keep = Sim.Rng.float_in rng 0.2 1.0 in
+      let up = Array.init (G.m g) (fun _ -> Sim.Rng.chance rng keep) in
+      let edge_up = Array.get up in
+      List.for_all
+        (fun root ->
+          BP.compile_routes ~edge_up g ~root = reference_routes ~edge_up g ~root
+          && BP.compile_routes g ~root = reference_routes g ~root)
+        (List.init n Fun.id))
+
+let test_cache_routes_match_reference () =
+  Cache.clear ();
+  List.iter
+    (fun (name, art) ->
+      let g = Topology.graph art in
+      match Topology.routes art ~chaos:None with
+      | None -> Alcotest.failf "%s: routes must compile" name
+      | Some routes ->
+          check_bool name true (routes = reference_routes g ~root:0))
+    [
+      ("random-connected", Cache.random_connected ~seed:3 ~n:64 ~extra_edges:32);
+      ("sweep-replica", Cache.sweep_replica ~seed:3 ~index:1 ~n:64);
+      ("ring", Cache.ring ~n:64);
+      ("path", Cache.path ~n:64);
+      ("star", Cache.star ~n:64);
+      ("complete", Cache.complete ~n:64);
+      ("grid", Cache.grid ~rows:8 ~cols:8);
+      ("torus", Cache.torus ~rows:8 ~cols:8);
+      ("hypercube", Cache.hypercube ~dim:6);
+      ("complete-binary-tree", Cache.complete_binary_tree ~depth:5);
+    ]
+
 let suite =
   [
     Alcotest.test_case "hit is physically shared" `Quick
@@ -277,4 +330,7 @@ let suite =
       test_election_words_per_event;
     Alcotest.test_case "heal minor words per syscall" `Quick
       test_heal_words_per_syscall;
+    QCheck_alcotest.to_alcotest qcheck_routes_match_reference;
+    Alcotest.test_case "cache routes equal the reference" `Quick
+      test_cache_routes_match_reference;
   ]
