@@ -71,9 +71,30 @@ let cost t =
 
 (* -- Generation ------------------------------------------------------- *)
 
-let pick_edge rng edges = Sim.Rng.pick_array rng edges
+(* Undirected edge ids follow [Graph.edges] order, so drawing an id
+   draws the edge [Sim.Rng.pick_array] would over [Graph.edges]; a CSR
+   walk maps it back to its endpoints, [u < v]. *)
+let pick_edge rng graph =
+  let id = Sim.Rng.int rng (Graph.m graph) in
+  let rec scan u i =
+    if i > Graph.degree graph u then scan (u + 1) 1
+    else
+      let e = Graph.edge_id graph u i in
+      let v = Graph.edge_target graph e in
+      if u < v && Graph.edge_uid graph e = id then (u, v) else scan u (i + 1)
+  in
+  scan 0 1
 
-let gen_dynamic rng ~graph ~edges ~n ~horizon =
+(* [f u v] for every edge [u < v], in [Graph.edges] order *)
+let iter_edges graph f =
+  for u = 0 to Graph.n graph - 1 do
+    for i = 1 to Graph.degree graph u do
+      let v = Graph.edge_target graph (Graph.edge_id graph u i) in
+      if u < v then f u v
+    done
+  done
+
+let gen_dynamic rng ~graph ~n ~horizon =
   (* fault times stay below 3/4 of the horizon so flap/heal partners
      always fit strictly before it *)
   let stamp () = Sim.Rng.float rng (horizon *. 0.75) in
@@ -87,12 +108,12 @@ let gen_dynamic rng ~graph ~edges ~n ~horizon =
     match Sim.Rng.int rng 5 with
     | 0 ->
         (* link flap: down then back up *)
-        let u, v = pick_edge rng edges in
+        let u, v = pick_edge rng graph in
         let down = stamp () in
         push (Link_down { at = down; u; v });
         push (Link_up { at = later down 0.5; u; v })
     | 1 ->
-        let u, v = pick_edge rng edges in
+        let u, v = pick_edge rng graph in
         push (Link_down { at = stamp (); u; v })
     | 2 ->
         let node = Sim.Rng.int rng n in
@@ -110,27 +131,25 @@ let gen_dynamic rng ~graph ~edges ~n ~horizon =
         List.iteri
           (fun i v -> if i < side_size then side.(v) <- true)
           (Netgraph.Traversal.bfs_order graph ~root:s);
-        let cut =
-          List.filter (fun (u, v) -> side.(u) <> side.(v)) (Graph.edges graph)
-        in
         let down = stamp () in
         let up = later down 1.0 in
-        List.iter (fun (u, v) -> push (Link_down { at = down; u; v })) cut;
-        List.iter (fun (u, v) -> push (Link_up { at = up; u; v })) cut
+        let cut f u v = if side.(u) <> side.(v) then push (f u v) in
+        iter_edges graph (cut (fun u v -> Link_down { at = down; u; v }));
+        iter_edges graph (cut (fun u v -> Link_up { at = up; u; v }))
     | _ ->
-        let u, v = pick_edge rng edges in
+        let u, v = pick_edge rng graph in
         push (Drop_in_flight { at = stamp (); u; v })
   done;
   List.rev !faults
 
-let gen_static rng ~edges ~n =
+let gen_static rng ~graph ~n =
   (* everything fails before the protocol starts: the regime where the
      paper's per-component bounds are exact, so oracles tighten *)
   let groups = Sim.Rng.int_in rng 1 4 in
   let faults = ref [] in
   for _ = 1 to groups do
     if Sim.Rng.bool rng then begin
-      let u, v = pick_edge rng edges in
+      let u, v = pick_edge rng graph in
       faults := Link_down { at = 0.0; u; v } :: !faults
     end
     else faults := Node_crash { at = 0.0; node = Sim.Rng.int rng n } :: !faults
@@ -141,15 +160,14 @@ let generate ?(horizon = default_horizon) ~n ~seed ~index () =
   let _, fault_rng, _ = rngs ~seed ~index in
   let probe = { seed; index; n; jitter = 0.0; faults = [] } in
   let graph = graph_of probe in
-  let edges = Array.of_list (Graph.edges graph) in
   (* fixed draw order — jitter, flavour, then the fault groups *)
   let jitter =
     if Sim.Rng.chance fault_rng 0.5 then Sim.Rng.float fault_rng 0.75 else 0.0
   in
   let static = Sim.Rng.chance fault_rng 0.2 in
   let faults =
-    if static then gen_static fault_rng ~edges ~n
-    else gen_dynamic fault_rng ~graph ~edges ~n ~horizon
+    if static then gen_static fault_rng ~graph ~n
+    else gen_dynamic fault_rng ~graph ~n ~horizon
   in
   { seed; index; n; jitter; faults = by_time faults }
 

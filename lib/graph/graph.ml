@@ -15,17 +15,18 @@ type t = {
 }
 
 (* Binary search for [v] in [u]'s CSR slice; returns the directed edge
-   id, or -1 when absent. *)
+   id, or -1 when absent.  A loop over int refs rather than a local
+   recursive function, which would be a closure allocated per call. *)
 let slot g u v =
   let targets = g.targets in
-  let rec search lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) / 2 in
-      let w = targets.(mid) in
-      if w = v then mid else if w < v then search (mid + 1) hi else search lo mid
-  in
-  search g.offsets.(u) g.offsets.(u + 1)
+  let stop = g.offsets.(u + 1) in
+  let lo = ref g.offsets.(u) and hi = ref stop in
+  (* first slot whose target is >= v *)
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if targets.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  if !lo < stop && targets.(!lo) = v then !lo else -1
 
 let of_edges ~n edges =
   if n <= 0 then invalid_arg "Graph.of_edges: n must be positive";

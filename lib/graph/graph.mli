@@ -64,7 +64,7 @@ val peer_via : t -> node -> int -> node
     The adjacency is stored as a single CSR (compressed sparse row)
     layout: every (node, local link index) pair names one of the [2m]
     {e directed edge ids}, densely numbered so per-link runtime state
-    (FIFO clocks, link records) can live in flat arrays.  The two
+    (FIFO clocks, link state words) can live in flat arrays.  The two
     directions of one physical link share an {e undirected edge id}
     in [0, m).  See DESIGN.md, "The switching-fabric fast path". *)
 

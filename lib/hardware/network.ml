@@ -1,16 +1,21 @@
 module Graph = Netgraph.Graph
 
-type link_record = { mutable up : bool; mutable epoch : int }
-
 (* Runtime state of the switching fabric, laid out densely over the
    graph's flat edge ids (see Graph's CSR layout and DESIGN.md, "The
-   switching-fabric fast path"):
-   - [link_state.(Graph.edge_uid ...)] is the shared record of one
-     physical link (both directions);
+   switching-fabric fast path"), with no record per link or per node:
+   - [link.(Graph.edge_uid ...)] is one physical link's state (both
+     directions) packed in an int, [epoch lsl 1 lor up].  Every change
+     of [up] bumps the epoch, and so does {!drop_in_flight}; a hop
+     keeps the word it saw at departure (when the link was up) and is
+     delivered only if the word is unchanged at arrival, so any
+     failure in between, even a down/up round trip, loses it;
    - [fifo.(directed edge id)] is the last scheduled arrival on that
      directed link, enforcing per-direction FIFO order.
    A packet in flight is a compiled {!Anr.route} plus an int cursor;
-   forwarding it allocates nothing beyond the scheduled closure. *)
+   forwarding it allocates nothing beyond the scheduled closure.  A
+   handler's {!context} is built when its activation fires: three
+   short-lived words that die young, where a per-node array of them
+   would live (and be promoted) for the whole run. *)
 (* Pre-registered registry handles: one option match on the hot path,
    no name lookups per event, nothing at all when no registry is
    attached (the zero-allocation disabled path of DESIGN.md §7). *)
@@ -36,11 +41,10 @@ type 'msg t = {
   dmax_policy : [ `Raise | `Drop ];
   detection_delay : float;
   handlers : 'msg handlers array;
-  link_state : link_record array;  (* by undirected edge id *)
+  link : int array;  (* by undirected edge id: [epoch lsl 1 lor up] *)
   fifo : float array;  (* by directed edge id: last scheduled arrival *)
   ncu_busy_until : float array;
   dead : bool array;
-  mutable contexts : 'msg context array;  (* one preallocated per node *)
   mutable next_msg_id : int;
   armed_keys : (string, unit) Hashtbl.t;
       (* arming guards: {!Fault_plan.arm} and friends register a
@@ -89,34 +93,34 @@ let make_obs registry =
         }
   | _ -> None
 
+let link_word ~epoch ~up = (epoch lsl 1) lor Bool.to_int up
+let word_up word = word land 1 = 1
+
+(* The next word of a link whose state becomes [up]: a new epoch. *)
+let bump word ~up = link_word ~epoch:((word lsr 1) + 1) ~up
+
 let create ?trace ?registry ?dmax ?(dmax_policy = `Raise)
     ?(detection_delay = 0.0) ~engine ~cost ~graph ~handlers () =
   let n = Graph.n graph in
-  let t =
-    {
-      graph;
-      engine;
-      cost;
-      metrics = Metrics.create ~n;
-      trace = (match trace with Some t -> t | None -> Sim.Trace.disabled ());
-      registry;
-      obs = make_obs registry;
-      dmax;
-      dmax_policy;
-      detection_delay;
-      handlers = Array.init n handlers;
-      link_state =
-        Array.init (Graph.m graph) (fun _ -> { up = true; epoch = 0 });
-      fifo = Array.make (Graph.directed_edge_count graph) neg_infinity;
-      ncu_busy_until = Array.make n 0.0;
-      dead = Array.make n false;
-      contexts = [||];
-      next_msg_id = 0;
-      armed_keys = Hashtbl.create 4;
-    }
-  in
-  t.contexts <- Array.init n (fun node -> { net = t; node });
-  t
+  {
+    graph;
+    engine;
+    cost;
+    metrics = Metrics.create ~n;
+    trace = (match trace with Some t -> t | None -> Sim.Trace.disabled ());
+    registry;
+    obs = make_obs registry;
+    dmax;
+    dmax_policy;
+    detection_delay;
+    handlers = Array.init n handlers;
+    link = Array.make (Graph.m graph) (link_word ~epoch:0 ~up:true);
+    fifo = Array.make (Graph.directed_edge_count graph) neg_infinity;
+    ncu_busy_until = Array.make n 0.0;
+    dead = Array.make n false;
+    next_msg_id = 0;
+    armed_keys = Hashtbl.create 4;
+  }
 
 let graph t = t.graph
 let engine t = t.engine
@@ -166,27 +170,25 @@ let publish_distributions t =
 let last_activation_time t =
   Array.fold_left Float.max 0.0 t.ncu_busy_until
 
-let link_record t u v =
+let link_id t u v =
   match Graph.undirected_edge_id t.graph u v with
-  | id -> t.link_state.(id)
+  | id -> id
   | exception Not_found ->
       invalid_arg (Printf.sprintf "Network: no link between %d and %d" u v)
 
-let link_is_up t u v = (link_record t u v).up
+let link_is_up t u v = word_up t.link.(link_id t u v)
 
 let preset_link t u v ~up =
-  let record = link_record t u v in
-  if record.up <> up then begin
-    record.up <- up;
-    record.epoch <- record.epoch + 1
-  end
+  let id = link_id t u v in
+  let word = t.link.(id) in
+  if word_up word <> up then t.link.(id) <- bump word ~up
 
 let active_neighbors t u =
   let g = t.graph in
   let acc = ref [] in
   for i = Graph.degree g u downto 1 do
     let e = Graph.edge_id g u i in
-    if t.link_state.(Graph.edge_uid g e).up then
+    if word_up t.link.(Graph.edge_uid g e) then
       acc := Graph.edge_target g e :: !acc
   done;
   !acc
@@ -198,7 +200,7 @@ let iter_active_neighbors t u f =
   let deg = Graph.degree g u in
   for i = 1 to deg do
     let e = Graph.edge_id g u i in
-    if t.link_state.(Graph.edge_uid g e).up then f (Graph.edge_target g e)
+    if word_up t.link.(Graph.edge_uid g e) then f (Graph.edge_target g e)
   done
 
 let fold_active_neighbors t u f acc =
@@ -207,7 +209,7 @@ let fold_active_neighbors t u f acc =
   let acc = ref acc in
   for i = 1 to deg do
     let e = Graph.edge_id g u i in
-    if t.link_state.(Graph.edge_uid g e).up then
+    if word_up t.link.(Graph.edge_uid g e) then
       acc := f (Graph.edge_target g e) !acc
   done;
   !acc
@@ -241,7 +243,7 @@ let activate t v ~label ~msg_id f =
 let deliver_to_ncu t v ~via ~label ~msg_id payload =
   activate t v ~label ~msg_id (fun () ->
       let via = if via < 0 then None else Some via in
-      t.handlers.(v).on_message t.contexts.(v) ~via payload)
+      t.handlers.(v).on_message { net = t; node = v } ~via payload)
 
 (* For constant [reason] strings only — a dynamically built reason
    must be constructed under its own [tracing] guard so the untraced
@@ -284,8 +286,9 @@ let rec switch t u ~via route cursor ~label ~msg_id payload =
       else begin
         let dedge = Graph.edge_id t.graph u link in
         let v = Graph.edge_target t.graph dedge in
-        let record = t.link_state.(Graph.edge_uid t.graph dedge) in
-        if not record.up then begin
+        let id = Graph.edge_uid t.graph dedge in
+        let state = t.link.(id) in
+        if not (word_up state) then begin
           Metrics.record_drop t.metrics;
           obs_drop t;
           if tracing t then
@@ -298,7 +301,6 @@ let rec switch t u ~via route cursor ~label ~msg_id payload =
                  })
         end
         else begin
-          let epoch = record.epoch in
           let now = Sim.Engine.now t.engine in
           let proposed = now +. t.cost.Cost_model.hop_delay () in
           (* FIFO per directed link: never deliver before an earlier
@@ -312,7 +314,7 @@ let rec switch t u ~via route cursor ~label ~msg_id payload =
               Registry.observe o.o_hop_latency (arrival -. now)
           | None -> ());
           Sim.Engine.schedule_at t.engine ~time:arrival (fun () ->
-              if record.up && record.epoch = epoch then begin
+              if t.link.(id) = state then begin
                 if tracing t then
                   Sim.Trace.record t.trace
                     (Sim.Trace.Hop { src = u; dst = v; time = arrival; msg_id });
@@ -334,16 +336,16 @@ let rec switch t u ~via route cursor ~label ~msg_id payload =
 
 let start ?(label = "start") t v =
   activate t v ~label ~msg_id:(-1) (fun () ->
-      t.handlers.(v).on_start t.contexts.(v))
+      t.handlers.(v).on_start { net = t; node = v })
 
 let start_all ?(label = "start") t =
   Graph.iter_nodes (fun v -> start ~label t v) t.graph
 
 let set_link t u v ~up =
-  let record = link_record t u v in
-  if record.up <> up then begin
-    record.up <- up;
-    record.epoch <- record.epoch + 1;
+  let id = link_id t u v in
+  let word = t.link.(id) in
+  if word_up word <> up then begin
+    t.link.(id) <- bump word ~up;
     if tracing t then
       Sim.Trace.record t.trace
         (Sim.Trace.Link_change
@@ -351,19 +353,21 @@ let set_link t u v ~up =
     let notify endpoint peer =
       Sim.Engine.schedule t.engine ~delay:t.detection_delay (fun () ->
           activate t endpoint ~label:"link-change" ~msg_id:(-1) (fun () ->
-              t.handlers.(endpoint).on_link_change t.contexts.(endpoint) ~peer
-                ~up))
+              t.handlers.(endpoint).on_link_change
+                { net = t; node = endpoint }
+                ~peer ~up))
     in
     notify u v;
     notify v u
   end
 
 let drop_in_flight t u v =
-  let record = link_record t u v in
+  let id = link_id t u v in
+  let word = t.link.(id) in
   (* advancing the epoch invalidates every packet committed to the
      link without changing its up/down state, so neither endpoint is
      notified — a momentary physical glitch below detection threshold *)
-  record.epoch <- record.epoch + 1;
+  t.link.(id) <- bump word ~up:(word_up word);
   if tracing t then
     Sim.Trace.record t.trace
       (Sim.Trace.Custom
@@ -462,7 +466,7 @@ let neighbors ctx =
   for i = Graph.degree g u downto 1 do
     let e = Graph.edge_id g u i in
     acc :=
-      (Graph.edge_target g e, t.link_state.(Graph.edge_uid g e).up) :: !acc
+      (Graph.edge_target g e, word_up t.link.(Graph.edge_uid g e)) :: !acc
   done;
   !acc
 

@@ -88,6 +88,48 @@ let test_codec_rejects_garbage () =
           "{\"seed\":1,\"index\":0,\"n\":4,\"jitter\":0,\
            \"faults\":[{\"kind\":\"meteor\",\"at\":1}]}"))
 
+(* Repro files are hand-edited, so the decoder must be total: a few
+   generated schedules' JSON with 1-3 random byte edits (replace,
+   insert, delete; half the new bytes JSON punctuation or digits, half
+   any byte) is refused with an [Error] or decodes to a well-formed
+   schedule, never raises. *)
+let fuzz_docs =
+  lazy
+    (Array.init 8 (fun index ->
+         Sch.to_json (Sch.generate ~n:16 ~seed:(index / 2) ~index ())))
+
+let json_bytes = "{}[]:,\"-.+0123456789eE \\tfnul"
+
+let apply_edit doc (kind, pos, b) =
+  let len = String.length doc in
+  let c =
+    if b < 128 then json_bytes.[b mod String.length json_bytes]
+    else Char.chr b
+  in
+  let at bound = if bound = 0 then 0 else pos mod bound in
+  match kind with
+  | 0 when len > 0 ->
+      let i = at len in
+      String.mapi (fun j x -> if j = i then c else x) doc
+  | 1 when len > 0 ->
+      let i = at len in
+      String.sub doc 0 i ^ String.sub doc (i + 1) (len - i - 1)
+  | _ ->
+      let i = at (len + 1) in
+      String.sub doc 0 i ^ String.make 1 c ^ String.sub doc i (len - i)
+
+let qcheck_codec_fuzz =
+  QCheck.Test.make ~name:"schedule decoder total under byte edits" ~count:2000
+    QCheck.(
+      pair (int_bound 7)
+        (list_of_size Gen.(1 -- 3)
+           (triple (int_bound 2) (int_bound 100_000) (int_bound 255))))
+    (fun (doc, edits) ->
+      let src = List.fold_left apply_edit (Lazy.force fuzz_docs).(doc) edits in
+      match Sch.of_json src with
+      | Error _ -> true
+      | Ok s -> Sch.well_formed s = Ok ())
+
 (* -- soak determinism -------------------------------------------------- *)
 
 let test_soak_json_independent_of_jobs () =
@@ -500,4 +542,5 @@ let suite =
     Alcotest.test_case "heartbeat rejects bad every" `Quick
       test_heartbeat_rejects_bad_every;
     QCheck_alcotest.to_alcotest qcheck_codec_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_codec_fuzz;
   ]

@@ -159,9 +159,10 @@ let test_precomputed_routes_parity () =
 (* The engine's allocation budget.  An untraced, registry-free
    branching-paths broadcast over compiled routes runs one engine event
    per system call and one per hop; the minor words it allocates per
-   event are a deterministic function of the binary: 27.4 measured,
-   50.9 before the engine queue and the per-run handlers. *)
-let words_per_event_bound = 30.0
+   event are a deterministic function of the binary: 25.1 measured,
+   27.4 with a record per link and a context per node, 50.9 before the
+   engine queue and the per-run handlers. *)
+let words_per_event_bound = 27.0
 
 let test_bpaths_words_per_event () =
   let art = Cache.random_connected ~seed:11 ~n:1024 ~extra_edges:512 in
@@ -201,9 +202,9 @@ let test_election_words_per_event () =
 (* The heal op's allocation budget: generate a healing schedule and run
    it in liveness mode with the recovery layer on, the benchmark's heal
    shape, over eight fixed n=256 schedules.  Minor words per system
-   call: 266.5 measured, 369.7 with the tuple-table fault replay and a
-   retained trace ring. *)
-let heal_words_per_syscall_bound = 290.0
+   call: 250.3 measured, 266.5 with a closure per CSR edge lookup,
+   369.7 with the tuple-table fault replay and a retained trace ring. *)
+let heal_words_per_syscall_bound = 265.0
 
 let test_heal_words_per_syscall () =
   Cache.clear ();
@@ -221,6 +222,31 @@ let test_heal_words_per_syscall () =
   if per_syscall > heal_words_per_syscall_bound then
     Alcotest.failf "%.2f minor words per syscall, bound %.1f" per_syscall
       heal_words_per_syscall_bound
+
+(* A network holds no record per link or per node: link state is one
+   packed int per link and handler contexts are built at activation,
+   so [Network.create]'s minor allocation does not grow with n.
+   84 words measured at both sizes; 7,766 at n=1024 and 30,806
+   at n=4096 with a record per link and a context per node. *)
+let create_minor_words_bound = 256.0
+
+let test_network_create_words () =
+  List.iter
+    (fun n ->
+      let graph =
+        B.random_connected (Sim.Rng.create ~seed:11) ~n ~extra_edges:(n / 2)
+      in
+      let engine = Sim.Engine.create () in
+      let cost = Hardware.Cost_model.new_model () in
+      let handlers _ = Hardware.Network.default_handlers in
+      let before = Gc.minor_words () in
+      let net = Hardware.Network.create ~engine ~cost ~graph ~handlers () in
+      let words = Gc.minor_words () -. before in
+      ignore (Sys.opaque_identity net);
+      if words > create_minor_words_bound then
+        Alcotest.failf "Network.create at n=%d: %.0f minor words, bound %.0f"
+          n words create_minor_words_bound)
+    [ 1024; 4096 ]
 
 let test_publish_and_pp_stats () =
   Cache.clear ();
@@ -330,6 +356,8 @@ let suite =
       test_election_words_per_event;
     Alcotest.test_case "heal minor words per syscall" `Quick
       test_heal_words_per_syscall;
+    Alcotest.test_case "Network.create allocates O(1)" `Quick
+      test_network_create_words;
     QCheck_alcotest.to_alcotest qcheck_routes_match_reference;
     Alcotest.test_case "cache routes equal the reference" `Quick
       test_cache_routes_match_reference;

@@ -100,6 +100,48 @@ let test_induced_validation () =
   check_bool "range rejected" true
     (try ignore (G.induced g [ 9 ]); false with Invalid_argument _ -> true)
 
+(* Undirected edge ids number the edges in [G.edges] order:
+   [Chaos.Schedule] draws an id where it once drew from that list. *)
+let test_undirected_ids_follow_edges () =
+  let g =
+    Netgraph.Builders.random_connected (Sim.Rng.create ~seed:4) ~n:64
+      ~extra_edges:32
+  in
+  List.iteri
+    (fun i (u, v) ->
+      check_int "id of u-v" i (G.undirected_edge_id g u v);
+      check_int "id of v-u" i (G.undirected_edge_id g v u))
+    (G.edges g)
+
+(* The point lookups run once per hop on route-building paths (walk
+   compilation calls [link_index] per step), so they allocate nothing:
+   the CSR binary search is a loop, not a local closure. *)
+let test_lookups_allocate_nothing () =
+  let g =
+    Netgraph.Builders.random_connected (Sim.Rng.create ~seed:4) ~n:256
+      ~extra_edges:128
+  in
+  let edges = Array.of_list (G.edges g) in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let lookups () =
+    let sum = ref 0 in
+    for i = 0 to Array.length edges - 1 do
+      let u, v = edges.(i) in
+      if G.has_edge g u v && not (G.has_edge g u u) then
+        sum :=
+          !sum + G.link_index g u v + G.link_index g v u
+          + G.undirected_edge_id g u v
+    done;
+    ignore (Sys.opaque_identity !sum : int)
+  in
+  let overhead = words ignore in
+  check_int "minor words over all lookups" 0
+    (int_of_float (words lookups -. overhead))
+
 let qcheck_induced_component_connected =
   QCheck.Test.make ~name:"induced component is connected" ~count:100
     QCheck.(int_range 2 30)
@@ -130,6 +172,10 @@ let suite =
     Alcotest.test_case "edges canonical" `Quick test_edges_canonical;
     Alcotest.test_case "link_index roundtrip" `Quick test_link_index_roundtrip;
     Alcotest.test_case "link_index not found" `Quick test_link_index_not_found;
+    Alcotest.test_case "undirected ids follow edges" `Quick
+      test_undirected_ids_follow_edges;
+    Alcotest.test_case "lookups allocate nothing" `Quick
+      test_lookups_allocate_nothing;
     Alcotest.test_case "peer_via invalid" `Quick test_peer_via_invalid;
     Alcotest.test_case "max degree" `Quick test_max_degree;
     Alcotest.test_case "connectivity" `Quick test_connectivity;

@@ -214,6 +214,50 @@ let test_drop_in_flight () =
   | Some c -> check_int "in-flight loss counted" 1 (Hardware.Registry.counter_value c)
   | None -> Alcotest.fail "net.dropped_in_flight not registered")
 
+let test_flap_in_flight () =
+  (* a down/up round trip while a packet is on the link loses it, even
+     though the link is up again when the packet would arrive; a later
+     packet crosses the restored link *)
+  let graph = B.path 2 in
+  let cost = CM.deterministic ~c:10.0 ~p:1.0 in
+  let action v ctx =
+    if v = 0 then begin
+      (* sent at 1, in flight during (1, 11) *)
+      N.send_walk ctx ~walk:[ 0; 1 ] (Payload 1);
+      (* the timer fires at 19, its activation sends at 20 *)
+      N.set_timer ctx ~delay:18.0 (fun () ->
+          N.send_walk ctx ~walk:[ 0; 1 ] (Payload 2))
+    end
+  in
+  let engine = Sim.Engine.create () in
+  let trace = Sim.Trace.create () in
+  let log = ref [] in
+  let handlers v =
+    {
+      N.on_start = (fun ctx -> action v ctx);
+      on_message = (fun ctx ~via:_ (Payload x) -> log := (x, N.now ctx) :: !log);
+      on_link_change = (fun _ ~peer:_ ~up:_ -> ());
+    }
+  in
+  let net = N.create ~trace ~engine ~cost ~graph ~handlers () in
+  N.start net 0;
+  Sim.Engine.schedule_at engine ~time:3.0 (fun () -> N.set_link net 0 1 ~up:false);
+  Sim.Engine.schedule_at engine ~time:6.0 (fun () -> N.set_link net 0 1 ~up:true);
+  run engine;
+  let lost =
+    Sim.Trace.count
+      (function
+        | Sim.Trace.Drop { reason; time; _ } ->
+            reason = "lost in flight (link failed)" && time = 11.0
+        | _ -> false)
+      trace
+  in
+  check_int "first packet lost in flight" 1 lost;
+  check_bool "link up again" true (N.link_is_up net 0 1);
+  (match !log with
+  | [ (2, at) ] -> check_float "second packet delivered" 31.0 at
+  | _ -> Alcotest.failf "expected only packet 2, got %d deliveries" (List.length !log))
+
 let test_link_failure_counts_in_flight () =
   (* the pre-existing silent-discard path (link fails under a packet)
      must feed the same counter *)
@@ -430,6 +474,7 @@ let suite =
     Alcotest.test_case "copy before dead link" `Quick test_copy_before_dead_link;
     Alcotest.test_case "in-flight loss" `Quick test_in_flight_loss;
     Alcotest.test_case "drop_in_flight glitch" `Quick test_drop_in_flight;
+    Alcotest.test_case "flap while in flight" `Quick test_flap_in_flight;
     Alcotest.test_case "link failure counts in-flight" `Quick
       test_link_failure_counts_in_flight;
     Alcotest.test_case "set_link notifies" `Quick test_set_link_notifies;
