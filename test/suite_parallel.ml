@@ -236,6 +236,30 @@ let test_determinism_across_widths () =
             (S.metrics_json (S.run ~pool:p S.Election ~replicas:6 ~n:16 ~seed:3 ()))))
     [ 2; 3 ]
 
+(* The sweeps' metrics pinned by digest: every scenario's replica
+   metrics and merged registry at n=32, seed 7, 3 replicas.  Any change
+   to how a family is dispatched or configured moves its digest. *)
+let sweep_digests =
+  [
+    (S.Bpaths, "574f4eaa11ac0832e7198831af36b60e");
+    (S.Flood, "bfb62d397bc383d20d5b92f4450233c8");
+    (S.Dfs, "4d7f2ea5696113de27ac97dfb70ccf46");
+    (S.Direct, "3b4462d14890fd3c02b7a70057e940d3");
+    (S.Layered, "8a4cabad5152690f8186005814cacd80");
+    (S.Election, "14b5feda27731b64854ea958d9a604a4");
+    (S.Maintenance, "51d9370939d3fd3bcc4c5bf2b710faa1");
+  ]
+
+let test_sweep_digests_pinned () =
+  check_int "every scenario pinned" (List.length S.all_scenarios)
+    (List.length sweep_digests);
+  List.iter
+    (fun (sc, want) ->
+      let s = S.run sc ~replicas:3 ~n:32 ~seed:7 () in
+      check_string (S.scenario_name sc) want
+        (Digest.to_hex (Digest.string (S.metrics_json s))))
+    sweep_digests
+
 let test_sweep_merged_registry () =
   (* the merged registry must equal the sum of sequential per-replica
      registries: net.syscalls summed across replicas *)
@@ -292,6 +316,8 @@ let suite =
       test_determinism_all_scenarios;
     Alcotest.test_case "determinism across pool widths" `Quick
       test_determinism_across_widths;
+    Alcotest.test_case "sweep metrics digests pinned" `Quick
+      test_sweep_digests_pinned;
     Alcotest.test_case "merged registry sums replicas" `Quick
       test_sweep_merged_registry;
     Alcotest.test_case "bad replica count rejected" `Quick
