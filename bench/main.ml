@@ -279,13 +279,20 @@ let stream_trace_export ~n =
 
 (* One checked execution of each bounded row, in fail mode, so a CI
    bench run re-verifies Theorem 2 and the 6n election budget on the
-   sizes it runs.  Only the broadcast records a ring trace: the FIFO
-   monitor replays it. *)
+   sizes it runs.  The FIFO monitor consumes the broadcast's events as
+   they are recorded; no ring is kept. *)
 let check_monitors ~n =
-  let trace = Sim.Trace.create () in
+  let fifo = Hardware.Monitor.Fifo.create () in
+  let trace =
+    Sim.Trace.streaming
+      ~consumer:(fun e -> Hardware.Monitor.Fifo.observe fifo e; true)
+      ()
+  in
   let broadcast = (row "bpaths").run ~trace ~n () in
-  let fifo = Hardware.Monitor.fifo_per_link trace in
-  let reports = broadcast @ (fifo :: (row "election").run ~n ()) in
+  let reports =
+    broadcast
+    @ (Hardware.Monitor.Fifo.report fifo :: (row "election").run ~n ())
+  in
   List.iter (fun r -> Format.printf "%a@." Hardware.Monitor.pp_report r) reports;
   match Hardware.Monitor.enforce Hardware.Monitor.Fail reports with
   | _ -> ()

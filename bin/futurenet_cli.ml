@@ -43,14 +43,6 @@ let build_artifact topology n seed =
 let build_graph topology n seed =
   Compile.Topology.graph (build_artifact topology n seed)
 
-(* The artifact's labelling and routes are rooted at node 0, so they
-   only apply to a broadcast from that root. *)
-let bpaths_precomputed art ~root =
-  if root = 0 then
-    ( Some (Compile.Topology.labelling art),
-      Compile.Topology.routes art ~chaos:None )
-  else (None, None)
-
 (* an Arg.enum, so an unknown family is a proper Cmdliner error: non-zero
    exit and a usage message listing the valid names *)
 let topology_conv =
@@ -80,6 +72,49 @@ let n_arg =
 
 let seed_arg =
   Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
+
+(* -- the scenario table ------------------------------------------------- *)
+
+module Sweep = Parallel.Sweep
+
+(* Every -s/-a choice is a subset of Parallel.Sweep's scenario table,
+   named by it, so an unknown name is a Cmdliner usage error. *)
+let scenario_alts scenarios =
+  List.map (fun s -> (Sweep.scenario_name s, s)) scenarios
+
+let scenario_arg ~names ~docv ~doc scenarios =
+  let alts = scenario_alts scenarios in
+  Arg.(value & opt (enum alts) Sweep.Bpaths
+         & info names ~docv ~doc:(doc ^ ": " ^ doc_alts_enum alts ^ "."))
+
+(* The one dispatch over the seven families, shared by trace and
+   profile: run [scenario] on the artifact at [cost], recording into
+   [trace] and [registry]. *)
+let run_scenario scenario art ~root ~cost ~trace ~registry =
+  let graph = Compile.Topology.graph art in
+  match scenario with
+  | Sweep.Election ->
+      `Election (Core.Election.run ~cost ~trace ~registry ~graph ())
+  | Sweep.Maintenance ->
+      let params =
+        { (Core.Topo_maintenance.default_params ()) with
+          cost; trace = Some trace; registry = Some registry; max_rounds = 2 }
+      in
+      `Maintenance (Core.Topo_maintenance.run ~params ~graph ~events:[] ())
+  | broadcast ->
+      let config =
+        { (Core.Broadcast.default_config ()) with
+          cost; trace = Some trace; registry = Some registry }
+      in
+      `Broadcast (Sweep.broadcast broadcast ~config art ~root)
+
+let root_arg =
+  Arg.(value & opt int 0 & info [ "root" ] ~docv:"NODE" ~doc:"Broadcaster.")
+
+let write_file path contents =
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc
 
 let json_flag =
   Arg.(value & flag
@@ -156,31 +191,11 @@ let recover_flag =
                    epoch restarts for election, round resumption for \
                    maintenance.")
 
-let algo_conv =
-  Arg.enum
-    [
-      ("bpaths", `Bpaths); ("flood", `Flood); ("dfs", `Dfs);
-      ("direct", `Direct); ("layered", `Layered);
-    ]
-
-let algo_name = function
-  | `Bpaths -> "bpaths" | `Flood -> "flood" | `Dfs -> "dfs"
-  | `Direct -> "direct" | `Layered -> "layered"
-
-let run_broadcast algo ?config ?precomputed ?routes ~graph ~root () =
-  match algo with
-  | `Bpaths ->
-      Core.Branching_paths.run ?config ?precomputed ?routes ~graph ~root ()
-  | `Flood -> Core.Flooding.run ?config ~graph ~root ()
-  | `Dfs -> Core.Dfs_broadcast.run ?config ~graph ~root ()
-  | `Direct -> Core.Direct_broadcast.run ?config ~graph ~root ()
-  | `Layered -> Core.Layered_broadcast.run ?config ~graph ~root ()
-
 let broadcast_json ~algo ~topology ~graph ~root (r : Core.Broadcast.result) =
   json_obj
     [
       ("command", "\"broadcast\"");
-      ("algorithm", Sim.Json.string (algo_name algo));
+      ("algorithm", Sim.Json.string (Sweep.scenario_name algo));
       ("topology", Sim.Json.string (topology_name topology));
       ("n", string_of_int (Netgraph.Graph.n graph));
       ("m", string_of_int (Netgraph.Graph.m graph));
@@ -196,35 +211,22 @@ let broadcast_json ~algo ~topology ~graph ~root (r : Core.Broadcast.result) =
 
 let broadcast_cmd =
   let algo_arg =
-    Arg.(value & opt algo_conv `Bpaths
-           & info [ "a"; "algorithm" ] ~docv:"ALGO"
-               ~doc:"$(b,bpaths), $(b,flood), $(b,dfs), $(b,direct) or \
-                     $(b,layered).")
-  in
-  let root_arg =
-    Arg.(value & opt int 0 & info [ "root" ] ~docv:"NODE" ~doc:"Broadcaster.")
+    scenario_arg ~names:[ "a"; "algorithm" ] ~docv:"ALGO"
+      ~doc:"Broadcast algorithm" Sweep.broadcast_scenarios
   in
   let run topology n seed algo root recover json =
     let art = build_artifact topology n seed in
     let graph = Compile.Topology.graph art in
-    let precomputed, routes =
-      match algo with
-      | `Bpaths -> bpaths_precomputed art ~root
-      | _ -> (None, None)
-    in
     let config =
-      if not recover then None
-      else
-        Some
-          {
-            (Core.Broadcast.default_config ()) with
-            Core.Broadcast.recover =
-              Some (Hardware.Recover.default ~n:(Netgraph.Graph.n graph));
-          }
+      {
+        (Core.Broadcast.default_config ()) with
+        Core.Broadcast.recover =
+          (if recover then
+             Some (Hardware.Recover.default ~n:(Netgraph.Graph.n graph))
+           else None);
+      }
     in
-    let result =
-      run_broadcast algo ?config ?precomputed ?routes ~graph ~root ()
-    in
+    let result = Sweep.broadcast algo ~config art ~root in
     if json then
       print_endline (broadcast_json ~algo ~topology ~graph ~root result)
     else
@@ -235,7 +237,8 @@ let broadcast_cmd =
         \  hops       : %d\n\
         \  time       : %g\n\
         \  max header : %d elements\n"
-        (algo_name algo) (topology_name topology) (Netgraph.Graph.n graph)
+        (Sweep.scenario_name algo) (topology_name topology)
+        (Netgraph.Graph.n graph)
         (Netgraph.Graph.m graph) root
         (Core.Broadcast.coverage result)
         (Netgraph.Graph.n graph)
@@ -304,19 +307,9 @@ let election_cmd =
 (* -- trace ---------------------------------------------------------------- *)
 
 let trace_cmd =
-  let scenario_conv =
-    Arg.enum
-      [
-        ("bpaths", `Bpaths); ("flood", `Flood); ("dfs", `Dfs);
-        ("direct", `Direct); ("layered", `Layered); ("election", `Election);
-      ]
-  in
   let scenario_arg =
-    Arg.(value & opt scenario_conv `Bpaths
-           & info [ "s"; "scenario" ] ~docv:"SCENARIO"
-               ~doc:"What to run and trace: a broadcast algorithm \
-                     ($(b,bpaths), $(b,flood), $(b,dfs), $(b,direct), \
-                     $(b,layered)) or $(b,election).")
+    scenario_arg ~names:[ "s"; "scenario" ] ~docv:"SCENARIO"
+      ~doc:"What to run and trace" Sweep.all_scenarios
   in
   let out_arg =
     Arg.(value & opt string "trace"
@@ -334,30 +327,18 @@ let trace_cmd =
                ~doc:"Paper-bound monitors: $(b,off), $(b,warn) (print \
                      violations) or $(b,fail) (non-zero exit on violation).")
   in
-  let root_arg =
-    Arg.(value & opt int 0 & info [ "root" ] ~docv:"NODE" ~doc:"Broadcaster.")
-  in
   let stream_arg =
     Arg.(value & opt (some string) None
            & info [ "stream" ] ~docv:"FILE"
                ~doc:"Stream the trace as chunked JSONL to $(docv) while the \
                      scenario runs, in O(sink buffer) memory — works at any \
-                     n.  Replaces the materialised $(b,--out) files; \
-                     monitors that replay the ring buffer are skipped.")
-  in
-  let write_file path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc
-  in
-  let scenario_tag = function
-    | (`Bpaths | `Flood | `Dfs | `Direct | `Layered) as algo -> algo_name algo
-    | `Election -> "election"
+                     n.  Replaces the materialised $(b,--out) files; the \
+                     monitors still run, the FIFO check consuming events \
+                     as they stream.")
   in
   let run topology n seed scenario root out mode stream =
     let art = build_artifact topology n seed in
-    let graph = Compile.Topology.graph art in
-    let n = Netgraph.Graph.n graph in
+    let n = Netgraph.Graph.n (Compile.Topology.graph art) in
     let sink =
       match stream with
       | None -> None
@@ -369,7 +350,7 @@ let trace_cmd =
                   ~fields:
                     [
                       ("scenario",
-                       Sim.Json.string (scenario_tag scenario));
+                       Sim.Json.string (Sweep.scenario_name scenario));
                       ("topology",
                        Sim.Json.string (topology_name topology));
                       ("n", string_of_int n);
@@ -380,43 +361,39 @@ let trace_cmd =
               : bool);
           Some (path, sink)
     in
-    let trace =
+    (* the FIFO monitor consumes every event as it is recorded; a ring
+       is kept only for the materialised --out files *)
+    let fifo = Hardware.Monitor.Fifo.create () in
+    let forward =
       match sink with
-      | None -> Sim.Trace.create ()
-      | Some (_, sink) -> Sim.Trace_export.stream_trace sink
+      | None -> fun _ -> true
+      | Some (_, sink) -> Sim.Trace_export.event_consumer sink
+    in
+    let trace =
+      Sim.Trace.streaming ~keep:(sink = None)
+        ~consumer:(fun e -> Hardware.Monitor.Fifo.observe fifo e; forward e)
+        ()
     in
     let registry = Hardware.Registry.create () in
     let reports =
-      match scenario with
-      | (`Bpaths | `Flood | `Dfs | `Direct | `Layered) as algo ->
-          let config =
-            { (Core.Broadcast.default_config ()) with
-              trace = Some trace; registry = Some registry }
-          in
-          let precomputed, routes =
-            match algo with
-            | `Bpaths -> bpaths_precomputed art ~root
-            | _ -> (None, None)
-          in
-          let r = run_broadcast algo ~config ?precomputed ?routes ~graph ~root () in
+      match
+        run_scenario scenario art ~root ~cost:(Hardware.Cost_model.new_model ())
+          ~trace ~registry
+      with
+      | `Broadcast r ->
           Printf.printf "%s on %s (n=%d): %d/%d reached, %d syscalls, time %g\n"
-            (algo_name algo) (topology_name topology) n
+            (Sweep.scenario_name scenario) (topology_name topology) n
             (Core.Broadcast.coverage r) n r.Core.Broadcast.syscalls r.time;
-          let always =
-            [
-              Hardware.Monitor.fifo_per_link trace;
-              Hardware.Monitor.one_way_delivery ~n
-                ~syscalls:r.Core.Broadcast.syscalls;
-            ]
-          in
-          if algo = `Bpaths then
-            Hardware.Monitor.theorem2_broadcast ~n
-              ~syscalls:r.Core.Broadcast.syscalls ~time:r.time ()
-            :: always
-          else if algo = `Flood then [ List.hd always ]  (* floods re-activate *)
-          else always
-      | `Election ->
-          let o = Core.Election.run ~trace ~registry ~graph () in
+          (if scenario = Sweep.Bpaths then
+             [ Hardware.Monitor.theorem2_broadcast ~n
+                 ~syscalls:r.Core.Broadcast.syscalls ~time:r.time () ]
+           else [])
+          @ Hardware.Monitor.Fifo.report fifo
+            :: (if scenario = Sweep.Flood then []  (* floods re-activate *)
+                else
+                  [ Hardware.Monitor.one_way_delivery ~n
+                      ~syscalls:r.Core.Broadcast.syscalls ])
+      | `Election o ->
           Printf.printf
             "election on %s (n=%d): leader %d, %d election syscalls (6n=%d)\n"
             (topology_name topology) n o.Core.Election.leader
@@ -426,58 +403,41 @@ let trace_cmd =
               ~election_syscalls:o.election_syscalls;
             Hardware.Monitor.dmax_ceiling ~dmax:((2 * n) + 2)
               ~max_header:o.max_route;
-            Hardware.Monitor.fifo_per_link trace;
+            Hardware.Monitor.Fifo.report fifo;
           ]
-    in
-    let reports, skipped =
-      match sink with
-      | None ->
-          let jsonl_path = out ^ ".jsonl" in
-          let chrome_path = out ^ ".chrome.json" in
-          write_file jsonl_path (Sim.Trace_export.jsonl trace);
-          write_file chrome_path (Sim.Trace_export.chrome trace);
-          Printf.printf "wrote %s (%d events) and %s\n" jsonl_path
-            (Sim.Trace.length trace) chrome_path;
-          (reports, [])
-      | Some (path, sink) ->
-          Sim.Trace_export.stream_finish sink trace;
-          Sim.Sink.close sink;
+      | `Maintenance o ->
           Printf.printf
-            "streamed %s (%d lines, %d bytes, %d dropped at the sink)\n"
-            path (Sim.Sink.emitted sink) (Sim.Sink.bytes sink)
-            (Sim.Trace.dropped_sink trace);
-          (* The ring retains nothing in stream mode, so monitors that
-             replay it would pass vacuously — drop them, loudly. *)
-          let kept, skipped =
-            List.partition
-              (fun r -> r.Hardware.Monitor.monitor <> "fifo-per-link")
-              reports
-          in
-          (kept, List.map (fun r -> r.Hardware.Monitor.monitor) skipped)
+            "maintenance on %s (n=%d): converged %b after %d rounds, %d \
+             syscalls, time %g\n"
+            (topology_name topology) n o.Core.Topo_maintenance.converged
+            o.rounds o.syscalls o.time;
+          [ Hardware.Monitor.Fifo.report fifo ]
     in
-    if skipped <> [] then
-      Printf.printf
-        "warning: --stream keeps no ring to replay; skipped monitor(s): %s\n"
-        (String.concat ", " skipped);
+    (match sink with
+    | None ->
+        let jsonl_path = out ^ ".jsonl" in
+        let chrome_path = out ^ ".chrome.json" in
+        write_file jsonl_path (Sim.Trace_export.jsonl trace);
+        write_file chrome_path (Sim.Trace_export.chrome trace);
+        Printf.printf "wrote %s (%d events) and %s\n" jsonl_path
+          (Sim.Trace.length trace) chrome_path
+    | Some (path, sink) ->
+        Sim.Trace_export.stream_finish sink trace;
+        Sim.Sink.close sink;
+        Printf.printf
+          "streamed %s (%d lines, %d bytes, %d dropped at the sink)\n"
+          path (Sim.Sink.emitted sink) (Sim.Sink.bytes sink)
+          (Sim.Trace.dropped_sink trace));
     print_endline "registry:";
     Format.printf "%a@?" Hardware.Registry.pp_summary registry;
     Format.printf "%a@." Compile.Cache.pp_stats ();
     print_endline "monitors:";
     List.iter (fun r -> Format.printf "%a@." Hardware.Monitor.pp_report r) reports;
-    (match Hardware.Monitor.enforce mode reports with
+    match Hardware.Monitor.enforce mode reports with
     | _ -> ()
     | exception Hardware.Monitor.Violation failed ->
         Printf.eprintf "%d monitor violation(s)\n" (List.length failed);
-        exit 3);
-    (* a skipped monitor cannot pass: under --monitors fail, skipping
-       is itself a violation, not a free pass *)
-    if mode = Hardware.Monitor.Fail && skipped <> [] then begin
-      Printf.eprintf
-        "trace --stream: %d monitor(s) skipped under --monitors fail: %s\n"
-        (List.length skipped)
-        (String.concat ", " skipped);
-      exit 3
-    end
+        exit 3
   in
   Cmd.v
     (Cmd.info "trace"
@@ -495,25 +455,9 @@ let trace_cmd =
    the paper's two currencies (C·hops switching, P·syscalls
    processing), plus slack for everything off the path. *)
 let profile_cmd =
-  let scenario_conv =
-    Arg.enum
-      [
-        ("bpaths", `Bpaths); ("flood", `Flood); ("dfs", `Dfs);
-        ("direct", `Direct); ("layered", `Layered); ("election", `Election);
-        ("maintenance", `Maintenance);
-      ]
-  in
-  let scenario_name = function
-    | `Bpaths -> "bpaths" | `Flood -> "flood" | `Dfs -> "dfs"
-    | `Direct -> "direct" | `Layered -> "layered" | `Election -> "election"
-    | `Maintenance -> "maintenance"
-  in
   let scenario_arg =
-    Arg.(value & opt scenario_conv `Bpaths
-           & info [ "s"; "scenario" ] ~docv:"SCENARIO"
-               ~doc:"What to run and profile: a broadcast algorithm \
-                     ($(b,bpaths), $(b,flood), $(b,dfs), $(b,direct), \
-                     $(b,layered)), $(b,election) or $(b,maintenance).")
+    scenario_arg ~names:[ "s"; "scenario" ] ~docv:"SCENARIO"
+      ~doc:"What to run and profile" Sweep.all_scenarios
   in
   let c_arg =
     Arg.(value & opt float 0.0
@@ -523,49 +467,20 @@ let profile_cmd =
     Arg.(value & opt float 1.0
            & info [ "p" ] ~docv:"P" ~doc:"Per-system-call processing delay bound.")
   in
-  let root_arg =
-    Arg.(value & opt int 0 & info [ "root" ] ~docv:"NODE" ~doc:"Broadcaster.")
-  in
   let out_arg =
     Arg.(value & opt string "profile"
            & info [ "o"; "out" ] ~docv:"PREFIX"
                ~doc:"Output prefix: writes $(docv).chrome.json with the \
                      critical path coloured for chrome://tracing.")
   in
-  let write_file path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc
-  in
   let run topology n seed scenario root c p out json =
     let art = build_artifact topology n seed in
-    let graph = Compile.Topology.graph art in
-    let n = Netgraph.Graph.n graph in
+    let n = Netgraph.Graph.n (Compile.Topology.graph art) in
     let cost = Hardware.Cost_model.deterministic ~c ~p in
     let trace = Sim.Trace.create () in
-    (match scenario with
-    | (`Bpaths | `Flood | `Dfs | `Direct | `Layered) as algo ->
-        let config =
-          { (Core.Broadcast.default_config ()) with cost; trace = Some trace }
-        in
-        let precomputed, routes =
-          match algo with
-          | `Bpaths -> bpaths_precomputed art ~root
-          | _ -> (None, None)
-        in
-        ignore
-          (run_broadcast algo ~config ?precomputed ?routes ~graph ~root ()
-            : Core.Broadcast.result)
-    | `Election ->
-        ignore (Core.Election.run ~cost ~trace ~graph () : Core.Election.outcome)
-    | `Maintenance ->
-        let params =
-          { (Core.Topo_maintenance.default_params ()) with
-            cost; trace = Some trace; max_rounds = 2 }
-        in
-        ignore
-          (Core.Topo_maintenance.run ~params ~graph ~events:[] ()
-            : Core.Topo_maintenance.outcome));
+    ignore
+      (run_scenario scenario art ~root ~cost ~trace
+         ~registry:(Hardware.Registry.disabled ()));
     let dag = Analysis.Event_dag.of_trace trace in
     match Analysis.Critical_path.compute ~cost dag with
     | None ->
@@ -588,7 +503,7 @@ let profile_cmd =
             (json_obj
                [
                  ("command", "\"profile\"");
-                 ("scenario", Sim.Json.string (scenario_name scenario));
+                 ("scenario", Sim.Json.string (Sweep.scenario_name scenario));
                  ("topology", Sim.Json.string (topology_name topology));
                  ("n", string_of_int n);
                  ("c", Sim.Json.float c);
@@ -599,7 +514,7 @@ let profile_cmd =
                ])
         else begin
           Printf.printf "%s on %s (n=%d, C=%g, P=%g): %d trace events\n"
-            (scenario_name scenario) (topology_name topology) n c p
+            (Sweep.scenario_name scenario) (topology_name topology) n c p
             (Analysis.Event_dag.size dag);
           Format.printf "  dag: %a@." Analysis.Event_dag.pp_stats dag;
           Format.printf "%a" Analysis.Critical_path.pp cp;
@@ -607,7 +522,7 @@ let profile_cmd =
             "  slack      : %d/%d events with zero slack, max %g, mean %g\n"
             stats.Analysis.Critical_path.zero_slack stats.events stats.max_slack
             stats.mean_slack;
-          (if scenario = `Bpaths then
+          (if scenario = Sweep.Bpaths then
              let d = cp.Analysis.Critical_path.deliveries in
              Printf.printf
                "  theorem 2  : %d P-steps (deliveries) on the critical path, \
@@ -628,18 +543,9 @@ let profile_cmd =
 (* -- bench (parallel replica sweeps) ---------------------------------- *)
 
 let bench_cmd =
-  let scenario_conv =
-    Arg.enum
-      (List.map
-         (fun s -> (Parallel.Sweep.scenario_name s, s))
-         Parallel.Sweep.all_scenarios)
-  in
   let scenario_arg =
-    Arg.(value & opt scenario_conv Parallel.Sweep.Bpaths
-           & info [ "s"; "scenario" ] ~docv:"SCENARIO"
-               ~doc:"Scenario to sweep: $(b,bpaths), $(b,flood), $(b,dfs), \
-                     $(b,direct), $(b,layered), $(b,election) or \
-                     $(b,maintenance).")
+    scenario_arg ~names:[ "s"; "scenario" ] ~docv:"SCENARIO"
+      ~doc:"Scenario to sweep" Sweep.all_scenarios
   in
   let replicas_arg =
     Arg.(value & opt int 8
@@ -657,7 +563,7 @@ let bench_cmd =
   in
   let run n seed scenario replicas jobs json =
     let sweep pool =
-      Parallel.Sweep.run ?pool ~replicas scenario ~n ~seed ()
+      Sweep.run ?pool ~replicas scenario ~n ~seed ()
     in
     (* Pool/cache telemetry is wall-clock dependent, so it only ever
        reaches the text summary — the json output stays byte-identical
@@ -671,9 +577,9 @@ let bench_cmd =
             Parallel.Pool.publish pool reg;
             (s, Some reg))
     in
-    if json then print_endline (Parallel.Sweep.to_json s)
+    if json then print_endline (Sweep.to_json s)
     else begin
-      Format.printf "%a@?" Parallel.Sweep.pp s;
+      Format.printf "%a@?" Sweep.pp s;
       (match pool_telemetry with
        | None -> ()
        | Some reg ->
@@ -693,19 +599,14 @@ let bench_cmd =
 (* -- chaos (deterministic fault-injection soak) ------------------------ *)
 
 let chaos_cmd =
-  let scenario_conv =
-    Arg.enum
-      (("all", None)
-      :: List.map
-           (fun s -> (Parallel.Sweep.scenario_name s, Some s))
-           Parallel.Sweep.all_scenarios)
-  in
   let scenario_arg =
-    Arg.(value & opt scenario_conv None
+    let alts =
+      List.map (fun (k, s) -> (k, Some s)) (scenario_alts Sweep.all_scenarios)
+      @ [ ("all", None) ]
+    in
+    Arg.(value & opt (enum alts) None
            & info [ "s"; "scenario" ] ~docv:"SCENARIO"
-               ~doc:"Scenario family to soak ($(b,bpaths), $(b,flood), \
-                     $(b,dfs), $(b,direct), $(b,layered), $(b,election), \
-                     $(b,maintenance)) or $(b,all).")
+               ~doc:("Scenario family to soak: " ^ doc_alts_enum alts ^ "."))
   in
   let chaos_n_arg =
     Arg.(value & opt int 64 & info [ "n" ] ~docv:"N" ~doc:"Number of nodes.")
@@ -747,15 +648,15 @@ let chaos_cmd =
                      probes (the final completion always beats).")
   in
   let liveness_arg =
-    Arg.(value & flag
-           & info [ "liveness" ]
-               ~doc:"Liveness mode: soak $(i,healing) schedules (every \
-                     fault heals before the horizon) with the \
-                     self-healing layer enabled, and require correct \
-                     termination within the retry budget.  Exit 10 when \
-                     a liveness oracle fails.  Supports $(b,bpaths), \
-                     $(b,flood), $(b,election) and $(b,maintenance) \
-                     ($(b,all) restricts itself to those four).")
+    let doc =
+      "Liveness mode: soak $(i,healing) schedules (every fault heals \
+       before the horizon) with the self-healing layer enabled, and \
+       require correct termination within the retry budget.  Exit 10 \
+       when a liveness oracle fails.  $(b,-s) must then be "
+      ^ Arg.doc_alts_enum (scenario_alts Chaos.Runner.liveness_scenarios)
+      ^ "; $(b,all) runs just those."
+    in
+    Arg.(value & flag & info [ "liveness" ] ~doc)
   in
   let replay_file json path =
     match Chaos.Runner.replay path with
@@ -773,10 +674,6 @@ let chaos_cmd =
           exit (if v.Chaos.Runner.liveness then 10 else 6)
         end
   in
-  let liveness_scenarios =
-    [ Parallel.Sweep.Bpaths; Parallel.Sweep.Flood; Parallel.Sweep.Election;
-      Parallel.Sweep.Maintenance ]
-  in
   let run n seed scenario schedules jobs json liveness replay out_dir hb_path
       hb_every =
     match replay with
@@ -784,16 +681,20 @@ let chaos_cmd =
     | None ->
         let scenarios =
           match scenario with
-          | Some s when liveness && not (List.mem s liveness_scenarios) ->
+          | Some s
+            when liveness && not (List.mem s Chaos.Runner.liveness_scenarios)
+            ->
               Printf.eprintf
-                "chaos --liveness: %s has no recovery layer (use bpaths, \
-                 flood, election or maintenance)\n"
-                (Parallel.Sweep.scenario_name s);
+                "chaos --liveness: %s has no recovery layer (use %s)\n"
+                (Sweep.scenario_name s)
+                (String.concat ", "
+                   (List.map Sweep.scenario_name
+                      Chaos.Runner.liveness_scenarios));
               exit 2
           | Some s -> [ s ]
           | None ->
-              if liveness then liveness_scenarios
-              else Parallel.Sweep.all_scenarios
+              if liveness then Chaos.Runner.liveness_scenarios
+              else Sweep.all_scenarios
         in
         let hb =
           match hb_path with
@@ -854,7 +755,7 @@ let chaos_cmd =
               let path =
                 Filename.concat out_dir
                   (Printf.sprintf "chaos-repro-%s-%d.json"
-                     (Parallel.Sweep.scenario_name
+                     (Sweep.scenario_name
                         minimal.Chaos.Runner.scenario)
                      minimal.Chaos.Runner.schedule.Chaos.Schedule.index)
               in

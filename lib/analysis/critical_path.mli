@@ -67,7 +67,7 @@ val compute : ?cost:Hardware.Cost_model.t -> Event_dag.t -> t option
 
 val critical_indices : t -> int list
 (** Ascending chronological indices of the path's events — feed to
-    [Sim.Trace_export.to_chrome ~decorate] to colour the path. *)
+    [Sim.Trace_export.chrome ~decorate] to colour the path. *)
 
 (** {1 Slack of off-critical events} *)
 

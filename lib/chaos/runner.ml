@@ -36,19 +36,6 @@ let counter_value registry name =
   | Some c -> Registry.counter_value c
   | None -> 0
 
-let broadcast_algo ?precomputed scenario ~config ~graph ~root () =
-  match scenario with
-  | Sweep.Bpaths ->
-      (* the labelling is computed from the static view, so sharing the
-         cached artifact is sound under chaos; compiled routes are not
-         (run drops them whenever a fault plan is armed) *)
-      Core.Branching_paths.run ~config ?precomputed ~graph ~root ()
-  | Sweep.Flood -> Core.Flooding.run ~config ~graph ~root ()
-  | Sweep.Dfs -> Core.Dfs_broadcast.run ~config ~graph ~root ()
-  | Sweep.Direct -> Core.Direct_broadcast.run ~config ~graph ~root ()
-  | Sweep.Layered -> Core.Layered_broadcast.run ~config ~graph ~root ()
-  | Sweep.Election | Sweep.Maintenance -> assert false
-
 (* The trace oracles consume events as they are recorded, so a run
    retains none; only a traced replay ([keep]), whose events feed a
    diff, also keeps them in a ring. *)
@@ -63,8 +50,9 @@ let trace_oracles tap trace =
     Oracle.fifo_per_link tap;
   ]
 
-let run_broadcast ~liveness ~keep scenario (s : Schedule.t) graph =
+let run_broadcast ~liveness ~keep scenario (s : Schedule.t) art =
   let n = s.Schedule.n in
+  let graph = Compile.Topology.graph art in
   let tap, trace = tapped ~keep n in
   let registry = Registry.create () in
   let config =
@@ -77,12 +65,7 @@ let run_broadcast ~liveness ~keep scenario (s : Schedule.t) graph =
       recover = (if liveness then Some (Hardware.Recover.default ~n) else None);
     }
   in
-  let precomputed =
-    match scenario with
-    | Sweep.Bpaths -> Some (Compile.Topology.labelling (Schedule.artifact_of s))
-    | _ -> None
-  in
-  let r = broadcast_algo ?precomputed scenario ~config ~graph ~root:0 () in
+  let r = Sweep.broadcast scenario ~config art ~root:0 in
   let deliveries = Oracle.deliveries tap in
   let oracles =
     trace_oracles tap trace
@@ -97,9 +80,9 @@ let run_broadcast ~liveness ~keep scenario (s : Schedule.t) graph =
              ~give_ups:(counter_value registry "recover.give_ups");
          ]
        else
-         (match scenario with
-         | Sweep.Flood -> [ Oracle.degree_bounded_delivery ~graph ~deliveries ]
-         | _ -> [ Oracle.at_most_once_delivery ~deliveries ])
+         (if scenario = Sweep.Flood then
+            [ Oracle.degree_bounded_delivery ~graph ~deliveries ]
+          else [ Oracle.at_most_once_delivery ~deliveries ])
          @
          if Schedule.is_static s then
            [
@@ -211,8 +194,10 @@ let liveness_scenarios =
 let run_schedule_full ?(liveness = false) ~keep scenario (s : Schedule.t) =
   if liveness && not (List.mem scenario liveness_scenarios) then
     invalid_arg
-      "Runner: liveness mode supports bpaths, flood, election and maintenance";
-  let graph = Schedule.graph_of s in
+      ("Runner: liveness mode supports "
+      ^ String.concat ", " (List.map Sweep.scenario_name liveness_scenarios));
+  let art = Schedule.artifact_of s in
+  let graph = Compile.Topology.graph art in
   let ( oracles,
         syscalls,
         hops,
@@ -222,10 +207,9 @@ let run_schedule_full ?(liveness = false) ~keep scenario (s : Schedule.t) =
         time,
         trace ) =
     match scenario with
-    | Sweep.Bpaths | Sweep.Flood | Sweep.Dfs | Sweep.Direct | Sweep.Layered ->
-        run_broadcast ~liveness ~keep scenario s graph
     | Sweep.Election -> run_election ~liveness ~keep s graph
     | Sweep.Maintenance -> run_maintenance ~liveness s graph
+    | broadcast -> run_broadcast ~liveness ~keep broadcast s art
   in
   ( {
       scenario;

@@ -39,6 +39,10 @@ type soak = {
 
 val failures : soak -> int
 
+val liveness_scenarios : scenario list
+(** The families with a recovery layer, the only ones liveness mode
+    runs: bpaths, flood, election and maintenance. *)
+
 val run_schedule : ?liveness:bool -> scenario -> Schedule.t -> verdict
 (** Deterministic: depends only on the arguments.  With
     [liveness:true] (default false) the scenario runs with the

@@ -18,10 +18,6 @@ type key = {
   extra : int;  (* family-specific: extra_edges, dim, ... *)
 }
 
-let pp_key ppf k =
-  Format.fprintf ppf "%s(n=%d,seed=%d,index=%d,extra=%d)" k.family k.n k.seed
-    k.index k.extra
-
 type t = {
   key : key;
   graph : Graph.t;

@@ -23,8 +23,6 @@ type key = {
   extra : int;  (** family-specific: extra_edges, dimension, ... *)
 }
 
-val pp_key : Format.formatter -> key -> unit
-
 type t
 
 val create : key:key -> Netgraph.Graph.t -> t

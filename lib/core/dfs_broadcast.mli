@@ -9,10 +9,6 @@
 
 type msg = { origin : int }
 
-val tour_for : view:Netgraph.Graph.t -> root:int -> int list
-(** The walk the token follows: the depth-first tour of the BFS tree
-    of the view, truncated after the last first-visit. *)
-
 val run :
   ?config:Broadcast.config ->
   graph:Netgraph.Graph.t ->

@@ -12,10 +12,6 @@
 
 type msg = { origin : int }
 
-val tour_for : view:Netgraph.Graph.t -> root:int -> int list
-(** The concatenated layer-by-layer walk, truncated after the last
-    first-visit. *)
-
 val header_length : view:Netgraph.Graph.t -> root:int -> int
 (** Length (in elements) of the header this broadcast needs — the
     Θ(n·d) growth that motivates the dmax restriction. *)

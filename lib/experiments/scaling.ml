@@ -21,11 +21,7 @@ let broadcast_config ?registry ?trace () =
   { (Core.Broadcast.default_config ()) with registry; trace }
 
 let bpaths ~config ~n =
-  let art = bench_art ~n in
-  Core.Branching_paths.run ~config
-    ~precomputed:(Compile.Topology.labelling art)
-    ?routes:(Compile.Topology.routes art ~chaos:None)
-    ~graph:(Compile.Topology.graph art) ~root:0 ()
+  Parallel.Sweep.broadcast Parallel.Sweep.Bpaths ~config (bench_art ~n) ~root:0
 
 let flood =
   {

@@ -50,5 +50,3 @@ val arm :
     compose; only exact duplicates are absorbed.
     @raise Invalid_argument (when the event fires) if a fault names an
     edge absent from the graph. *)
-
-val pp_fault : Format.formatter -> fault -> unit

@@ -68,67 +68,3 @@ let record_send t ~header_len =
   if header_len > t.max_header then t.max_header <- header_len
 
 let record_drop t = t.drops <- t.drops + 1
-
-let copy_labels by_label =
-  let fresh = Hashtbl.create (Hashtbl.length by_label) in
-  Hashtbl.iter (fun label r -> Hashtbl.replace fresh label (ref !r)) by_label;
-  fresh
-
-let snapshot t =
-  {
-    size = t.size;
-    hops = t.hops;
-    syscalls = t.syscalls;
-    sends = t.sends;
-    drops = t.drops;
-    max_header = t.max_header;
-    per_node = Array.copy t.per_node;
-    by_label = copy_labels t.by_label;
-    last_label = no_label;
-    last_count = ref 0;
-  }
-
-let diff later earlier =
-  if later.size <> earlier.size then invalid_arg "Metrics.diff: size mismatch";
-  let by_label = copy_labels later.by_label in
-  Hashtbl.iter
-    (fun label count ->
-      match Hashtbl.find_opt by_label label with
-      | Some r -> r := !r - !count
-      | None -> Hashtbl.replace by_label label (ref (- !count)))
-    earlier.by_label;
-  {
-    size = later.size;
-    hops = later.hops - earlier.hops;
-    syscalls = later.syscalls - earlier.syscalls;
-    sends = later.sends - earlier.sends;
-    drops = later.drops - earlier.drops;
-    (* max_header only ever grows, so if [later] exceeds [earlier] the
-       interval provably witnessed exactly that maximum; otherwise the
-       interval set no new maximum and 0 is the honest answer — the old
-       behaviour reported [later.max_header] even for an empty interval *)
-    max_header =
-      (if later.max_header > earlier.max_header then later.max_header else 0);
-    per_node = Array.init later.size (fun i -> later.per_node.(i) - earlier.per_node.(i));
-    by_label;
-    last_label = no_label;
-    last_count = ref 0;
-  }
-
-let pp ?(by_label = false) ?(per_node = false) ppf t =
-  Format.fprintf ppf "hops=%d syscalls=%d sends=%d drops=%d max_header=%d"
-    t.hops t.syscalls t.sends t.drops t.max_header;
-  if by_label then begin
-    let labels =
-      List.sort
-        (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold (fun l r acc -> (l, !r) :: acc) t.by_label [])
-    in
-    List.iter
-      (fun (label, count) -> Format.fprintf ppf "@ %s=%d" label count)
-      labels
-  end;
-  if per_node then
-    Array.iteri
-      (fun v c -> if c <> 0 then Format.fprintf ppf "@ node%d=%d" v c)
-      t.per_node

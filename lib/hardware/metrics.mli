@@ -4,10 +4,7 @@
       switching hardware (the traditional measure, capturing hardware
       cost);
     - {e system-call complexity}: total number of NCU activations
-      (the new measure, capturing software cost, Section 2).
-
-    Counters can be snapshotted and diffed to attribute costs to
-    phases of an algorithm. *)
+      (the new measure, capturing software cost, Section 2). *)
 
 type t
 
@@ -38,19 +35,3 @@ val record_hop : t -> unit
 val record_syscall : t -> node:int -> label:string -> unit
 val record_send : t -> header_len:int -> unit
 val record_drop : t -> unit
-
-val snapshot : t -> t
-(** An independent copy of the current counters. *)
-
-val diff : t -> t -> t
-(** [diff later earlier] subtracts counters; per-node and per-label
-    counts are subtracted pointwise.  [max_header] is not a counter:
-    since it only grows, the result's [max_header] is [later]'s value
-    when the interval set a new maximum, and [0] otherwise (meaning
-    "no new maximum in this interval" — the interval's true maximum is
-    unobservable from two snapshots). *)
-
-val pp : ?by_label:bool -> ?per_node:bool -> Format.formatter -> t -> unit
-(** One line of [key=value] pairs.  [by_label] appends per-label
-    system-call counts (sorted by label); [per_node] appends the
-    non-zero per-node counts.  Both default to [false]. *)

@@ -120,11 +120,6 @@ module Fifo = struct
     }
 end
 
-let fifo_per_link trace =
-  let fifo = Fifo.create () in
-  List.iter (Fifo.observe fifo) (Sim.Trace.events trace);
-  Fifo.report fifo
-
 let one_way_delivery ~n ~syscalls =
   {
     monitor = "one-way";

@@ -44,8 +44,9 @@ val dmax_ceiling : dmax:int -> max_header:int -> report
 (** §2 link model: hop completions on each directed link appear in
     non-decreasing time order — the switching hardware never reorders
     a link's packets.  The check consumes one event at a time, so it
-    runs online as a {!Sim.Trace.streaming} consumer (the chaos runner
-    does so) or over a recorded ring ({!fifo_per_link}). *)
+    runs online as a {!Sim.Trace.streaming} consumer: the chaos
+    runner, [futurenet trace] and [bench --monitors] all check it so,
+    with or without a ring. *)
 module Fifo : sig
   type t
 
@@ -62,10 +63,6 @@ module Fifo : sig
   (** Monitor ["fifo-per-link"]: the first reordered hop, or the
       number of directed links seen. *)
 end
-
-val fifo_per_link : Sim.Trace.t -> report
-(** {!Fifo} folded over a trace's recorded events.  Needs an enabled
-    trace; an empty or disabled trace passes vacuously. *)
 
 val one_way_delivery : n:int -> syscalls:int -> report
 (** The one-way property underlying Theorem 1: a one-way broadcast

@@ -203,16 +203,6 @@ let iter_active_neighbors t u f =
     if word_up t.link.(Graph.edge_uid g e) then f (Graph.edge_target g e)
   done
 
-let fold_active_neighbors t u f acc =
-  let g = t.graph in
-  let deg = Graph.degree g u in
-  let acc = ref acc in
-  for i = 1 to deg do
-    let e = Graph.edge_id g u i in
-    if word_up t.link.(Graph.edge_uid g e) then
-      acc := f (Graph.edge_target g e) !acc
-  done;
-  !acc
 
 (* -- NCU activations: single-server FIFO queue per node ------------- *)
 

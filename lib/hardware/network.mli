@@ -126,10 +126,6 @@ val iter_active_neighbors : 'msg t -> int -> (int -> unit) -> unit
     sequence as {!active_neighbors} without materialising the list.
     For hot paths (per-hop relay decisions) that must not allocate. *)
 
-val fold_active_neighbors : 'msg t -> int -> (int -> 'a -> 'a) -> 'a -> 'a
-(** Fold over the currently-up neighbours of a node in increasing peer
-    order; the allocation-free companion of {!iter_active_neighbors}. *)
-
 val fail_node : 'msg t -> int -> unit
 (** An inactive node is modelled by a node all of whose links are
     inactive (Section 2): deactivate every incident link (with the

@@ -21,6 +21,8 @@ type scenario =
 let all_scenarios =
   [ Bpaths; Flood; Dfs; Direct; Layered; Election; Maintenance ]
 
+(* the only spelling of each family's name: the CLI choices, the JSON
+   output and the repro files all go through it *)
 let scenario_name = function
   | Bpaths -> "bpaths"
   | Flood -> "flood"
@@ -30,15 +32,32 @@ let scenario_name = function
   | Election -> "election"
   | Maintenance -> "maintenance"
 
-let scenario_of_string = function
-  | "bpaths" -> Some Bpaths
-  | "flood" -> Some Flood
-  | "dfs" -> Some Dfs
-  | "direct" -> Some Direct
-  | "layered" -> Some Layered
-  | "election" -> Some Election
-  | "maintenance" -> Some Maintenance
-  | _ -> None
+let scenario_of_string s =
+  List.find_opt (fun sc -> scenario_name sc = s) all_scenarios
+
+let broadcast_scenarios =
+  List.filter (fun sc -> sc <> Election && sc <> Maintenance) all_scenarios
+
+(* The artifact's labelling and routes are rooted at node 0, so they
+   only apply to a broadcast from that root.  The labelling comes from
+   the static view and stays sound under a fault plan; compiled routes
+   do not, and [routes] returns [None] while one is armed. *)
+let broadcast scenario ~config art ~root =
+  let graph = Compile.Topology.graph art in
+  match scenario with
+  | Bpaths when root = 0 ->
+      Core.Branching_paths.run ~config
+        ~precomputed:(Compile.Topology.labelling art)
+        ?routes:(Compile.Topology.routes art ~chaos:config.Core.Broadcast.chaos)
+        ~graph ~root ()
+  | Bpaths -> Core.Branching_paths.run ~config ~graph ~root ()
+  | Flood -> Core.Flooding.run ~config ~graph ~root ()
+  | Dfs -> Core.Dfs_broadcast.run ~config ~graph ~root ()
+  | Direct -> Core.Direct_broadcast.run ~config ~graph ~root ()
+  | Layered -> Core.Layered_broadcast.run ~config ~graph ~root ()
+  | Election | Maintenance ->
+      invalid_arg
+        ("Sweep.broadcast: " ^ scenario_name scenario ^ " is not a broadcast")
 
 type replica = {
   index : int;
@@ -63,6 +82,8 @@ type t = {
   events : Sim.Trace.event list array;
 }
 
+let trace_capacity = 100_000
+
 (* Each replica gets its own random-connected instance of size [n]
    (seed-equivalent to the scaling bench family: extra_edges = n/2)
    through the compiled-topology cache.  The replica's rng child
@@ -70,7 +91,7 @@ type t = {
    graph from the graph half's stream, derived from (seed, index, n)
    alone, so a cache hit cannot shift any later draw of the run
    half — hit or miss is unobservable in the metrics. *)
-let run_replica scenario ~n ~seed ~trace_capacity ~keep_events index rng =
+let run_replica scenario ~n ~seed ~keep_events index rng =
   let _graph_rng, run_rng = Sim.Rng.split rng in
   let art = Compile.Cache.sweep_replica ~seed ~index ~n in
   let graph = Compile.Topology.graph art in
@@ -78,38 +99,6 @@ let run_replica scenario ~n ~seed ~trace_capacity ~keep_events index rng =
   let registry = Hardware.Registry.create () in
   let replica =
     match scenario with
-    | (Bpaths | Flood | Dfs | Direct | Layered) as algo ->
-        let config =
-          {
-            (Core.Broadcast.default_config ()) with
-            trace = Some trace;
-            registry = Some registry;
-          }
-        in
-        let r =
-          match algo with
-          | Bpaths ->
-              Core.Branching_paths.run ~config
-                ~precomputed:(Compile.Topology.labelling art)
-                ?routes:(Compile.Topology.routes art ~chaos:config.chaos)
-                ~graph ~root:0 ()
-          | Flood -> Core.Flooding.run ~config ~graph ~root:0 ()
-          | Dfs -> Core.Dfs_broadcast.run ~config ~graph ~root:0 ()
-          | Direct -> Core.Direct_broadcast.run ~config ~graph ~root:0 ()
-          | Layered -> Core.Layered_broadcast.run ~config ~graph ~root:0 ()
-          | _ -> assert false
-        in
-        {
-          index;
-          syscalls = r.Core.Broadcast.syscalls;
-          hops = r.hops;
-          sends = r.sends;
-          drops = r.drops;
-          max_header = r.max_header;
-          time = r.time;
-          covered = Core.Broadcast.coverage r;
-          trace_events = Sim.Trace.length trace;
-        }
     | Election ->
         let o = Core.Election.run ~trace ~registry ~graph () in
         let informed =
@@ -159,18 +148,35 @@ let run_replica scenario ~n ~seed ~trace_capacity ~keep_events index rng =
             (match List.rev o.correct_per_round with c :: _ -> c | [] -> 0);
           trace_events = Sim.Trace.length trace;
         }
+    | family ->
+        let config =
+          {
+            (Core.Broadcast.default_config ()) with
+            trace = Some trace;
+            registry = Some registry;
+          }
+        in
+        let r = broadcast family ~config art ~root:0 in
+        {
+          index;
+          syscalls = r.Core.Broadcast.syscalls;
+          hops = r.hops;
+          sends = r.sends;
+          drops = r.drops;
+          max_header = r.max_header;
+          time = r.time;
+          covered = Core.Broadcast.coverage r;
+          trace_events = Sim.Trace.length trace;
+        }
   in
   (replica, registry, if keep_events then Sim.Trace.events trace else [])
 
-let default_trace_capacity = 100_000
-
-let run ?pool ?(replicas = 8) ?(trace_capacity = default_trace_capacity)
-    ?(keep_events = false) scenario ~n ~seed () =
+let run ?pool ?(replicas = 8) ?(keep_events = false) scenario ~n ~seed () =
   if replicas < 1 then invalid_arg "Sweep.run: replicas must be positive";
   let rngs = Sim.Rng.split_n (Sim.Rng.create ~seed) replicas in
   let items = Array.mapi (fun i rng -> (i, rng)) rngs in
   let task (i, rng) =
-    run_replica scenario ~n ~seed ~trace_capacity ~keep_events i rng
+    run_replica scenario ~n ~seed ~keep_events i rng
   in
   let t0 = Unix.gettimeofday () in
   let results =

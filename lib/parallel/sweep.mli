@@ -16,9 +16,34 @@ type scenario =
   | Election
   | Maintenance
 
+(** The scenario table: every command that names or runs a family
+    goes through these values, so adding or renaming a family touches
+    this module alone. *)
+
 val all_scenarios : scenario list
+
 val scenario_name : scenario -> string
+(** The family's name on the command line, in JSON output and in
+    chaos repro files. *)
+
 val scenario_of_string : string -> scenario option
+(** The inverse of {!scenario_name}; [None] for any other string. *)
+
+val broadcast_scenarios : scenario list
+(** The five broadcast families, in {!all_scenarios} order. *)
+
+val broadcast :
+  scenario ->
+  config:Core.Broadcast.config ->
+  Compile.Topology.t ->
+  root:int ->
+  Core.Broadcast.result
+(** [broadcast sc ~config art ~root] runs broadcast family [sc] on the
+    artifact's graph from [root].  Branching paths from root 0 reuses
+    the artifact's labelling and its
+    [routes ~chaos:config.chaos]; from any other root it computes its
+    own.
+    @raise Invalid_argument if [sc] is not in {!broadcast_scenarios}. *)
 
 type replica = {
   index : int;  (** submission index = Rng child index *)
@@ -50,12 +75,9 @@ type t = {
           ({!Query.Diff}), not for the determinism contract. *)
 }
 
-val default_trace_capacity : int
-
 val run :
   ?pool:Pool.t ->
   ?replicas:int ->
-  ?trace_capacity:int ->
   ?keep_events:bool ->
   scenario ->
   n:int ->
@@ -66,7 +88,7 @@ val run :
     independent replicas, through [pool] when given (inline otherwise).
     [keep_events] (default false) additionally returns every replica's
     trace events in {!field-events} — materialises up to
-    [trace_capacity] events per replica, so reserve it for localising
+    100,000 events per replica, so reserve it for localising
     a divergence, not for routine sweeps.
     @raise Invalid_argument if [replicas < 1]. *)
 

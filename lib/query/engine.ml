@@ -25,9 +25,6 @@ let kind_name = function
   | Link_change -> "link_change"
   | Custom -> "custom"
 
-let kind_of_string s =
-  List.find_opt (fun k -> kind_name k = s) all_kinds
-
 let kind_index k =
   let rec go i = function
     | [] -> assert false
@@ -98,13 +95,6 @@ let group_by_name = function
   | By_node -> "node"
   | By_phase -> "phase"
   | By_link -> "link"
-
-let group_by_of_string = function
-  | "kind" -> Some By_kind
-  | "node" -> Some By_node
-  | "phase" -> Some By_phase
-  | "link" -> Some By_link
-  | _ -> None
 
 (* group keys sort structurally (kinds by enumeration order, nodes and
    links numerically, phases lexically) so the report is deterministic *)

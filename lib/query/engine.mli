@@ -16,9 +16,7 @@ type kind =
   | Link_change
   | Custom
 
-val kind_of_event : Sim.Trace.event -> kind
 val kind_name : kind -> string
-val kind_of_string : string -> kind option
 val all_kinds : kind list
 
 type filter = {
@@ -35,8 +33,6 @@ val matches : filter -> Sim.Trace.event -> bool
 
 type group_by = By_kind | By_node | By_phase | By_link
 
-val group_by_of_string : string -> group_by option
-val group_by_name : group_by -> string
 
 type group = {
   g_key : string;

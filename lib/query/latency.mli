@@ -60,8 +60,6 @@ val links : t -> ((int * int) * link_stat) list
 
 val link_count : link_stat -> int
 val link_mean : link_stat -> float
-val link_min : link_stat -> float
-val link_max : link_stat -> float
 
 val messages : t -> int
 (** Packets injected ([Send] events seen). *)

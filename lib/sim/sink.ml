@@ -59,12 +59,13 @@ let buffer buf =
 
 let default_chunk = 65536
 
-(* Shared core of [channel] and [file]: accumulate accepted lines in a
-   private buffer and write it downstream once it holds at least
-   [chunk_bytes], so memory stays O(chunk) whatever the run size and
-   the bytes hitting the channel are independent of chunk size. *)
-let chunked ?(chunk_bytes = default_chunk) ?max_bytes ~close_channel oc =
-  if chunk_bytes < 1 then invalid_arg "Sink.chunked: chunk_bytes must be >= 1";
+(* Accumulate accepted lines in a private buffer and write it to the
+   file once it holds at least [chunk_bytes], so memory stays O(chunk)
+   whatever the run size and the bytes hitting the file are independent
+   of chunk size. *)
+let file ?(chunk_bytes = default_chunk) ?max_bytes path =
+  if chunk_bytes < 1 then invalid_arg "Sink.file: chunk_bytes must be >= 1";
+  let oc = open_out path in
   let buf = Buffer.create (min chunk_bytes default_chunk) in
   let accepted = ref 0 in
   let write_out () =
@@ -87,14 +88,8 @@ let chunked ?(chunk_bytes = default_chunk) ?max_bytes ~close_channel oc =
     ~flush:(fun () ->
       write_out ();
       Stdlib.flush oc)
-    ~close:(fun () -> if close_channel then close_out oc)
+    ~close:(fun () -> close_out oc)
     ()
-
-let channel ?chunk_bytes oc = chunked ?chunk_bytes ~close_channel:false oc
-
-let file ?chunk_bytes ?max_bytes path =
-  let oc = open_out path in
-  chunked ?chunk_bytes ?max_bytes ~close_channel:true oc
 
 let sampling ~every inner =
   if every < 1 then invalid_arg "Sink.sampling: every must be >= 1";

@@ -55,11 +55,6 @@ val null : unit -> t
 val buffer : Buffer.t -> t
 (** Appends every accepted line (plus newline) to [buf]. *)
 
-val channel : ?chunk_bytes:int -> out_channel -> t
-(** Buffers lines and writes them to [oc] in chunks of at least
-    [chunk_bytes] (default 64 KiB).  {!close} flushes but does not
-    close [oc] — the caller owns the channel. *)
-
 val file : ?chunk_bytes:int -> ?max_bytes:int -> string -> t
 (** Opens [path] for writing and streams accepted lines to it in
     chunks of at least [chunk_bytes] (default 64 KiB), holding at most

@@ -30,7 +30,7 @@ val jsonl_of_event : Trace.event -> string
     Every object carries ["type"] and ["time"] fields plus the
     event's own payload fields. *)
 
-val to_jsonl : Buffer.t -> Trace.t -> unit
+val jsonl : Trace.t -> string
 (** All events of the trace, one {!jsonl_of_event} line each,
     newline-terminated, chronological order.  When the trace lost
     events ([Trace.dropped > 0]), the first line is a
@@ -38,14 +38,12 @@ val to_jsonl : Buffer.t -> Trace.t -> unit
     "dropped_sink":S}] warning record, so a consumer can never mistake
     a truncated trace for a complete one. *)
 
-val jsonl : Trace.t -> string
-
 (** {1 Streaming}
 
     The bounded-memory export path: events are serialised as they are
     recorded and pushed through a {!Sink.t}, so a run of any size
     exports in O(sink buffer) memory.  Output is byte-identical to a
-    materialised {!to_jsonl} of the same complete run (modulo the
+    materialised {!jsonl} of the same complete run (modulo the
     header record), whatever the sink buffer size or [--jobs] width. *)
 
 val stream_header : ?kind:string -> ?fields:(string * string) list -> unit ->
@@ -69,12 +67,7 @@ val stream_finish : ?time:float -> Sink.t -> Trace.t -> unit
     then flush the sink.  Does not close it — the caller owns the
     sink. *)
 
-val to_chrome :
-  ?process_name:string ->
-  ?decorate:(int -> string) ->
-  Buffer.t ->
-  Trace.t ->
-  unit
+val chrome : ?process_name:string -> ?decorate:(int -> string) -> Trace.t -> string
 (** The whole trace as one Chrome [trace_event] JSON document:
     [{"displayTimeUnit": "ms", "traceEvents": [...]}].
     [process_name] (default ["futurenet"]) labels pid 0.
@@ -85,4 +78,3 @@ val to_chrome :
     critical-path profiler uses to colour the events on the path.  A
     truncated trace additionally gets a global instant warning event. *)
 
-val chrome : ?process_name:string -> ?decorate:(int -> string) -> Trace.t -> string

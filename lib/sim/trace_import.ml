@@ -180,8 +180,3 @@ let fold_file path ~init ~f =
   with
   | r -> r
   | exception Sys_error msg -> Error msg
-
-let events_of_file path =
-  Result.map List.rev
-    (fold_file path ~init:[] ~f:(fun acc ~lineno:_ l ->
-         match l with Event e -> e :: acc | _ -> acc))

@@ -44,11 +44,5 @@ val fold_file :
     order, streaming.  [lineno] is 1-based.  The first unreadable or
     unparsable line aborts with [Error "path:lineno: reason"]. *)
 
-val events_of_file : string -> (Trace.event list, string) result
-(** Just the events, in file order — headers, truncation and other
-    records skipped.  Materialises the list; for large streams prefer
-    {!fold_file}. *)
-
 val number : record -> string -> float option
 val int_field : record -> string -> int option
-val string_field : record -> string -> string option

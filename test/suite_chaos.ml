@@ -286,6 +286,32 @@ let test_repro_rejects_foreign_files () =
       close_out oc;
       check_bool "bench file refused" true (Result.is_error (R.read_repro path)))
 
+(* The repro's scenario name is outside input: a misspelled one is an
+   error naming it, never an exception or another family.  Every name
+   of the scenario table reads back as its own family. *)
+let test_repro_scenario_checked () =
+  let path = Filename.temp_file "chaos-repro" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let v = R.run_schedule Sweep.Bpaths (Sch.generate ~n:12 ~seed:5 ~index:1 ()) in
+      let oc = open_out path in
+      output_string oc
+        (Printf.sprintf
+           "{\"repro\":\"futurenet-chaos\",\"version\":1,\"scenario\":\"bpath\",\
+            \"schedule\":%s,\"failed_oracles\":[]}"
+           (Sch.to_json v.R.schedule));
+      close_out oc;
+      match R.replay path with
+      | Ok _ -> Alcotest.fail "a misspelled scenario replayed"
+      | Error msg -> check_string "error" "unknown scenario \"bpath\"" msg);
+  List.iter
+    (fun sc ->
+      check_bool (Sweep.scenario_name sc) true
+        (Sweep.scenario_of_string (Sweep.scenario_name sc) = Some sc))
+    Sweep.all_scenarios;
+  check_bool "unknown name" true (Sweep.scenario_of_string "all" = None)
+
 (* -- ddmin ------------------------------------------------------------- *)
 
 let test_ddmin_pair () =
@@ -523,6 +549,8 @@ let suite =
     Alcotest.test_case "repro round-trip" `Quick test_repro_roundtrip;
     Alcotest.test_case "repro rejects foreign files" `Quick
       test_repro_rejects_foreign_files;
+    Alcotest.test_case "repro scenario name checked" `Quick
+      test_repro_scenario_checked;
     Alcotest.test_case "ddmin pair" `Quick test_ddmin_pair;
     Alcotest.test_case "ddmin single and empty" `Quick test_ddmin_single_and_empty;
     Alcotest.test_case "ddmin preserves order" `Quick test_ddmin_preserves_order;

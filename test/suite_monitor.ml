@@ -30,7 +30,10 @@ let graphs () =
 let test_theorem2_fail_mode_all_families () =
   List.iter
     (fun (name, g) ->
-      let trace = Sim.Trace.create () in
+      let fifo = M.Fifo.create () in
+      let trace =
+        Sim.Trace.streaming ~consumer:(fun e -> M.Fifo.observe fifo e; true) ()
+      in
       let config = { (BC.default_config ()) with trace = Some trace } in
       let r = BP.run ~config ~graph:g ~root:0 () in
       let reports =
@@ -38,7 +41,7 @@ let test_theorem2_fail_mode_all_families () =
           M.theorem2_broadcast ~n:(G.n g) ~syscalls:r.BC.syscalls
             ~time:r.BC.time ();
           M.one_way_delivery ~n:(G.n g) ~syscalls:r.BC.syscalls;
-          M.fifo_per_link trace;
+          M.Fifo.report fifo;
         ]
       in
       match M.enforce M.Fail reports with
@@ -103,31 +106,23 @@ let test_dmax_ceiling_violation () =
   check_bool "at the ceiling passes" true ok.M.ok;
   check_bool "one over the ceiling fails" false bad.M.ok
 
-(* Negative: a hand-built trace where a link's second packet completes
-   its hop before the first is a FIFO violation.  Each case runs through
-   the event-at-a-time checker and through its fold over a ring. *)
-let fifo_both hops =
-  let t = Sim.Trace.create () in
-  let online = M.Fifo.create () in
+(* Negative: a hand-built hop stream where a link's second packet
+   completes its hop before the first is a FIFO violation. *)
+let fifo_ok hops =
+  let fifo = M.Fifo.create () in
   List.iter
     (fun (src, dst, time) ->
-      let e = Sim.Trace.Hop { src; dst; time; msg_id = 0 } in
-      Sim.Trace.record t e;
-      M.Fifo.observe online e)
+      M.Fifo.observe fifo (Sim.Trace.Hop { src; dst; time; msg_id = 0 }))
     hops;
-  ((M.Fifo.report online).M.ok, (M.fifo_per_link t).M.ok)
+  (M.Fifo.report fifo).M.ok
 
 let test_fifo_violation_detected () =
-  let online, folded = fifo_both [ (0, 1, 2.0); (0, 1, 1.0) ] in
-  check_bool "reordered link flagged (online)" false online;
-  check_bool "reordered link flagged" false folded;
+  check_bool "reordered link flagged" false
+    (fifo_ok [ (0, 1, 2.0); (0, 1, 1.0) ]);
   (* the reverse direction is a different FIFO queue: no violation *)
-  let online, folded = fifo_both [ (0, 1, 2.0); (1, 0, 1.0) ] in
-  check_bool "opposite directions independent (online)" true online;
-  check_bool "opposite directions independent" true folded;
-  (* a disabled trace passes vacuously *)
-  check_bool "disabled trace vacuous" true
-    (M.fifo_per_link (Sim.Trace.disabled ())).M.ok
+  check_bool "opposite directions independent" true
+    (fifo_ok [ (0, 1, 2.0); (1, 0, 1.0) ]);
+  check_bool "no hop passes vacuously" true (fifo_ok [])
 
 (* Mutation: a real broadcast's event stream, fed through the chaos
    runner's streaming consumer ([Chaos.Oracle.observe]), passes; the
