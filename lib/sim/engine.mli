@@ -21,7 +21,8 @@ val create : ?queue_capacity:int -> unit -> t
 (** A fresh engine with the clock at time [0.].  [queue_capacity] is a
     sizing hint for the event queue: a run whose peak number of pending
     events is roughly known allocates once instead of doubling up from
-    16.
+    16.  It sizes both parts of the queue: the heap of later events and
+    the FIFO of events due at the current instant.
     @raise Invalid_argument if [queue_capacity] is negative. *)
 
 val reset : t -> unit
@@ -38,7 +39,7 @@ val events_processed : t -> int
 (** Total number of events executed so far. *)
 
 val pending : t -> int
-(** Number of events currently scheduled. *)
+(** Number of events currently scheduled, zero-delay ones included. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at time [now t +. delay].

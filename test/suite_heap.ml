@@ -1,9 +1,11 @@
-(* Tests for the event queue behind Sim.Engine, a binary min-heap over
-   (time, seq) that is private to the engine and so is driven here
-   through the engine's interface: [pending] is its length, [step] pops
-   and runs its minimum, [run ~until] peeks at the minimum, and [reset]
-   clears it.  The ordering, growth and stability cases live in
-   Suite_engine. *)
+(* Tests for the event queue behind Sim.Engine: a FIFO of the events due
+   at the current instant and a binary min-heap over (time, seq) of the
+   later ones, whose closures sit in a pool beside it.  Both are private
+   to the engine and so are driven here through its interface: [pending]
+   is their joint length, [step] pops and runs the minimum, [run ~until]
+   peeks at it, and [reset] clears both.  The ordering, growth and
+   stability cases, and the model that pins how the two parts
+   interleave, live in Suite_engine. *)
 
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
