@@ -98,7 +98,9 @@ let run_scenario scenario art ~root ~cost ~trace ~registry =
   | Sweep.Maintenance ->
       let params =
         { (Core.Topo_maintenance.default_params ()) with
-          cost; trace = Some trace; registry = Some registry; max_rounds = 2 }
+          cost; trace = Some trace; registry = Some registry; preseed = true;
+          period = Chaos.Runner.maintenance_period (Netgraph.Graph.n graph);
+          max_rounds = Chaos.Runner.maintenance_rounds }
       in
       `Maintenance (Core.Topo_maintenance.run ~params ~graph ~events:[] ())
   | broadcast ->

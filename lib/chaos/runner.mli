@@ -43,6 +43,14 @@ val liveness_scenarios : scenario list
 (** The families with a recovery layer, the only ones liveness mode
     runs: bpaths, flood, election and maintenance. *)
 
+val maintenance_period : int -> float
+(** The maintenance round period on [n] nodes, [2n]: it clears the NCU
+    throughput bound of n activations per node per round with room for
+    each round's backlog to drain. *)
+
+val maintenance_rounds : int
+(** The maintenance round budget, 12. *)
+
 val run_schedule : ?liveness:bool -> scenario -> Schedule.t -> verdict
 (** Deterministic: depends only on the arguments.  With
     [liveness:true] (default false) the scenario runs with the
