@@ -65,6 +65,14 @@ val compute : ?cost:Hardware.Cost_model.t -> Event_dag.t -> t option
     [cost] (default: the limiting model [C = 0, P = 1]).  [None] when
     the trace has no NCU activation to terminate at. *)
 
+val binding_pred :
+  c:float -> Event_dag.t -> int -> (int * Event_dag.edge_kind * float) option
+(** [binding_pred ~c dag i] is event [i]'s binding predecessor, with
+    the edge kind and the time its constraint releases (a hop's
+    message edge adds the switching delay [c]): the predecessor that
+    releases last; ties prefer the packet path, then the later trace
+    position.  [None] for an event without predecessors. *)
+
 val critical_indices : t -> int list
 (** Ascending chronological indices of the path's events — feed to
     [Sim.Trace_export.chrome ~decorate] to colour the path. *)

@@ -61,7 +61,7 @@ let run_broadcast ~liveness ~keep scenario (s : Schedule.t) art =
       cost = Schedule.cost s;
       trace = Some trace;
       registry = Some registry;
-      chaos = Some (Schedule.compile s);
+      chaos = Some s.Schedule.faults;
       recover = (if liveness then Some (Hardware.Recover.default ~n) else None);
     }
   in
@@ -107,7 +107,7 @@ let run_election ~liveness ~keep (s : Schedule.t) graph =
   let recover = if liveness then Some (Hardware.Recover.default ~n) else None in
   let o =
     Core.Election.run_chaos ~cost:(Schedule.cost s) ?recover ~trace ~registry
-      ~chaos:(Schedule.compile s) ~graph ()
+      ~chaos:s.Schedule.faults ~graph ()
   in
   let oracles =
     trace_oracles tap trace
@@ -170,7 +170,7 @@ let run_maintenance ~liveness (s : Schedule.t) graph =
     }
   in
   let o =
-    Core.Topo_maintenance.run ~params ~chaos:(Schedule.compile s) ~graph
+    Core.Topo_maintenance.run ~params ~chaos:s.Schedule.faults ~graph
       ~events:[] ()
   in
   let oracles =
@@ -191,11 +191,14 @@ let run_maintenance ~liveness (s : Schedule.t) graph =
 let liveness_scenarios =
   [ Sweep.Bpaths; Sweep.Flood; Sweep.Election; Sweep.Maintenance ]
 
+let liveness_refusal scenario =
+  Printf.sprintf "liveness: %s has no recovery layer (liveness mode supports %s)"
+    (Sweep.scenario_name scenario)
+    (String.concat ", " (List.map Sweep.scenario_name liveness_scenarios))
+
 let run_schedule_full ?(liveness = false) ~keep scenario (s : Schedule.t) =
   if liveness && not (List.mem scenario liveness_scenarios) then
-    invalid_arg
-      ("Runner: liveness mode supports "
-      ^ String.concat ", " (List.map Sweep.scenario_name liveness_scenarios));
+    invalid_arg ("Runner: " ^ liveness_refusal scenario);
   let art = Schedule.artifact_of s in
   let graph = Compile.Topology.graph art in
   let ( oracles,
@@ -518,6 +521,11 @@ let read_repro_full path =
     match Sim.Json.member "liveness" doc with
     | Ok b -> Sim.Json.to_bool b
     | Error _ -> Ok false
+  in
+  let* () =
+    if liveness && not (List.mem scenario liveness_scenarios) then
+      Error (liveness_refusal scenario)
+    else Ok ()
   in
   let* schedule_obj = Sim.Json.member "schedule" doc in
   let* schedule = Schedule.of_json_value schedule_obj in

@@ -153,6 +153,10 @@ val write_repro : path:string -> verdict -> unit
     failed oracle names as a self-contained JSON repro file. *)
 
 val read_repro : string -> (scenario * Schedule.t, string) result
+(** [Error] for a file that is not a chaos repro, an unknown scenario,
+    a schedule {!Schedule.well_formed} refuses, or liveness mode asked
+    of a family outside {!liveness_scenarios}: whatever it accepts,
+    {!replay} runs without raising. *)
 
 val replay : string -> (verdict, string) result
 (** {!read_repro} then {!run_schedule}. *)

@@ -1,35 +1,15 @@
 module Graph = Netgraph.Graph
-
-type fault =
-  | Link_down of { at : float; u : int; v : int }
-  | Link_up of { at : float; u : int; v : int }
-  | Node_crash of { at : float; node : int }
-  | Node_recover of { at : float; node : int }
-  | Drop_in_flight of { at : float; u : int; v : int }
+module Plan = Hardware.Fault_plan
 
 type t = {
   seed : int;
   index : int;
   n : int;
   jitter : float;
-  faults : fault list;
+  faults : Plan.t;
 }
 
 let default_horizon = 48.0
-
-let time_of = function
-  | Link_down { at; _ }
-  | Link_up { at; _ }
-  | Node_crash { at; _ }
-  | Node_recover { at; _ }
-  | Drop_in_flight { at; _ } ->
-      at
-
-let by_time faults =
-  List.stable_sort (fun a b -> Float.compare (time_of a) (time_of b)) faults
-
-let quiescence t =
-  List.fold_left (fun acc f -> Float.max acc (time_of f)) 0.0 t.faults
 
 (* Child-stream derivation: the schedule's whole behaviour is a
    function of (seed, index).  split_nth child i depends only on the
@@ -110,17 +90,17 @@ let gen_dynamic rng ~graph ~n ~horizon =
         (* link flap: down then back up *)
         let u, v = pick_edge rng graph in
         let down = stamp () in
-        push (Link_down { at = down; u; v });
-        push (Link_up { at = later down 0.5; u; v })
+        push (Plan.Link_set { at = down; u; v; up = false });
+        push (Plan.Link_set { at = later down 0.5; u; v; up = true })
     | 1 ->
         let u, v = pick_edge rng graph in
-        push (Link_down { at = stamp (); u; v })
+        push (Plan.Link_set { at = stamp (); u; v; up = false })
     | 2 ->
         let node = Sim.Rng.int rng n in
         let down = stamp () in
-        push (Node_crash { at = down; node });
+        push (Plan.Node_set { at = down; node; alive = false });
         if Sim.Rng.bool rng then
-          push (Node_recover { at = later down 0.5; node })
+          push (Plan.Node_set { at = later down 0.5; node; alive = true })
     | 3 ->
         (* partition-and-heal: cut every edge crossing a BFS-ball
            bisection, restore them all later *)
@@ -133,12 +113,14 @@ let gen_dynamic rng ~graph ~n ~horizon =
           (Netgraph.Traversal.bfs_order graph ~root:s);
         let down = stamp () in
         let up = later down 1.0 in
-        let cut f u v = if side.(u) <> side.(v) then push (f u v) in
-        iter_edges graph (cut (fun u v -> Link_down { at = down; u; v }));
-        iter_edges graph (cut (fun u v -> Link_up { at = up; u; v }))
+        let cut at up u v =
+          if side.(u) <> side.(v) then push (Plan.Link_set { at; u; v; up })
+        in
+        iter_edges graph (cut down false);
+        iter_edges graph (cut up true)
     | _ ->
         let u, v = pick_edge rng graph in
-        push (Drop_in_flight { at = stamp (); u; v })
+        push (Plan.Drop_in_flight { at = stamp (); u; v })
   done;
   List.rev !faults
 
@@ -150,9 +132,12 @@ let gen_static rng ~graph ~n =
   for _ = 1 to groups do
     if Sim.Rng.bool rng then begin
       let u, v = pick_edge rng graph in
-      faults := Link_down { at = 0.0; u; v } :: !faults
+      faults := Plan.Link_set { at = 0.0; u; v; up = false } :: !faults
     end
-    else faults := Node_crash { at = 0.0; node = Sim.Rng.int rng n } :: !faults
+    else
+      faults :=
+        Plan.Node_set { at = 0.0; node = Sim.Rng.int rng n; alive = false }
+        :: !faults
   done;
   List.rev !faults
 
@@ -169,25 +154,44 @@ let generate ?(horizon = default_horizon) ~n ~seed ~index () =
     if static then gen_static fault_rng ~graph ~n
     else gen_dynamic fault_rng ~graph ~n ~horizon
   in
-  { seed; index; n; jitter; faults = by_time faults }
+  { seed; index; n; jitter; faults = Plan.by_time faults }
 
 (* -- Views ------------------------------------------------------------- *)
 
-let compile t =
-  List.map
-    (fun fault ->
-      match fault with
-      | Link_down { at; u; v } ->
-          Hardware.Fault_plan.Link_set { at; u; v; up = false }
-      | Link_up { at; u; v } ->
-          Hardware.Fault_plan.Link_set { at; u; v; up = true }
-      | Node_crash { at; node } ->
-          Hardware.Fault_plan.Node_set { at; node; alive = false }
-      | Node_recover { at; node } ->
-          Hardware.Fault_plan.Node_set { at; node; alive = true }
-      | Drop_in_flight { at; u; v } ->
-          Hardware.Fault_plan.Drop_in_flight { at; u; v })
-    t.faults
+let compile t = t.faults
+
+(* The JSON kind of a fault: the repro codec's tag, and the name a
+   refusal gives it. *)
+let kind_name = function
+  | Plan.Link_set { up = false; _ } -> "link_down"
+  | Plan.Link_set { up = true; _ } -> "link_up"
+  | Plan.Node_set { alive = false; _ } -> "node_crash"
+  | Plan.Node_set { alive = true; _ } -> "node_recover"
+  | Plan.Drop_in_flight _ -> "drop_in_flight"
+
+let ( let* ) = Result.bind
+
+(* A fault the network can apply: a finite, non-negative time, a node
+   in [0, n), a link that is an edge of the schedule's graph. *)
+let check_fault graph i fault =
+  let n = Graph.n graph in
+  let refuse fmt =
+    Printf.ksprintf
+      (fun m -> Error (Printf.sprintf "fault %d (%s): %s" i (kind_name fault) m))
+      fmt
+  in
+  let in_range x = x >= 0 && x < n in
+  let at = Plan.time_of fault in
+  if not (Float.is_finite at && at >= 0.0) then
+    refuse "at %g is not a finite time >= 0" at
+  else
+    match fault with
+    | Plan.Node_set { node; _ } ->
+        if in_range node then Ok ()
+        else refuse "node %d is outside [0, %d)" node n
+    | Plan.Link_set { u; v; _ } | Plan.Drop_in_flight { u; v; _ } ->
+        if in_range u && in_range v && Graph.has_edge graph u v then Ok ()
+        else refuse "u %d, v %d is not an edge of the schedule's graph" u v
 
 (* A node_recover is meaningful only strictly after a node_crash of the
    same node: an orphan recover is at best a silent no-op and at worst
@@ -196,19 +200,19 @@ let compile t =
    schedules always pair crash before recover, and the shrinker filters
    its candidates through this check, so only hand-edited repro files
    can trip it. *)
-let well_formed t =
+let recoveries_ordered faults =
   let crashed = Hashtbl.create 8 in
   (* node -> earliest crash time *)
   List.fold_left
     (fun acc fault ->
       match (acc, fault) with
       | Error _, _ -> acc
-      | Ok (), Node_crash { node; at } ->
+      | Ok (), Plan.Node_set { node; at; alive = false } ->
           (match Hashtbl.find_opt crashed node with
           | Some t0 when t0 <= at -> ()
           | _ -> Hashtbl.replace crashed node at);
           Ok ()
-      | Ok (), Node_recover { node; at } -> (
+      | Ok (), Plan.Node_set { node; at; alive = true } -> (
           match Hashtbl.find_opt crashed node with
           | Some t0 when t0 < at -> Ok ()
           | Some t0 ->
@@ -223,23 +227,48 @@ let well_formed t =
                    "node_recover for node %d at %g has no preceding \
                     node_crash"
                    node at))
-      | Ok (), (Link_down _ | Link_up _ | Drop_in_flight _) -> Ok ())
-    (Ok ())
-    (by_time t.faults)
+      | Ok (), (Plan.Link_set _ | Plan.Drop_in_flight _) -> Ok ())
+    (Ok ()) (Plan.by_time faults)
+
+(* The largest instance the simulator is run at (DESIGN.md §15). *)
+let max_n = 1 lsl 20
+
+(* Everything the runner needs to replay [t] without raising.  The
+   header comes first, because [graph_of] needs it: random_connected
+   wants n >= 1 (and n is capped before a graph is allocated for it),
+   Rng.split_nth a non-negative index, and the cost model a finite,
+   non-negative jitter. *)
+let well_formed t =
+  if t.n < 1 || t.n > max_n then
+    Error (Printf.sprintf "n %d is outside [1, %d]" t.n max_n)
+  else if t.index < 0 then Error (Printf.sprintf "index %d is negative" t.index)
+  else if not (Float.is_finite t.jitter && t.jitter >= 0.0) then
+    Error (Printf.sprintf "jitter %g is not a finite bound >= 0" t.jitter)
+  else
+    let graph = graph_of t in
+    let rec check i = function
+      | [] -> recoveries_ordered t.faults
+      | fault :: rest ->
+          let* () = check_fault graph i fault in
+          check (i + 1) rest
+    in
+    check 0 t.faults
 
 let is_static t =
   t.faults <> []
   && List.for_all
        (function
-         | Link_down { at; _ } | Node_crash { at; _ } -> at = 0.0
-         | Link_up _ | Node_recover _ | Drop_in_flight _ -> false)
+         | Plan.Link_set { at; up = false; _ }
+         | Plan.Node_set { at; alive = false; _ } ->
+             at = 0.0
+         | Plan.Link_set _ | Plan.Node_set _ | Plan.Drop_in_flight _ -> false)
        t.faults
 
 type final = { up : bool array; dead : bool array }
 
 (* The network's semantics on flat arrays: crash downs incident links,
-   recovery re-ups them except toward still-dead peers, later Link_ups
-   win.  A link fault naming a pair the graph lacks (out-of-range
+   recovery re-ups them except toward still-dead peers, a later
+   Link_set wins.  A link fault naming a pair the graph lacks (out-of-range
    endpoints included) changes nothing. *)
 let final_state ~graph t =
   let n = Graph.n graph in
@@ -260,21 +289,20 @@ let final_state ~graph t =
   List.iter
     (fun fault ->
       match fault with
-      | Link_down { u; v; _ } -> set u v false
-      | Link_up { u; v; _ } -> set u v true
-      | Node_crash { node; _ } ->
+      | Plan.Link_set { u; v; up; _ } -> set u v up
+      | Plan.Node_set { node; alive = false; _ } ->
           if not dead.(node) then begin
             dead.(node) <- true;
             set_incident node (fun e _ -> up.(e) <- false)
           end
-      | Node_recover { node; _ } ->
+      | Plan.Node_set { node; alive = true; _ } ->
           if dead.(node) then begin
             dead.(node) <- false;
             set_incident node (fun e peer ->
                 if not dead.(peer) then up.(e) <- true)
           end
-      | Drop_in_flight _ -> ())
-    (by_time t.faults);
+      | Plan.Drop_in_flight _ -> ())
+    (Plan.by_time t.faults);
   { up; dead }
 
 (* -- Healing schedules ------------------------------------------------- *)
@@ -294,13 +322,15 @@ let generate_healing ?(horizon = default_horizon) ~n ~seed ~index () =
   let recovers = ref [] in
   for v = n - 1 downto 0 do
     if damaged.dead.(v) then
-      recovers := Node_recover { at = heal_at; node = v } :: !recovers
+      recovers :=
+        Plan.Node_set { at = heal_at; node = v; alive = true } :: !recovers
   done;
   (* recovery re-ups crash-downed links by itself; only edges still
-     missing after every node is back need an explicit Link_up *)
+     missing after every node is back need an explicit link_up *)
   let healed =
     if !recovers = [] then damaged
-    else final_state ~graph { s with faults = by_time (s.faults @ !recovers) }
+    else
+      final_state ~graph { s with faults = Plan.by_time (s.faults @ !recovers) }
   in
   (* CSR slices are sorted, so this visits edges in Graph.edges order *)
   let ups = ref [] in
@@ -309,10 +339,10 @@ let generate_healing ?(horizon = default_horizon) ~n ~seed ~index () =
       let d = Graph.edge_id graph u i in
       let v = Graph.edge_target graph d in
       if u < v && not healed.up.(Graph.edge_uid graph d) then
-        ups := Link_up { at = heal_at +. 0.25; u; v } :: !ups
+        ups := Plan.Link_set { at = heal_at +. 0.25; u; v; up = true } :: !ups
     done
   done;
-  { s with faults = by_time (s.faults @ !recovers @ !ups) }
+  { s with faults = Plan.by_time (s.faults @ !recovers @ !ups) }
 
 (* -- Codec ------------------------------------------------------------- *)
 
@@ -320,22 +350,13 @@ let generate_healing ?(horizon = default_horizon) ~n ~seed ~index () =
    what makes the to_json round-trip byte-identical. *)
 let ftos f = Printf.sprintf "%.17g" f
 
-let fault_json = function
-  | Link_down { at; u; v } ->
-      Printf.sprintf "{\"kind\":\"link_down\",\"at\":%s,\"u\":%d,\"v\":%d}"
-        (ftos at) u v
-  | Link_up { at; u; v } ->
-      Printf.sprintf "{\"kind\":\"link_up\",\"at\":%s,\"u\":%d,\"v\":%d}"
-        (ftos at) u v
-  | Node_crash { at; node } ->
-      Printf.sprintf "{\"kind\":\"node_crash\",\"at\":%s,\"node\":%d}" (ftos at)
-        node
-  | Node_recover { at; node } ->
-      Printf.sprintf "{\"kind\":\"node_recover\",\"at\":%s,\"node\":%d}"
-        (ftos at) node
-  | Drop_in_flight { at; u; v } ->
-      Printf.sprintf "{\"kind\":\"drop_in_flight\",\"at\":%s,\"u\":%d,\"v\":%d}"
-        (ftos at) u v
+let fault_json fault =
+  let kind = kind_name fault and at = ftos (Plan.time_of fault) in
+  match fault with
+  | Plan.Link_set { u; v; _ } | Plan.Drop_in_flight { u; v; _ } ->
+      Printf.sprintf "{\"kind\":\"%s\",\"at\":%s,\"u\":%d,\"v\":%d}" kind at u v
+  | Plan.Node_set { node; _ } ->
+      Printf.sprintf "{\"kind\":\"%s\",\"at\":%s,\"node\":%d}" kind at node
 
 let to_json t =
   Printf.sprintf
@@ -344,8 +365,6 @@ let to_json t =
     (String.concat "," (List.map fault_json t.faults))
 
 module J = Sim.Json
-
-let ( let* ) = Result.bind
 
 let fault_of_json j =
   let* kind = Result.bind (J.member "kind" j) J.to_string in
@@ -360,11 +379,11 @@ let fault_of_json j =
     Ok (make node)
   in
   match kind with
-  | "link_down" -> link (fun u v -> Link_down { at; u; v })
-  | "link_up" -> link (fun u v -> Link_up { at; u; v })
-  | "node_crash" -> node (fun node -> Node_crash { at; node })
-  | "node_recover" -> node (fun node -> Node_recover { at; node })
-  | "drop_in_flight" -> link (fun u v -> Drop_in_flight { at; u; v })
+  | "link_down" -> link (fun u v -> Plan.Link_set { at; u; v; up = false })
+  | "link_up" -> link (fun u v -> Plan.Link_set { at; u; v; up = true })
+  | "node_crash" -> node (fun node -> Plan.Node_set { at; node; alive = false })
+  | "node_recover" -> node (fun node -> Plan.Node_set { at; node; alive = true })
+  | "drop_in_flight" -> link (fun u v -> Plan.Drop_in_flight { at; u; v })
   | other -> Error (Printf.sprintf "unknown fault kind %S" other)
 
 let of_json_value j =

@@ -2,7 +2,8 @@
 
     A schedule is the plain-data description of one chaos run: the
     [(seed, index)] pair it was derived from, the instance size, a
-    per-hop delay-jitter bound, and a time-sorted list of faults.
+    per-hop delay-jitter bound, and a time-sorted
+    {!Hardware.Fault_plan.t}, the network's own fault vocabulary.
     Everything about the run — the random-connected graph, the fault
     draws, the cost model's delay stream — is a function of
     [(seed, index)] through {!Sim.Rng.split_n} child derivation, so a
@@ -19,19 +20,13 @@
     surviving graph; {!heals}, {!generate_healing} and the
     component-scoped oracle all read it. *)
 
-type fault =
-  | Link_down of { at : float; u : int; v : int }
-  | Link_up of { at : float; u : int; v : int }
-  | Node_crash of { at : float; node : int }
-  | Node_recover of { at : float; node : int }
-  | Drop_in_flight of { at : float; u : int; v : int }
-
 type t = {
   seed : int;
   index : int;
   n : int;
   jitter : float;  (** hop-delay bound C; 0 means deterministic C=0 *)
-  faults : fault list;  (** sorted by time, ties in generation order *)
+  faults : Hardware.Fault_plan.t;
+      (** sorted by time, ties in generation order *)
 }
 
 val default_horizon : float
@@ -48,9 +43,9 @@ val generate : ?horizon:float -> n:int -> seed:int -> index:int -> unit -> t
 
 val generate_healing :
   ?horizon:float -> n:int -> seed:int -> index:int -> unit -> t
-(** {!generate}, then append deterministic heal events: a
-    [Node_recover] at [0.8 * horizon] for every node the schedule
-    leaves dead, then a [Link_up] at [0.8 * horizon + 0.25] for every
+(** {!generate}, then append deterministic heal events: a recovering
+    [Node_set] at [0.8 * horizon] for every node the schedule leaves
+    dead, then a [Link_set] up at [0.8 * horizon + 0.25] for every
     edge still missing once all nodes are back.  All destructive draws
     land below [0.75 * horizon], so the heal events strictly follow
     the damage; the result satisfies {!heals} by construction and is
@@ -65,11 +60,19 @@ val heals : t -> bool
     failure. *)
 
 val well_formed : t -> (unit, string) result
-(** Every [Node_recover] must strictly follow a [Node_crash] of the
-    same node; an orphan or premature recover is rejected with a
-    message naming it.  {!of_json} applies this check (a bad repro file
-    exits the CLI with code 2) and the shrinker filters its candidates
-    through it. *)
+(** The schedule can be replayed: [1 <= n <= 2{^20}], [index >= 0]
+    and a finite [jitter >= 0] (checked before the graph is built),
+    then, fault by fault, a finite time
+    [at >= 0], a node in [\[0, n)], and a link fault on an edge of
+    {!graph_of}; finally every recovering [Node_set] strictly follows a
+    crash of the same node.  A refusal names the fault (its position
+    and JSON kind) and the field.  {!of_json} applies this check: a bad
+    repro file exits the CLI with code 2. *)
+
+val recoveries_ordered : Hardware.Fault_plan.t -> (unit, string) result
+(** The last check of {!well_formed}, on its own.  Dropping faults or
+    moving them earlier can break only this one, so the shrinker
+    filters its candidates through it. *)
 
 val artifact_of : t -> Compile.Topology.t
 (** The schedule's compiled-topology artifact, from the process-wide
@@ -92,13 +95,11 @@ val cost : t -> Hardware.Cost_model.t
     deterministic [new_model] when [jitter = 0]. *)
 
 val compile : t -> Hardware.Fault_plan.t
-(** The injectable form, in schedule order. *)
-
-val quiescence : t -> float
-(** Time of the last fault; 0 for a fault-free schedule. *)
+(** [t.faults], kept for the benchmark harness; the runner reads the
+    field directly. *)
 
 val is_static : t -> bool
-(** True when every fault is a [Link_down] or [Node_crash] at exactly
+(** True when every fault is a link cut or a node crash at exactly
     time 0: the topology never changes mid-run, so oracles may scope
     budgets to the surviving component. *)
 
@@ -111,7 +112,7 @@ val final_state : graph:Netgraph.Graph.t -> t -> final
 (** Replay the fault list, in time order, into link and liveness state
     with the exact [Network] semantics: a crash downs the node's
     incident links, a recovery re-ups them except toward still-dead
-    peers, and a later [Link_up] wins.  A link fault naming a pair
+    peers, and a later [Link_set] wins.  A link fault naming a pair
     [graph] lacks, out-of-range endpoints included, is ignored.  The
     replay builds no graph: it writes one flag per undirected edge id
     and one per node. *)
@@ -119,7 +120,9 @@ val final_state : graph:Netgraph.Graph.t -> t -> final
 (** {1 Repro-file codec} *)
 
 val to_json : t -> string
-(** Times are printed with 17 significant digits, so
+(** Each fault is an object of kind [link_down] or [link_up] (a
+    [Link_set]), [node_crash] or [node_recover] (a [Node_set]) or
+    [drop_in_flight].  Times are printed with 17 significant digits, so
     [to_json (of_json (to_json s))] is byte-identical to
     [to_json s] — the round-trip property the qcheck suite pins. *)
 

@@ -48,26 +48,16 @@ let ddmin still_fails xs =
 
 let with_time fault at =
   match fault with
-  | Schedule.Link_down { u; v; _ } -> Schedule.Link_down { at; u; v }
-  | Schedule.Link_up { u; v; _ } -> Schedule.Link_up { at; u; v }
-  | Schedule.Node_crash { node; _ } -> Schedule.Node_crash { at; node }
-  | Schedule.Node_recover { node; _ } -> Schedule.Node_recover { at; node }
-  | Schedule.Drop_in_flight { u; v; _ } -> Schedule.Drop_in_flight { at; u; v }
-
-let time_of = function
-  | Schedule.Link_down { at; _ }
-  | Schedule.Link_up { at; _ }
-  | Schedule.Node_crash { at; _ }
-  | Schedule.Node_recover { at; _ }
-  | Schedule.Drop_in_flight { at; _ } ->
-      at
+  | Hardware.Fault_plan.Link_set l -> Hardware.Fault_plan.Link_set { l with at }
+  | Node_set n -> Node_set { n with at }
+  | Drop_in_flight d -> Drop_in_flight { d with at }
 
 (* One sweep over the fault list, committing any time replacement that
    keeps the failure; repeated until a fixpoint (bounded — times only
    ever decrease). *)
 let shrink_times ~still_fails (s : Schedule.t) =
   let try_fault s i =
-    let at = time_of (List.nth s.Schedule.faults i) in
+    let at = Hardware.Fault_plan.time_of (List.nth s.Schedule.faults i) in
     let candidates =
       List.filter (fun c -> c < at) [ 0.0; Float.floor at; at /. 2.0 ]
     in
@@ -94,8 +84,13 @@ let shrink_times ~still_fails (s : Schedule.t) =
 let minimize ~still_fails s =
   (* never commit (or persist) an ill-formed candidate: dropping a
      crash but keeping its recover, or shrinking a recover's time below
-     its crash, would produce schedules {!Schedule.of_json} rejects *)
-  let still_fails c = Schedule.well_formed c = Ok () && still_fails c in
+     its crash, would produce schedules {!Schedule.of_json} rejects.
+     Nothing else {!Schedule.well_formed} checks can change here: the
+     header and the fault fields stay, and a time only moves to 0, its
+     floor or its half. *)
+  let still_fails c =
+    Schedule.recoveries_ordered c.Schedule.faults = Ok () && still_fails c
+  in
   let s =
     let no_jitter = { s with Schedule.jitter = 0.0 } in
     if s.Schedule.jitter > 0.0 && still_fails no_jitter then no_jitter else s

@@ -5,7 +5,7 @@ type msg = { origin : int }
 
 let tour_for ~view ~root =
   let tree = Netgraph.Spanning.bfs_tree view ~root in
-  Walks.euler_tour_truncated tree
+  Walks.truncate (Walks.euler_tour tree)
 
 let spec ~reached ~view v =
   {

@@ -69,8 +69,8 @@ val tour : t -> int array
     origin, children in ascending order, cut after the last first
     visit.  Position [i] packs [(node lsl 1) lor first], where [first]
     is 1 exactly at a node's first visit — position for position what
-    [Walks.mark_first_visits (Walks.euler_tour_truncated
-    (spanning_tree t))] lists, built from the table without a tree. *)
+    [Walks.mark_first_visits (Walks.truncate (Walks.euler_tour
+    (spanning_tree t)))] lists, built from the table without a tree. *)
 
 val is_valid : graph:Netgraph.Graph.t -> t -> bool
 (** Structural invariants: the tree is a subgraph of [graph], IN and

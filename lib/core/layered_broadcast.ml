@@ -15,22 +15,11 @@ let tour_for ~view ~root =
   in
   let tours = layer_tours 1 [] in
   (* Each closed tour starts and ends at the root; splice them. *)
-  let spliced =
-    match tours with
+  Walks.truncate
+    (match tours with
     | [] -> [ root ]
     | first :: rest ->
-        List.fold_left (fun acc tour -> acc @ List.tl tour) first rest
-  in
-  let seen = Hashtbl.create 16 in
-  let last_new = ref 0 in
-  List.iteri
-    (fun i v ->
-      if not (Hashtbl.mem seen v) then begin
-        Hashtbl.replace seen v ();
-        last_new := i
-      end)
-    spliced;
-  List.filteri (fun i _ -> i <= !last_new) spliced
+        List.fold_left (fun acc tour -> acc @ List.tl tour) first rest)
 
 let header_length ~view ~root =
   match tour_for ~view ~root with

@@ -1,5 +1,4 @@
 module Graph = Netgraph.Graph
-module Tree = Netgraph.Tree
 module Network = Hardware.Network
 module Anr = Hardware.Anr
 module Engine = Sim.Engine
@@ -43,8 +42,6 @@ let default_params () =
 
 type event = { at : float; edge : int * int; up : bool }
 
-type node_event = { at_time : float; node : int; alive : bool }
-
 type outcome = {
   converged : bool;
   rounds : int;
@@ -81,34 +78,6 @@ type node_state = {
   mutable routes_at : int;  (* the db version [routes] was built at *)
 }
 
-type tour_item = Visit of int | Emit of int
-
-(* Depth-first tour with a configurable child order, truncated after
-   the last first-visit (see {!Walks}); iterative worklist, so a deep
-   tree costs Θ(n), not Θ(n·depth). *)
-let tour_with_order tree order =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | Visit v :: rest ->
-        let kids = order ~self:v ~children:(Tree.children tree v) in
-        let rest =
-          List.fold_right (fun c work -> Visit c :: Emit v :: work) kids rest
-        in
-        go (v :: acc) rest
-    | Emit v :: rest -> go (v :: acc) rest
-  in
-  let tour = go [] [ Visit (Tree.root tree) ] in
-  let seen = Hashtbl.create 16 in
-  let last_new = ref 0 in
-  List.iteri
-    (fun i v ->
-      if not (Hashtbl.mem seen v) then begin
-        Hashtbl.replace seen v ();
-        last_new := i
-      end)
-    tour;
-  List.filteri (fun i _ -> i <= !last_new) tour
-
 let cyclic_child_order ~ring ~self ~children =
   let position v =
     let rec index i = function
@@ -135,8 +104,7 @@ let deadlock_example_graph () =
   in
   (g, [ (0, 3); (1, 4); (2, 5) ])
 
-let run ?(params = default_params ()) ?(node_events = []) ?chaos ~graph
-    ~events () =
+let run ?(params = default_params ()) ?(chaos = []) ~graph ~events () =
   let n = Graph.n graph in
   let engine = Engine.create ~queue_capacity:n () in
   let origin_list =
@@ -270,12 +238,9 @@ let run ?(params = default_params ()) ?(node_events = []) ?chaos ~graph
           Netgraph.Spanning.bfs_tree graph ~root:v
             ~edge_up:(Topology.believes st.db)
         in
-        let order =
-          match params.dfs_child_order with
-          | Some f -> fun ~self ~children -> f ~self ~children
-          | None -> fun ~self:_ ~children -> children
-        in
-        match tour_with_order tree order with
+        match
+          Walks.truncate (Walks.euler_tour ?order:params.dfs_child_order tree)
+        with
         | [] | [ _ ] -> ()
         | tour ->
             let m = { origin = v; seq = st.seq; views; routes = [||] } in
@@ -363,18 +328,13 @@ let run ?(params = default_params ()) ?(node_events = []) ?chaos ~graph
     in
     Array.iter (fun st -> Topology.attach_base st.db base) states
   end;
-  (* the legacy event/node_event lists and the chaos plan all flow
-     through the same Fault_plan arming, so every injection path gets
-     the recovery hook below *)
+  (* the link events arm ahead of the chaos plan, through the same
+     Fault_plan, so both get the recovery hook below *)
   let plan =
     List.map
       (fun { at; edge = u, v; up } -> Hardware.Fault_plan.Link_set { at; u; v; up })
       events
-    @ List.map
-        (fun { at_time; node; alive } ->
-          Hardware.Fault_plan.Node_set { at = at_time; node; alive })
-        node_events
-    @ Option.value ~default:[] chaos
+    @ chaos
   in
   let on_node ~node ~alive =
     if alive && params.reset_on_recover then begin

@@ -51,7 +51,7 @@ type params = {
       (** when set, receives the [net.*] instruments plus
           [maint.broadcasts] and the [maint.rounds] gauge *)
   reset_on_recover : bool;
-      (** when a node recovers (via [node_events] or a chaos plan), it
+      (** when a node recovers (a [Node_set] of the chaos plan), it
           rejoins with an empty remote database: only its own local
           view survives, rebuilt from the links it can see.  Its own
           sequence counter is kept, so its first post-recovery
@@ -86,10 +86,6 @@ val default_params : unit -> params
 type event = { at : float; edge : int * int; up : bool }
 (** A scheduled link transition. *)
 
-type node_event = { at_time : float; node : int; alive : bool }
-(** A scheduled whole-node failure or recovery: an inactive node is a
-    node all of whose links are inactive (Section 2). *)
-
 type outcome = {
   converged : bool;
   rounds : int;
@@ -107,16 +103,17 @@ type outcome = {
 
 val run :
   ?params:params ->
-  ?node_events:node_event list ->
   ?chaos:Hardware.Fault_plan.t ->
   graph:Netgraph.Graph.t ->
   events:event list ->
   unit ->
   outcome
-(** Run the protocol under the scheduled [events]/[node_events] plus
-    the optional chaos [plan]; all three are armed through
-    {!Hardware.Fault_plan}, so node recoveries honour
-    [reset_on_recover] whichever way they were injected. *)
+(** Run the protocol under the scheduled link [events] followed by the
+    [chaos] plan (default empty), armed together once through
+    {!Hardware.Fault_plan}.  Node failures and recoveries are
+    [Node_set] faults of the plan; a recovery honours
+    [reset_on_recover].  [events] is the older link-only form of
+    [Link_set]. *)
 
 val cyclic_child_order :
   ring:int list -> self:int -> children:int list -> int list

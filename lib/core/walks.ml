@@ -5,23 +5,26 @@ module Tree = Netgraph.Tree
    recursive form re-appends each child tour, Θ(n·depth) on paths. *)
 type tour_item = Visit of int | Emit of int
 
-let euler_tour tree =
+let euler_tour ?order tree =
+  let children v =
+    match order with
+    | None -> Tree.children tree v
+    | Some order -> order ~self:v ~children:(Tree.children tree v)
+  in
   let rec go acc = function
     | [] -> List.rev acc
     | Visit v :: rest ->
         let rest =
           List.fold_right
             (fun c work -> Visit c :: Emit v :: work)
-            (Tree.children tree v) rest
+            (children v) rest
         in
         go (v :: acc) rest
     | Emit v :: rest -> go (v :: acc) rest
   in
   go [] [ Visit (Tree.root tree) ]
 
-let euler_tour_truncated tree =
-  let tour = euler_tour tree in
-  (* Cut after the position of the last first visit. *)
+let truncate walk =
   let seen = Hashtbl.create 16 in
   let last_new = ref 0 in
   List.iteri
@@ -30,8 +33,8 @@ let euler_tour_truncated tree =
         Hashtbl.replace seen v ();
         last_new := i
       end)
-    tour;
-  List.filteri (fun i _ -> i <= !last_new) tour
+    walk;
+  List.filteri (fun i _ -> i <= !last_new) walk
 
 let restrict_to_depth tree depth =
   let members =

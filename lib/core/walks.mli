@@ -4,15 +4,19 @@
     traverses the spanning tree as one packet whose ANR header encodes
     an Euler tour; selective copies are dropped at each first visit. *)
 
-val euler_tour : Netgraph.Tree.t -> int list
+val euler_tour :
+  ?order:(self:int -> children:int list -> int list) ->
+  Netgraph.Tree.t ->
+  int list
 (** The closed depth-first tour from the root: each tree edge is
-    crossed exactly twice, children in increasing order;
-    [2 * size - 1] entries. *)
+    crossed exactly twice; [2 * size - 1] entries.  [order] picks the
+    order in which a node visits its children (default: increasing
+    ids, the tree's own order). *)
 
-val euler_tour_truncated : Netgraph.Tree.t -> int list
-(** The tour cut after the last first-visit: the walk ends at the
-    deepest-last leaf instead of returning to the root, so the final
-    NCU delivery lands on a node that still needs the message. *)
+val truncate : int list -> int list
+(** The walk cut after its last first visit: a tour then ends at the
+    last node it reaches instead of returning to the root, so the
+    final NCU delivery lands on a node that still needs the message. *)
 
 val restrict_to_depth : Netgraph.Tree.t -> int -> Netgraph.Tree.t
 (** The subtree spanning all members within the given depth of the

@@ -14,32 +14,7 @@ let by_time plan =
 let quiescence plan =
   List.fold_left (fun acc f -> Float.max acc (time_of f)) 0.0 plan
 
-let pp_fault ppf = function
-  | Link_set { at; u; v; up } ->
-      Format.fprintf ppf "@[link %d-%d %s @@ %g@]" u v
-        (if up then "up" else "down")
-        at
-  | Node_set { at; node; alive } ->
-      Format.fprintf ppf "@[node %d %s @@ %g@]" node
-        (if alive then "recover" else "crash")
-        at
-  | Drop_in_flight { at; u; v } ->
-      Format.fprintf ppf "@[drop-in-flight %d-%d @@ %g@]" u v at
-
-(* Canonical identity of a plan: its printed faults in order.  Two
-   structurally equal plans collide by construction, which is exactly
-   what the idempotent-arming guard wants. *)
-let key plan =
-  String.concat "|" (List.map (Format.asprintf "%a" pp_fault) plan)
-
 let arm ?(on_node = fun ~node:_ ~alive:_ -> ()) net plan =
-  (* Idempotent per network: arming the same plan twice schedules its
-     faults — and fires its [?on_node] hooks — exactly once.  Harness
-     layers compose (a protocol arms the plan it was handed, then a
-     wrapper arms the same plan "to be safe"); without the guard every
-     fault and recovery hook would double-fire. *)
-  if not (Network.first_arming net ("fault-plan:" ^ key plan)) then ()
-  else
   let engine = Network.engine net in
   List.iter
     (fun fault ->

@@ -1,16 +1,17 @@
-(** Declarative fault schedules for the simulated network.
+(** Declarative fault schedules for the simulated network, in the
+    Section 2 vocabulary: a link goes up or down, a node fails (all its
+    links go inactive) or recovers, and — for the chaos harness — a
+    link silently loses the packets in flight on it.
 
-    A plan is a list of timed faults — link state changes, node
-    crash/recovery, in-flight packet loss — that {!arm} turns into
-    engine events against a live {!Network.t}.  The run functions in
-    [core] ([Broadcast.execute], [Election.run_chaos],
-    [Topo_maintenance.run]) accept a plan and arm it before the
-    simulation starts, generalising the ad-hoc [event]/[node_event]
-    plumbing that topology maintenance grew first.
+    A plan is a list of timed faults that {!arm} turns into engine
+    events against a live {!Network.t}.  The run functions in [core]
+    ([Broadcast.execute], [Election.run_chaos], [Topo_maintenance.run])
+    accept a plan and arm it once, on the network they create, before
+    the simulation starts.
 
-    Plans are plain data: the chaos layer generates them from a seeded
-    RNG, serialises them into repro files and shrinks them, all
-    without touching the network. *)
+    Plans are plain data: [Chaos.Schedule] keeps one as its fault list,
+    generates it from a seeded RNG, serialises it into repro files and
+    shrinks it, all without touching the network. *)
 
 type fault =
   | Link_set of { at : float; u : int; v : int; up : bool }
@@ -38,15 +39,13 @@ val quiescence : t -> float
 val arm :
   ?on_node:(node:int -> alive:bool -> unit) -> 'msg Network.t -> t -> unit
 (** Schedule every fault on the network's engine at its absolute time.
-    [on_node] runs immediately after a [Node_set] is applied (same
-    simulation instant), letting protocol harnesses react to
-    crash/recovery — e.g. topology maintenance resetting a recovering
-    node's database.
+    [on_node] runs immediately after a [Node_set] changes the node's
+    state (same simulation instant), letting protocol harnesses react
+    to crash/recovery — e.g. topology maintenance resetting a
+    recovering node's database.  A [Node_set] that changes nothing (a
+    recover of a live node, a crash of a dead one) fires no hook.
 
-    Arming is {e idempotent per network}: a second [arm] of a
-    structurally equal plan on the same network is a complete no-op —
-    no fault is scheduled twice and no [?on_node] hook double-fires
-    (guarded through {!Network.first_arming}).  Distinct plans still
-    compose; only exact duplicates are absorbed.
+    Each call schedules the whole plan again: arm a plan once per
+    network.
     @raise Invalid_argument (when the event fires) if a fault names an
     edge absent from the graph. *)

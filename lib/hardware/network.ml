@@ -46,9 +46,6 @@ type 'msg t = {
   ncu_busy_until : float array;
   dead : bool array;
   mutable next_msg_id : int;
-  armed_keys : (string, unit) Hashtbl.t;
-      (* arming guards: {!Fault_plan.arm} and friends register a
-         canonical key here so re-arming the same plan is a no-op *)
 }
 
 and 'msg context = { net : 'msg t; node : int }
@@ -119,7 +116,6 @@ let create ?trace ?registry ?dmax ?(dmax_policy = `Raise)
     ncu_busy_until = Array.make n 0.0;
     dead = Array.make n false;
     next_msg_id = 0;
-    armed_keys = Hashtbl.create 4;
   }
 
 let graph t = t.graph
@@ -464,13 +460,6 @@ let set_timer ?(label = "timer") ctx ~delay f =
   let t = ctx.net in
   Sim.Engine.schedule t.engine ~delay (fun () ->
       activate t ctx.node ~label ~msg_id:(-1) f)
-
-let first_arming t key =
-  if Hashtbl.mem t.armed_keys key then false
-  else begin
-    Hashtbl.add t.armed_keys key ();
-    true
-  end
 
 let watchdog ctx = Sim.Timer.create ctx.net.engine
 

@@ -210,9 +210,3 @@ val arm_watchdog :
     NCU — no syscall, no trace event — so recovery-disabled runs and
     runs whose watchdogs never fire are byte-identical to a build
     without the recovery layer. *)
-
-val first_arming : 'msg t -> string -> bool
-(** [first_arming t key] returns [true] the first time [key] is seen
-    on this network and [false] thereafter.  {!Fault_plan.arm} uses it
-    to make arming idempotent; any layer that must attach a once-only
-    side effect to a network can claim its own key. *)

@@ -17,47 +17,6 @@ type outcome = Identical of int | Diverged of divergence
 let exit_code = 9
 let max_chain = 8
 
-(* Binding predecessor, [Analysis.Critical_path]'s convention: the
-   constraint releasing last wins, ties prefer the packet path, then
-   the later trace position. *)
-let kind_priority = function
-  | Analysis.Event_dag.Message -> 3
-  | Analysis.Event_dag.Fifo -> 2
-  | Analysis.Event_dag.Queue -> 1
-  | Analysis.Event_dag.Local -> 0
-
-let binding_pred ~c dag i =
-  let is_hop =
-    match Analysis.Event_dag.event dag i with
-    | Sim.Trace.Hop _ -> true
-    | _ -> false
-  in
-  List.fold_left
-    (fun best (p, kind) ->
-      let t = Analysis.Event_dag.time dag p in
-      let t =
-        if is_hop && kind = Analysis.Event_dag.Message then t +. c else t
-      in
-      match best with
-      | Some (_, bk, bt)
-        when t > bt || (t = bt && kind_priority kind >= kind_priority bk) ->
-          Some (p, kind, t)
-      | None -> Some (p, kind, t)
-      | some -> some)
-    None
-    (Analysis.Event_dag.preds dag i)
-
-let charged_node (e : Sim.Trace.event) =
-  match e with
-  | Sim.Trace.Hop { dst; _ } -> Some dst
-  | Sim.Trace.Syscall { node; _ }
-  | Sim.Trace.Send { node; _ }
-  | Sim.Trace.Receive { node; _ }
-  | Sim.Trace.Drop { node; _ } ->
-      Some node
-  | Sim.Trace.Link_change { u; _ } -> Some u
-  | Sim.Trace.Custom _ -> None
-
 (* Ring of the last [window] common-prefix events. *)
 type ring = {
   buf : Sim.Trace.event option array;
@@ -99,7 +58,7 @@ let chain_of ~c ring divergent =
     let rec walk rel acc depth =
       if depth >= max_chain then List.rev acc
       else
-        match binding_pred ~c dag rel with
+        match Analysis.Critical_path.binding_pred ~c dag rel with
         | None -> List.rev acc
         | Some (p, kind, _) ->
             walk p
@@ -113,7 +72,7 @@ let chain_of ~c ring divergent =
 let diverged ~c ring index a b =
   let node =
     match (b, a) with
-    | Some e, _ | None, Some e -> charged_node e
+    | Some e, _ | None, Some e -> Engine.charged_node e
     | None, None -> None
   in
   Diverged

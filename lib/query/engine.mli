@@ -31,6 +31,11 @@ type filter = {
 val no_filter : filter
 val matches : filter -> Sim.Trace.event -> bool
 
+val charged_node : Sim.Trace.event -> int option
+(** The node an event is charged to: a hop to its destination (the
+    critical-path convention), a link change to its initiator, a
+    custom event to none. *)
+
 type group_by = By_kind | By_node | By_phase | By_link
 
 

@@ -7,11 +7,17 @@ module Sch = Chaos.Schedule
 module R = Chaos.Runner
 module Sweep = Parallel.Sweep
 module N = Hardware.Network
+module FP = Hardware.Fault_plan
 module B = Netgraph.Builders
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
 
 (* -- generation -------------------------------------------------------- *)
 
@@ -26,7 +32,7 @@ let test_generation_faults_before_horizon () =
   for index = 0 to 19 do
     let s = Sch.generate ~n:24 ~seed:3 ~index () in
     check_bool "faults land before the horizon" true
-      (Sch.quiescence s < Sch.default_horizon);
+      (FP.quiescence s.Sch.faults < Sch.default_horizon);
     check_bool "at least one fault" true (s.Sch.faults <> [])
   done
 
@@ -36,27 +42,31 @@ let test_graph_regenerates () =
   check_bool "same edges" true
     (Netgraph.Graph.edges g1 = Netgraph.Graph.edges g2)
 
-(* Hand-edited repros can name links the graph lacks: the replay
-   ignores them, out-of-range endpoints included, so they neither break
-   nor heal anything. *)
+(* The first pair [u < v] that is not an edge of [g]. *)
+let first_non_edge g =
+  let n = Netgraph.Graph.n g in
+  let rec find u v =
+    if v >= n then find (u + 1) (u + 2)
+    else if Netgraph.Graph.has_edge g u v then find u (v + 1)
+    else (u, v)
+  in
+  find 0 1
+
+(* A repro file naming a link the graph lacks is refused (see "codec
+   refuses unrunnable schedules"), but a schedule built in code can
+   still carry one: the final-state replay ignores it, out-of-range
+   endpoints included, so it neither breaks nor heals anything. *)
 let test_replay_ignores_foreign_links () =
   let s = Sch.generate ~n:12 ~seed:3 ~index:0 () in
   let g = Sch.graph_of s in
-  let non_edge =
-    let rec find u v =
-      if v >= 12 then find (u + 1) (u + 2)
-      else if Netgraph.Graph.has_edge g u v then find u (v + 1)
-      else (u, v)
-    in
-    find 0 1
-  in
+  let non_edge = first_non_edge g in
   let foreign =
     [
-      Sch.Link_down { at = 0.0; u = fst non_edge; v = snd non_edge };
-      Sch.Link_down { at = 0.0; u = -1; v = 3 };
-      Sch.Link_down { at = 0.0; u = 0; v = 12 };
-      Sch.Link_down { at = 0.0; u = 5; v = 5 };
-      Sch.Link_up { at = 1.0; u = 99; v = -7 };
+      FP.Link_set { at = 0.0; u = fst non_edge; v = snd non_edge; up = false };
+      FP.Link_set { at = 0.0; u = -1; v = 3; up = false };
+      FP.Link_set { at = 0.0; u = 0; v = 12; up = false };
+      FP.Link_set { at = 0.0; u = 5; v = 5; up = false };
+      FP.Link_set { at = 1.0; u = 99; v = -7; up = true };
     ]
   in
   let clean = { s with Sch.faults = [] } in
@@ -65,6 +75,26 @@ let test_replay_ignores_foreign_links () =
   check_bool "nobody dead" false (Array.exists Fun.id final.Sch.dead);
   check_bool "heals like the fault-free schedule" (Sch.heals clean)
     (Sch.heals { s with Sch.faults = foreign })
+
+(* A static schedule only takes links and nodes away, and only at time
+   0: the component-scoped oracle relies on the topology never
+   changing mid-run. *)
+let test_is_static () =
+  let s = Sch.generate ~n:12 ~seed:3 ~index:0 () in
+  let u, v = List.hd (Netgraph.Graph.edges (Sch.graph_of s)) in
+  let static fs = Sch.is_static { s with Sch.faults = fs } in
+  let cut at = FP.Link_set { at; u; v; up = false } in
+  let crash = FP.Node_set { at = 0.0; node = 1; alive = false } in
+  check_bool "cut at 0" true (static [ cut 0.0 ]);
+  check_bool "cut and crash at 0" true (static [ cut 0.0; crash ]);
+  check_bool "cut later" false (static [ cut 1.0 ]);
+  check_bool "link_up at 0" false
+    (static [ cut 0.0; FP.Link_set { at = 0.0; u; v; up = true } ]);
+  check_bool "node_recover at 0" false
+    (static [ crash; FP.Node_set { at = 0.0; node = 1; alive = true } ]);
+  check_bool "drop_in_flight at 0" false
+    (static [ FP.Drop_in_flight { at = 0.0; u; v } ]);
+  check_bool "no faults" false (static [])
 
 (* -- codec ------------------------------------------------------------- *)
 
@@ -88,11 +118,70 @@ let test_codec_rejects_garbage () =
           "{\"seed\":1,\"index\":0,\"n\":4,\"jitter\":0,\
            \"faults\":[{\"kind\":\"meteor\",\"at\":1}]}"))
 
+(* Every shape the runner could not replay is refused by the decoder
+   with an [Error] that names the fault and the field, rather than
+   decoded into a run that raises: a link fault on a non-edge, a node
+   outside [0, n), n = 0, a negative time, a negative index.  A repro
+   file asking for liveness mode of a family without a recovery layer
+   is refused by the repro reader. *)
+let test_codec_refuses_unrunnable () =
+  let s = Sch.generate ~n:12 ~seed:3 ~index:0 () in
+  let u, v = first_non_edge (Sch.graph_of s) in
+  let refused name needle t =
+    match Sch.of_json (Sch.to_json t) with
+    | Ok _ -> Alcotest.failf "%s: decoded" name
+    | Error e ->
+        check_bool (Printf.sprintf "%s: %S names %S" name e needle) true
+          (contains e needle)
+  in
+  let faults fs = { s with Sch.faults = fs } in
+  refused "link_down on a non-edge"
+    (Printf.sprintf "fault 0 (link_down): u %d, v %d is not an edge" u v)
+    (faults [ FP.Link_set { at = 1.0; u; v; up = false } ]);
+  refused "drop_in_flight on a non-edge"
+    (Printf.sprintf "fault 0 (drop_in_flight): u %d, v %d is not an edge" u v)
+    (faults [ FP.Drop_in_flight { at = 1.0; u; v } ]);
+  refused "link_up on an out-of-range endpoint"
+    "fault 1 (link_up): u 0, v 12 is not an edge"
+    (faults
+       [
+         FP.Link_set { at = 1.0; u; v = u + 1; up = false };
+         FP.Link_set { at = 2.0; u = 0; v = 12; up = true };
+       ]);
+  refused "node_crash out of range" "fault 0 (node_crash): node 12 is outside"
+    (faults [ FP.Node_set { at = 1.0; node = 12; alive = false } ]);
+  refused "negative node_recover" "fault 0 (node_recover): node -9 is outside"
+    (faults [ FP.Node_set { at = 1.0; node = -9; alive = true } ]);
+  refused "negative time" "fault 0 (node_crash): at -5 is not"
+    (faults [ FP.Node_set { at = -5.0; node = 2; alive = false } ]);
+  refused "n = 0" "n 0 is outside" { s with Sch.n = 0; faults = [] };
+  refused "negative index" "index -1 is negative" { s with Sch.index = -1 };
+  let path = Filename.temp_file "chaos-repro" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      List.iter
+        (fun scenario ->
+          let name = Sweep.scenario_name scenario in
+          Out_channel.with_open_text path (fun oc ->
+              Printf.fprintf oc
+                "{\"repro\":\"futurenet-chaos\",\"version\":1,\
+                 \"scenario\":\"%s\",\"liveness\":true,\"schedule\":%s,\
+                 \"failed_oracles\":[]}"
+                name (Sch.to_json s));
+          match R.replay path with
+          | Ok _ -> Alcotest.failf "liveness %s replayed" name
+          | Error e ->
+              check_bool ("liveness " ^ name ^ ": " ^ e) true
+                (contains e (name ^ " has no recovery layer")))
+        [ Sweep.Dfs; Sweep.Direct; Sweep.Layered ])
+
 (* Repro files are hand-edited, so the decoder must be total: a few
    generated schedules' JSON with 1-3 random byte edits (replace,
    insert, delete; half the new bytes JSON punctuation or digits, half
    any byte) is refused with an [Error] or decodes to a well-formed
-   schedule, never raises. *)
+   schedule, never raises — and a schedule it accepts replays through
+   the runner, in a family the case picks, without raising. *)
 let fuzz_docs =
   lazy
     (Array.init 8 (fun index ->
@@ -121,14 +210,19 @@ let apply_edit doc (kind, pos, b) =
 let qcheck_codec_fuzz =
   QCheck.Test.make ~name:"schedule decoder total under byte edits" ~count:2000
     QCheck.(
-      pair (int_bound 7)
+      triple (int_bound 7)
+        (int_bound (List.length Sweep.all_scenarios - 1))
         (list_of_size Gen.(1 -- 3)
            (triple (int_bound 2) (int_bound 100_000) (int_bound 255))))
-    (fun (doc, edits) ->
+    (fun (doc, family, edits) ->
       let src = List.fold_left apply_edit (Lazy.force fuzz_docs).(doc) edits in
       match Sch.of_json src with
       | Error _ -> true
-      | Ok s -> Sch.well_formed s = Ok ())
+      | Ok s ->
+          Sch.well_formed s = Ok ()
+          &&
+          let v = R.run_schedule (List.nth Sweep.all_scenarios family) s in
+          Sch.equal v.R.schedule s)
 
 (* -- soak determinism -------------------------------------------------- *)
 
@@ -365,7 +459,7 @@ let run_buggy (s : Sch.t) =
   let net =
     N.create ~engine ~cost:(Hardware.Cost_model.new_model ()) ~graph ~handlers ()
   in
-  Hardware.Fault_plan.arm net (Sch.compile s);
+  FP.arm net s.Sch.faults;
   N.start net 0;
   ignore (Sim.Engine.run engine : Sim.Engine.outcome);
   counts
@@ -382,19 +476,19 @@ let planted_schedule =
     jitter = 0.0;
     faults =
       [
-        Sch.Link_down { at = 5.0; u = 1; v = 2 };   (* culprit: down ... *)
-        Sch.Drop_in_flight { at = 11.0; u = 2; v = 3 };
-        Sch.Node_crash { at = 14.0; node = 5 };
-        Sch.Link_up { at = 16.0; u = 1; v = 2 };    (* ... and back up *)
-        Sch.Node_crash { at = 18.0; node = 7 };
-        Sch.Link_down { at = 20.0; u = 0; v = 1 };
-        Sch.Drop_in_flight { at = 21.0; u = 4; v = 5 };
-        Sch.Link_down { at = 22.0; u = 5; v = 6 };
-        Sch.Drop_in_flight { at = 23.0; u = 0; v = 1 };
-        Sch.Node_crash { at = 24.0; node = 3 };
-        Sch.Link_down { at = 26.0; u = 6; v = 7 };
-        Sch.Drop_in_flight { at = 27.0; u = 2; v = 3 };
-        Sch.Node_crash { at = 28.0; node = 4 };
+        FP.Link_set { at = 5.0; u = 1; v = 2; up = false }; (* culprit: down ... *)
+        FP.Drop_in_flight { at = 11.0; u = 2; v = 3 };
+        FP.Node_set { at = 14.0; node = 5; alive = false };
+        FP.Link_set { at = 16.0; u = 1; v = 2; up = true }; (* ... and back up *)
+        FP.Node_set { at = 18.0; node = 7; alive = false };
+        FP.Link_set { at = 20.0; u = 0; v = 1; up = false };
+        FP.Drop_in_flight { at = 21.0; u = 4; v = 5 };
+        FP.Link_set { at = 22.0; u = 5; v = 6; up = false };
+        FP.Drop_in_flight { at = 23.0; u = 0; v = 1 };
+        FP.Node_set { at = 24.0; node = 3; alive = false };
+        FP.Link_set { at = 26.0; u = 6; v = 7; up = false };
+        FP.Drop_in_flight { at = 27.0; u = 2; v = 3 };
+        FP.Node_set { at = 28.0; node = 4; alive = false };
       ];
   }
 
@@ -431,11 +525,6 @@ let test_small_soak_green () =
     Sweep.all_scenarios
 
 (* -- first-divergence localisation ------------------------------------- *)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
 
 let test_baseline_divergence_localises_fault () =
   (* some schedule's faults must observably perturb an election (they
@@ -539,7 +628,11 @@ let suite =
     Alcotest.test_case "graph regenerates" `Quick test_graph_regenerates;
     Alcotest.test_case "replay ignores foreign links" `Quick
       test_replay_ignores_foreign_links;
+    Alcotest.test_case "static schedules cut and crash at 0" `Quick
+      test_is_static;
     Alcotest.test_case "codec rejects garbage" `Quick test_codec_rejects_garbage;
+    Alcotest.test_case "codec refuses unrunnable schedules" `Quick
+      test_codec_refuses_unrunnable;
     Alcotest.test_case "soak json independent of jobs" `Quick
       test_soak_json_independent_of_jobs;
     Alcotest.test_case "traced replay agrees" `Quick test_traced_replay_agrees;

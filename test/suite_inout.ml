@@ -168,7 +168,8 @@ let ref_view r =
     ~tour:
       (List.map
          (fun (v, first) -> (v lsl 1) lor if first then 1 else 0)
-         (Core.Walks.mark_first_visits (Core.Walks.euler_tour_truncated tree)))
+         (Core.Walks.mark_first_visits
+            (Core.Walks.truncate (Core.Walks.euler_tour tree))))
 
 (* The first field on which two views differ, if any. *)
 let view_diff a b =

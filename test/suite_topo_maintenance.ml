@@ -3,6 +3,7 @@
    convergence-speed comment. *)
 
 module TM = Core.Topo_maintenance
+module FP = Hardware.Fault_plan
 module B = Netgraph.Builders
 
 let check_int = Alcotest.(check int)
@@ -138,20 +139,20 @@ let test_node_failure_convergence () =
      on their own component *)
   let g = B.grid ~rows:4 ~cols:4 in
   let p = { (base ()) with preseed = true; max_rounds = 30 } in
-  let node_events = [ { TM.at_time = 5.0; node = 5; alive = false } ] in
-  let o = TM.run ~params:p ~node_events ~graph:g ~events:[] () in
+  let chaos = [ FP.Node_set { at = 5.0; node = 5; alive = false } ] in
+  let o = TM.run ~params:p ~chaos ~graph:g ~events:[] () in
   check_bool "converged after node failure" true o.TM.converged
 
 let test_node_failure_and_recovery () =
   let g = B.ring 8 in
   let p = { (base ()) with preseed = true; max_rounds = 40 } in
-  let node_events =
+  let chaos =
     [
-      { TM.at_time = 5.0; node = 3; alive = false };
-      { TM.at_time = 300.0; node = 3; alive = true };
+      FP.Node_set { at = 5.0; node = 3; alive = false };
+      FP.Node_set { at = 300.0; node = 3; alive = true };
     ]
   in
-  let o = TM.run ~params:p ~node_events ~graph:g ~events:[] () in
+  let o = TM.run ~params:p ~chaos ~graph:g ~events:[] () in
   check_bool "converged after recovery" true o.TM.converged
 
 let test_dmax_kills_dfs_but_not_branching () =
@@ -241,8 +242,8 @@ let qcheck_random_failures_converge =
    the preseeded world-view lingers untouched through the outage. *)
 let outage_events =
   [
-    { TM.at_time = 1.0; node = 3; alive = false };
-    { TM.at_time = 50.0; node = 3; alive = true };
+    FP.Node_set { at = 1.0; node = 3; alive = false };
+    FP.Node_set { at = 50.0; node = 3; alive = true };
   ]
 
 let test_reset_on_recover_forgets () =
@@ -251,7 +252,7 @@ let test_reset_on_recover_forgets () =
     let p =
       { (base ()) with preseed = true; max_rounds = 1; reset_on_recover = reset }
     in
-    TM.run ~params:p ~node_events:outage_events ~graph:g ~events:[] ()
+    TM.run ~params:p ~chaos:outage_events ~graph:g ~events:[] ()
   in
   let with_reset = run ~reset:true and without = run ~reset:false in
   check_int "reset: only its own view" 1
@@ -266,7 +267,7 @@ let test_reset_on_recover_reconverges () =
   let p =
     { (base ()) with preseed = true; max_rounds = 8; reset_on_recover = true }
   in
-  let o = TM.run ~params:p ~node_events:outage_events ~graph:g ~events:[] () in
+  let o = TM.run ~params:p ~chaos:outage_events ~graph:g ~events:[] () in
   check_bool "reconverged" true o.TM.converged;
   check_int "relearned every node" 6
     (List.length (Core.Topology.known_nodes o.TM.dbs.(3)))
@@ -333,17 +334,17 @@ let golden_outcomes () =
         grid,
         [],
         [
-          { TM.at_time = 1.0; node = 5; alive = false };
-          { TM.at_time = 90.0; node = 5; alive = true };
+          FP.Node_set { at = 1.0; node = 5; alive = false };
+          FP.Node_set { at = 90.0; node = 5; alive = true };
         ] );
     ]
   in
   List.concat_map
     (fun (mname, meth) ->
       List.map
-        (fun (sname, params, graph, events, node_events) ->
+        (fun (sname, params, graph, events, chaos) ->
           outcome_line (mname ^ "/" ^ sname)
-            (TM.run ~params ~node_events ~graph ~events ()))
+            (TM.run ~params ~chaos ~graph ~events ()))
         (scenarios meth))
     methods
 

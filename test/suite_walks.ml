@@ -12,7 +12,11 @@ let check_bool = Alcotest.(check bool)
 let sample () = T.of_parents ~root:0 ~parents:[ (1, 0); (2, 0); (3, 1) ]
 
 let test_euler_tour () =
-  check_ints "closed tour" [ 0; 1; 3; 1; 0; 2; 0 ] (W.euler_tour (sample ()))
+  check_ints "closed tour" [ 0; 1; 3; 1; 0; 2; 0 ] (W.euler_tour (sample ()));
+  check_ints "children in the given order" [ 0; 2; 0; 1; 3; 1; 0 ]
+    (W.euler_tour
+       ~order:(fun ~self:_ ~children -> List.rev children)
+       (sample ()))
 
 let test_euler_tour_length () =
   let rng = Sim.Rng.create ~seed:1 in
@@ -22,16 +26,16 @@ let test_euler_tour_length () =
     check_int "2n-1 entries" (2 * T.size t - 1) (List.length (W.euler_tour t))
   done
 
-let test_euler_tour_truncated () =
+let test_truncated_tour () =
   check_ints "cut after last first-visit" [ 0; 1; 3; 1; 0; 2 ]
-    (W.euler_tour_truncated (sample ()))
+    (W.truncate (W.euler_tour (sample ())))
 
 let test_truncated_visits_all () =
   let rng = Sim.Rng.create ~seed:2 in
   for _ = 1 to 20 do
     let g = B.random_tree rng ~n:40 in
     let t = S.bfs_tree g ~root:0 in
-    let tour = W.euler_tour_truncated t in
+    let tour = W.truncate (W.euler_tour t) in
     check_int "covers all nodes" (T.size t)
       (List.length (List.sort_uniq compare tour));
     (* the final entry is a first visit *)
@@ -57,7 +61,8 @@ let test_mark_first_visits () =
 
 let test_singleton_tour () =
   check_ints "singleton" [ 5 ] (W.euler_tour (T.singleton 5));
-  check_ints "singleton truncated" [ 5 ] (W.euler_tour_truncated (T.singleton 5))
+  check_ints "singleton truncated" [ 5 ]
+    (W.truncate (W.euler_tour (T.singleton 5)))
 
 let qcheck_tour_consecutive_edges =
   QCheck.Test.make ~name:"euler tour steps are tree edges" ~count:100
@@ -78,7 +83,7 @@ let suite =
   [
     Alcotest.test_case "euler tour" `Quick test_euler_tour;
     Alcotest.test_case "euler tour length" `Quick test_euler_tour_length;
-    Alcotest.test_case "truncated tour" `Quick test_euler_tour_truncated;
+    Alcotest.test_case "truncated tour" `Quick test_truncated_tour;
     Alcotest.test_case "truncated visits all" `Quick test_truncated_visits_all;
     Alcotest.test_case "restrict to depth" `Quick test_restrict_to_depth;
     Alcotest.test_case "mark first visits" `Quick test_mark_first_visits;
