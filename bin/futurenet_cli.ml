@@ -53,6 +53,16 @@ let topology_conv =
       ("random", `Random);
     ]
 
+(* a count that must be positive: 0 or less is a usage error (exit
+   124), not an [Invalid_argument] from the library *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k > 0 -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let topology_name = function
   | `Path -> "path" | `Ring -> "ring" | `Star -> "star"
   | `Complete -> "complete" | `Grid -> "grid" | `Hypercube -> "hypercube"
@@ -611,10 +621,10 @@ let chaos_cmd =
                ~doc:("Scenario family to soak: " ^ doc_alts_enum alts ^ "."))
   in
   let chaos_n_arg =
-    Arg.(value & opt int 64 & info [ "n" ] ~docv:"N" ~doc:"Number of nodes.")
+    Arg.(value & opt positive_int 64 & info [ "n" ] ~docv:"N" ~doc:"Number of nodes.")
   in
   let schedules_arg =
-    Arg.(value & opt int 32
+    Arg.(value & opt positive_int 32
            & info [ "k"; "schedules" ] ~docv:"K"
                ~doc:"Seeded fault schedules per scenario (indices 0..K-1); \
                      every schedule replays from (seed, index) alone.")

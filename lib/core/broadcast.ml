@@ -149,7 +149,8 @@ type 'msg spec =
 
 let execute ~config ~graph ~root ~spec () =
   (* queue peak is bounded by in-flight packets, itself O(n) for every
-     broadcast here; the hint saves the doubling regrowth per replica *)
+     broadcast here; the hint saves the doubling regrowth, and the
+     engine and network retired below serve the next run of this size *)
   let engine = Sim.Engine.create ~queue_capacity:(Graph.n graph) () in
   (* no caller-supplied trace means nobody can observe one: run with
      recording off rather than materialising the whole run in RAM *)
@@ -178,13 +179,16 @@ let execute ~config ~graph ~root ~spec () =
   (* completion = the last NCU activation finishing; taken from the
      network's busy-until marks so it holds with tracing off or
      streaming (a trace fold would see an empty ring) *)
-  let time = Network.last_activation_time net in
-  {
-    time;
-    syscalls = Metrics.syscalls m;
-    hops = Metrics.hops m;
-    sends = Metrics.sends m;
-    drops = Metrics.drops m;
-    max_header = Metrics.max_header m;
-    reached;
-  }
+  let result =
+    {
+      time = Network.last_activation_time net;
+      syscalls = Metrics.syscalls m;
+      hops = Metrics.hops m;
+      sends = Metrics.sends m;
+      drops = Metrics.drops m;
+      max_header = Metrics.max_header m;
+      reached;
+    }
+  in
+  Network.retire net;
+  result

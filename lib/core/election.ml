@@ -592,21 +592,25 @@ let run ?cost ?starters ?rng ?notify_supporters ?recover ?trace ?registry
     | Captured _ | Unstarted -> assert false
   in
   let m = Network.metrics net in
-  {
-    leader;
-    believed_leader;
-    election_syscalls = Hardware.Metrics.syscalls_labelled m "election";
-    start_syscalls = Hardware.Metrics.syscalls_labelled m "start";
-    announce_syscalls = Hardware.Metrics.syscalls_labelled m "announce";
-    total_syscalls = Hardware.Metrics.syscalls m;
-    hops = Hardware.Metrics.hops m;
-    time = Sim.Engine.now engine;
-    tours;
-    captures;
-    max_route;
-    notify_syscalls = Hardware.Metrics.syscalls_labelled m "notify";
-    spanning_tree;
-  }
+  let outcome =
+    {
+      leader;
+      believed_leader;
+      election_syscalls = Hardware.Metrics.syscalls_labelled m "election";
+      start_syscalls = Hardware.Metrics.syscalls_labelled m "start";
+      announce_syscalls = Hardware.Metrics.syscalls_labelled m "announce";
+      total_syscalls = Hardware.Metrics.syscalls m;
+      hops = Hardware.Metrics.hops m;
+      time = Sim.Engine.now engine;
+      tours;
+      captures;
+      max_route;
+      notify_syscalls = Hardware.Metrics.syscalls_labelled m "notify";
+      spanning_tree;
+    }
+  in
+  Network.retire net;
+  outcome
 
 let run_chaos ?cost ?starters ?rng ?recover ?trace ?registry ?chaos ~graph () =
   let roles, believed_leader, net, engine, _tours, _captures, _max_route =
@@ -620,12 +624,16 @@ let run_chaos ?cost ?starters ?rng ?recover ?trace ?registry ?chaos ~graph () =
       | _ -> ())
     roles;
   let m = Network.metrics net in
-  {
-    leaders = List.rev !leaders;
-    believed = believed_leader;
-    election_deliveries = Hardware.Metrics.syscalls_labelled m "election";
-    chaos_syscalls = Hardware.Metrics.syscalls m;
-    chaos_hops = Hardware.Metrics.hops m;
-    chaos_drops = Hardware.Metrics.drops m;
-    chaos_time = Sim.Engine.now engine;
-  }
+  let outcome =
+    {
+      leaders = List.rev !leaders;
+      believed = believed_leader;
+      election_deliveries = Hardware.Metrics.syscalls_labelled m "election";
+      chaos_syscalls = Hardware.Metrics.syscalls m;
+      chaos_hops = Hardware.Metrics.hops m;
+      chaos_drops = Hardware.Metrics.drops m;
+      chaos_time = Sim.Engine.now engine;
+    }
+  in
+  Network.retire net;
+  outcome

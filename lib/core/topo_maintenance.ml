@@ -413,6 +413,11 @@ let run ?(params = default_params ()) ?(chaos = []) ~graph ~events () =
            ~help:"broadcast rounds at the final convergence check")
         (float_of_int rounds)
   | _ -> ());
+  (* No [Network.retire] here, unlike the other protocol runs: a fresh
+     engine's per-run queue regrowth is the direct major allocation
+     that paces the major GC in this workload, and with a spare engine
+     the maintenance benchmark's [peak_heap_mb], a top-of-heap reading,
+     rose 28%.  See ROADMAP, the next benchmark revision. *)
   let m = Network.metrics net in
   {
     converged;

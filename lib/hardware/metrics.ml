@@ -32,6 +32,17 @@ let create ~n =
     last_count = ref 0;
   }
 
+let reset t =
+  t.hops <- 0;
+  t.syscalls <- 0;
+  t.sends <- 0;
+  t.drops <- 0;
+  t.max_header <- 0;
+  Array.fill t.per_node 0 t.size 0;
+  Hashtbl.reset t.by_label;
+  t.last_label <- no_label;
+  t.last_count <- ref 0
+
 let n t = t.size
 let hops t = t.hops
 let syscalls t = t.syscalls

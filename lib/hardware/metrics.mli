@@ -11,6 +11,11 @@ type t
 val create : n:int -> t
 (** Fresh counters for an [n]-node network. *)
 
+val reset : t -> unit
+(** Zero every counter, as {!create} left them, keeping the per-node
+    array: a network reusing a retired run's counters starts from
+    this. *)
+
 val n : t -> int
 val hops : t -> int
 val syscalls : t -> int

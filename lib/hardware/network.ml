@@ -96,27 +96,77 @@ let word_up word = word land 1 = 1
 (* The next word of a link whose state becomes [up]: a new epoch. *)
 let bump word ~up = link_word ~epoch:((word lsr 1) + 1) ~up
 
+(* The per-run arrays a retired network leaves for the next run over a
+   graph of the same size: all of its O(n + m) state except [handlers],
+   whose element type is the run's message type.  One per domain; see
+   {!Sim.Engine.retire} for the rules the slot keeps. *)
+type spare = {
+  s_link : int array;
+  s_fifo : float array;
+  s_busy : float array;
+  s_dead : bool array;
+  s_metrics : Metrics.t;
+}
+
+let spare : spare option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let link_fresh = link_word ~epoch:0 ~up:true
+
+(* The spare refilled to a new network's state if it fits [graph],
+   fresh arrays otherwise.  Either way the slot is left empty. *)
+let take_arrays graph =
+  let n = Graph.n graph and m = Graph.m graph in
+  let kept = Domain.DLS.get spare in
+  Domain.DLS.set spare None;
+  match kept with
+  | Some s when Metrics.n s.s_metrics = n && Array.length s.s_link = m ->
+      Array.fill s.s_link 0 m link_fresh;
+      Array.fill s.s_fifo 0 (Array.length s.s_fifo) neg_infinity;
+      Array.fill s.s_busy 0 n 0.0;
+      Array.fill s.s_dead 0 n false;
+      Metrics.reset s.s_metrics;
+      s
+  | _ ->
+      {
+        s_link = Array.make m link_fresh;
+        s_fifo = Array.make (Graph.directed_edge_count graph) neg_infinity;
+        s_busy = Array.make n 0.0;
+        s_dead = Array.make n false;
+        s_metrics = Metrics.create ~n;
+      }
+
 let create ?trace ?registry ?dmax ?(dmax_policy = `Raise)
     ?(detection_delay = 0.0) ~engine ~cost ~graph ~handlers () =
-  let n = Graph.n graph in
+  let s = take_arrays graph in
   {
     graph;
     engine;
     cost;
-    metrics = Metrics.create ~n;
+    metrics = s.s_metrics;
     trace = (match trace with Some t -> t | None -> Sim.Trace.disabled ());
     registry;
     obs = make_obs registry;
     dmax;
     dmax_policy;
     detection_delay;
-    handlers = Array.init n handlers;
-    link = Array.make (Graph.m graph) (link_word ~epoch:0 ~up:true);
-    fifo = Array.make (Graph.directed_edge_count graph) neg_infinity;
-    ncu_busy_until = Array.make n 0.0;
-    dead = Array.make n false;
+    handlers = Array.init (Graph.n graph) handlers;
+    link = s.s_link;
+    fifo = s.s_fifo;
+    ncu_busy_until = s.s_busy;
+    dead = s.s_dead;
     next_msg_id = 0;
   }
+
+let retire t =
+  Sim.Engine.retire t.engine;
+  Domain.DLS.set spare
+    (Some
+       {
+         s_link = t.link;
+         s_fifo = t.fifo;
+         s_busy = t.ncu_busy_until;
+         s_dead = t.dead;
+         s_metrics = t.metrics;
+       })
 
 let graph t = t.graph
 let engine t = t.engine

@@ -64,6 +64,18 @@ val create :
     through handles pre-registered here — the disabled path stays
     allocation-free. *)
 
+val retire : 'msg t -> unit
+(** Hand the network's per-run state back for reuse, once its outcome
+    has been read: {!Sim.Engine.retire} its engine, and keep its link,
+    FIFO, NCU and liveness arrays and its {!Metrics.t} as this
+    domain's spare.  The next {!create} over a graph with the same
+    node and link counts refills and reuses them (a fresh [handlers]
+    array is built each time); a [create] over any other size drops
+    them before it allocates.  The slot is emptied by every [create],
+    so a nested run, or one that raised before retiring, allocates
+    afresh.  A retired network, its engine and its metrics must not be
+    touched again: the next run owns them. *)
+
 (** {1 Global view (experiment harness side)} *)
 
 val graph : 'msg t -> Netgraph.Graph.t

@@ -43,23 +43,35 @@ type t = {
 
 type outcome = Quiescent | Time_limit | Event_limit
 
+(* One retired engine per domain, kept for the next [create] with the
+   same hint.  Taking it empties the slot, and so does a [create] with
+   another hint, before it allocates: a nested or raising run builds a
+   fresh engine, and a spare of another size never outlives the next
+   create. *)
+let spare : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
 let create ?(queue_capacity = 0) () =
   if queue_capacity < 0 then invalid_arg "Engine.create: negative queue_capacity";
-  {
-    times = Float.Array.create 0;
-    seqs = [||];
-    slots = [||];
-    size = 0;
-    pool = [||];
-    free = [||];
-    lane = [||];
-    lane_head = 0;
-    lane_len = 0;
-    next_seq = 0;
-    want = queue_capacity;
-    clock = { now = 0.0 };
-    executed = 0;
-  }
+  let kept = Domain.DLS.get spare in
+  Domain.DLS.set spare None;
+  match kept with
+  | Some t when t.want = queue_capacity -> t
+  | _ ->
+      {
+        times = Float.Array.create 0;
+        seqs = [||];
+        slots = [||];
+        size = 0;
+        pool = [||];
+        free = [||];
+        lane = [||];
+        lane_head = 0;
+        lane_len = 0;
+        next_seq = 0;
+        want = queue_capacity;
+        clock = { now = 0.0 };
+        executed = 0;
+      }
 
 let now t = t.clock.now
 let events_processed t = t.executed
@@ -204,6 +216,10 @@ let reset t =
   t.next_seq <- 0;
   t.clock.now <- 0.0;
   t.executed <- 0
+
+let retire t =
+  reset t;
+  Domain.DLS.set spare (Some t)
 
 (* [not (x >= y)] rather than [x < y]: it also refuses NaN, which
    compares false both ways and would otherwise enter the queue. *)

@@ -18,7 +18,9 @@ type outcome =
   | Event_limit  (** the [max_events] budget was exhausted *)
 
 val create : ?queue_capacity:int -> unit -> t
-(** A fresh engine with the clock at time [0.].  [queue_capacity] is a
+(** An engine with the clock at time [0.] and no pending events: the
+    domain's retired spare when its hint equals [queue_capacity] (see
+    {!retire}), a new one otherwise.  [queue_capacity] is a
     sizing hint for the event queue: a run whose peak number of pending
     events is roughly known allocates once instead of doubling up from
     16.  It sizes both parts of the queue: the heap of later events and
@@ -28,9 +30,21 @@ val create : ?queue_capacity:int -> unit -> t
 val reset : t -> unit
 (** Return the engine to its initial state — clock [0.], no pending
     events, zero executed — while keeping the event queue's grown
-    allocation.  Replica loops reuse one engine instead of paying the
-    queue regrowth per run.  The dropped events' closures are released,
-    so nothing they capture stays reachable from the engine. *)
+    allocation.  The dropped events' closures are released, so nothing
+    they capture stays reachable from the engine.  {!retire} resets
+    this way before it keeps the engine for the next run. *)
+
+val retire : t -> unit
+(** [retire t] resets [t] and keeps it as this domain's spare engine:
+    the next {!create} with the same [queue_capacity] hint returns it
+    instead of allocating a new queue, so protocol runs that retire
+    their engine pay the queue's arrays once per domain, not once per
+    run.  There is one spare per domain.  Any {!create} empties the
+    slot before it returns, so a run nested inside another, or one
+    that raised before retiring, builds a fresh engine; a [create]
+    with another hint drops the spare, so a spare of one size never
+    outlives the next create of another.  A retired engine must not be
+    used again. *)
 
 val now : t -> float
 (** Current virtual time. *)

@@ -199,6 +199,24 @@ let test_election_words_per_event () =
     Alcotest.failf "%.2f minor words per engine event, bound %.1f" per_event
       election_words_per_event_bound
 
+(* The same budget for flooding (Section 3's ARPANET baseline): an
+   untraced, registry-free run from node 0, one engine event per system
+   call and one per hop.  41.5 minor words per event measured. *)
+let flooding_words_per_event_bound = 43.0
+
+let test_flooding_words_per_event () =
+  let art = Cache.random_connected ~seed:11 ~n:1024 ~extra_edges:512 in
+  let graph = Topology.graph art in
+  let run () = Core.Flooding.run ~graph ~root:0 () in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let r = run () in
+  let words = Gc.minor_words () -. before in
+  let per_event = words /. float_of_int (r.syscalls + r.hops) in
+  if per_event > flooding_words_per_event_bound then
+    Alcotest.failf "%.2f minor words per engine event, bound %.1f" per_event
+      flooding_words_per_event_bound
+
 (* The heal op's allocation budget: generate a healing schedule and run
    it in liveness mode with the recovery layer on, the benchmark's heal
    shape, over eight fixed n=256 schedules.  Minor words per system
@@ -222,6 +240,37 @@ let test_heal_words_per_syscall () =
   if per_syscall > heal_words_per_syscall_bound then
     Alcotest.failf "%.2f minor words per syscall, bound %.1f" per_syscall
       heal_words_per_syscall_bound
+
+(* A protocol run retires its engine and its network's arrays for the
+   next run of the same size, so a repeat broadcast allocates directly
+   in the major heap only the per-run [handlers] array and the result's
+   [reached], about 2n words.  Direct major words are [major_words]
+   less [promoted_words]: 2.00n (8,194 words) measured, 15.50n (63,498)
+   when every run allocated its engine queue, link, FIFO, NCU and
+   metrics arrays afresh. *)
+let repeat_major_words_per_node_bound = 3.0
+
+let test_repeat_broadcast_major_words () =
+  let n = 4096 in
+  let art = Cache.random_connected ~seed:11 ~n ~extra_edges:(n / 2) in
+  let graph = Topology.graph art in
+  let precomputed = Topology.labelling art in
+  let routes = Topology.routes art ~chaos:None in
+  let run () =
+    ignore
+      (BP.run ~precomputed ?routes ~graph ~root:0 () : Core.Broadcast.result)
+  in
+  run ();
+  let before = Gc.quick_stat () in
+  run ();
+  let after = Gc.quick_stat () in
+  let direct =
+    after.Gc.major_words -. before.Gc.major_words
+    -. (after.Gc.promoted_words -. before.Gc.promoted_words)
+  in
+  if direct > repeat_major_words_per_node_bound *. float_of_int n then
+    Alcotest.failf
+      "repeat broadcast at n=%d: %.0f direct major words, bound %.1fn" n direct repeat_major_words_per_node_bound
 
 (* A network holds no record per link or per node: link state is one
    packed int per link and handler contexts are built at activation,
@@ -354,10 +403,14 @@ let suite =
       test_bpaths_words_per_event;
     Alcotest.test_case "election minor words per event" `Quick
       test_election_words_per_event;
+    Alcotest.test_case "flooding minor words per event" `Quick
+      test_flooding_words_per_event;
     Alcotest.test_case "heal minor words per syscall" `Quick
       test_heal_words_per_syscall;
     Alcotest.test_case "Network.create allocates O(1)" `Quick
       test_network_create_words;
+    Alcotest.test_case "a repeat broadcast allocates O(1) major words" `Quick
+      test_repeat_broadcast_major_words;
     QCheck_alcotest.to_alcotest qcheck_routes_match_reference;
     Alcotest.test_case "cache routes equal the reference" `Quick
       test_cache_routes_match_reference;

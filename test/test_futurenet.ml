@@ -33,6 +33,7 @@ let () =
       ("core.topo_maintenance", Suite_topo_maintenance.suite);
       ("core.inout", Suite_inout.suite);
       ("core.election", Suite_election.suite);
+      ("core.reuse", Suite_reuse.suite);
       ("core.election_baselines", Suite_election_baselines.suite);
       ("core.sensitive", Suite_sensitive.suite);
       ("core.optimal_tree", Suite_optimal_tree.suite);
