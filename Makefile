@@ -1,4 +1,4 @@
-.PHONY: all build test perfbench-selftest bench-parallel bench-scale bench-million bench-obs chaos chaos-smoke chaos-liveness query-smoke experiments figures examples clean
+.PHONY: all build test mutants perfbench-selftest bench-parallel bench-scale bench-million bench-obs chaos chaos-smoke chaos-liveness query-smoke experiments figures examples clean
 
 all: build
 
@@ -7,6 +7,14 @@ build:
 
 test:
 	dune runtest
+
+# Every gate can fail: each mutant listed in mutants/run.py (one exact
+# text replacement in one file, with the test case that must catch it)
+# is planted in a scratch copy of the checkout, rebuilt and run against
+# its test case.  Exits 1 naming any mutant that survives, 2 when a
+# mutant no longer applies.  Not part of `dune runtest`.
+mutants:
+	python3 mutants/run.py
 
 # The benchmark's own correctness gate (perfbench/, BENCHMARK.json):
 # genuine workload results pass, falsified ones and drifting exact

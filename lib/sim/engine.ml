@@ -1,29 +1,55 @@
-(* The event queue has two parts.
+(* The event queue has three parts.
 
-   The now-lane is a FIFO ring of the closures due at the current
-   instant ([time = now]): a zero-delay event costs one ring store and
-   one ring clear, not a heap push and pop.  The paper's free switching
-   (C = 0) makes every hop such an event.
+   The calendar is a ring of [k] FIFO lanes of closures.  An event due
+   at a whole-number time [T] with [now <= T < now + k] goes to lane
+   [T land (k - 1)]: the [k] whole numbers in that window fall in
+   distinct lanes, so a lane holds the events of one instant, and such
+   an event costs one ring store and one ring clear, not a heap push and
+   pop.  Under the paper's limiting model (C = 0, P = 1) every hop is
+   due at the current whole-number instant and every NCU activation one
+   unit after it, so nearly all traffic takes the calendar.  [first] in
+   the clock record is the time of the earliest non-empty lane, or
+   infinity.
 
-   The heap is a binary min-heap over (time, seq) for every later event,
+   The now-lane is one more FIFO ring, for the events due at the clock
+   when the clock is not a whole number.
+
+   The heap is a binary min-heap over (time, seq) for every other event,
    held in three parallel arrays of unboxed data: [times], [seqs] (which
    breaks time ties in scheduling order) and [slots], the index of the
    event's closure in [pool].  Sifting moves no pointers, so it runs no
    write barrier; a closure is stored once when pushed and cleared once
    when popped.  [free] is the stack of unused pool slots.
 
-   Order is (time, seq) exactly.  Events pop as: the heap root while its
-   time is [now], then the lane, then the heap root, which advances the
-   clock.  A heap entry at [now] was scheduled before the clock reached
-   [now], so it precedes every lane entry, which was scheduled at [now].
-   Every lane and pool slot that holds no pending event holds [idle], so
-   neither a fired closure nor one dropped by [reset] stays reachable
-   from the queue. *)
+   Order is (time, seq) exactly.  The next event is the earliest of the
+   heap root, the now-lane and the calendar's first lane, and a tie goes
+   to the heap root.  A heap entry at time [T] was scheduled while [T]
+   was outside the window or the clock was still below it; once [T] is
+   inside the window it stays there, since the clock only moves
+   forward, so every later event at [T] takes a lane and the heap entry
+   precedes it.  A horizon below the clock is the one backward move: it
+   flushes every lane into the heap first.  Every lane and pool slot that
+   holds no pending event holds [idle], so neither a fired closure nor
+   one dropped by [reset] stays reachable from the queue. *)
 let idle () = ()
 
-(* All-float record: the clock is stored unboxed, so advancing it per
-   event allocates nothing. *)
-type clock = { mutable now : float }
+(* Calendar lanes; a power of two.  Four take every activation of a
+   broadcast under the limiting model.  Wider windows were measured to
+   move the benchmark's maintenance peak heap through GC pacing, not
+   retention (DESIGN.md, "The simulator's own cost model"). *)
+let k = 4
+let window = Float.of_int k
+
+(* All-float record: the clock and the calendar's first time are stored
+   unboxed, so advancing either per event allocates nothing. *)
+type clock = { mutable now : float; mutable first : float }
+
+(* A FIFO ring: [len] closures from [head], wrapping. *)
+type lane = {
+  mutable ring : (unit -> unit) array;
+  mutable head : int;
+  mutable len : int;
+}
 
 type t = {
   mutable times : Float.Array.t;
@@ -32,9 +58,8 @@ type t = {
   mutable size : int;
   mutable pool : (unit -> unit) array;
   mutable free : int array;  (* [free.(0 .. capacity - size - 1)] *)
-  mutable lane : (unit -> unit) array;
-  mutable lane_head : int;
-  mutable lane_len : int;
+  calendar : lane array;  (* [k] lanes *)
+  now_lane : lane;
   mutable next_seq : int;
   want : int;  (* capacity hint for the first allocation *)
   clock : clock;
@@ -42,6 +67,8 @@ type t = {
 }
 
 type outcome = Quiescent | Time_limit | Event_limit
+
+let new_lane () = { ring = [||]; head = 0; len = 0 }
 
 (* One retired engine per domain, kept for the next [create] with the
    same hint.  Taking it empties the slot, and so does a [create] with
@@ -64,46 +91,61 @@ let create ?(queue_capacity = 0) () =
         size = 0;
         pool = [||];
         free = [||];
-        lane = [||];
-        lane_head = 0;
-        lane_len = 0;
+        calendar = Array.init k (fun _ -> new_lane ());
+        now_lane = new_lane ();
         next_seq = 0;
         want = queue_capacity;
-        clock = { now = 0.0 };
+        clock = { now = 0.0; first = infinity };
         executed = 0;
       }
 
 let now t = t.clock.now
 let events_processed t = t.executed
-let pending t = t.size + t.lane_len
+
+let pending t =
+  Array.fold_left (fun n lane -> n + lane.len) (t.size + t.now_lane.len) t.calendar
+
+(* Every lane is empty exactly when [first] is infinite. *)
+let[@inline] is_empty t =
+  t.size = 0 && t.now_lane.len = 0 && t.clock.first = infinity
 
 let[@inline] grown t cap = if cap = 0 then max t.want 16 else 2 * cap
 
-(* -- the now-lane ------------------------------------------------------- *)
+(* -- the lanes ---------------------------------------------------------- *)
 
-let grow_lane t =
-  let cap = Array.length t.lane in
-  let lane = Array.make (grown t cap) idle in
-  for i = 0 to t.lane_len - 1 do
-    lane.(i) <- t.lane.((t.lane_head + i) mod cap)
+let grow_lane t lane =
+  let cap = Array.length lane.ring in
+  let ring = Array.make (grown t cap) idle in
+  for i = 0 to lane.len - 1 do
+    ring.(i) <- lane.ring.((lane.head + i) mod cap)
   done;
-  t.lane <- lane;
-  t.lane_head <- 0
+  lane.ring <- ring;
+  lane.head <- 0
 
-let lane_push t f =
-  if t.lane_len = Array.length t.lane then grow_lane t;
-  let cap = Array.length t.lane in
-  let i = t.lane_head + t.lane_len in
-  Array.unsafe_set t.lane (if i >= cap then i - cap else i) f;
-  t.lane_len <- t.lane_len + 1
+let lane_push t lane f =
+  if lane.len = Array.length lane.ring then grow_lane t lane;
+  let cap = Array.length lane.ring in
+  let i = lane.head + lane.len in
+  Array.unsafe_set lane.ring (if i >= cap then i - cap else i) f;
+  lane.len <- lane.len + 1
 
-let[@inline] lane_pop t =
-  let h = t.lane_head in
-  let f = Array.unsafe_get t.lane h in
-  Array.unsafe_set t.lane h idle;
-  t.lane_head <- (if h + 1 = Array.length t.lane then 0 else h + 1);
-  t.lane_len <- t.lane_len - 1;
+let[@inline] lane_pop lane =
+  let h = lane.head in
+  let f = Array.unsafe_get lane.ring h in
+  Array.unsafe_set lane.ring h idle;
+  lane.head <- (if h + 1 = Array.length lane.ring then 0 else h + 1);
+  lane.len <- lane.len - 1;
   f
+
+let clear_lane lane =
+  while lane.len > 0 do
+    let (_ : unit -> unit) = lane_pop lane in
+    ()
+  done
+
+(* [T]'s lane, for a whole-number [T] inside the window. *)
+let[@inline] calendar_lane t time =
+  Array.unsafe_get t.calendar (Float.to_int time land (k - 1))
 
 (* -- the heap ----------------------------------------------------------- *)
 
@@ -211,26 +253,37 @@ let reset t =
     release t (Array.unsafe_get t.slots (t.size - 1));
     t.size <- t.size - 1
   done;
-  Array.fill t.lane 0 (Array.length t.lane) idle;
-  t.lane_len <- 0;
+  Array.iter clear_lane t.calendar;
+  clear_lane t.now_lane;
   t.next_seq <- 0;
   t.clock.now <- 0.0;
+  t.clock.first <- infinity;
   t.executed <- 0
 
 let retire t =
   reset t;
   Domain.DLS.set spare (Some t)
 
+(* [Float.is_integer] without its C call, for the finite times inside
+   the window. *)
+let[@inline] whole time = Float.of_int (Float.to_int time) = time
+
 (* [not (x >= y)] rather than [x < y]: it also refuses NaN, which
    compares false both ways and would otherwise enter the queue. *)
 let schedule_at t ~time f =
-  if not (time >= t.clock.now) then
+  let c = t.clock in
+  if not (time >= c.now) then
     invalid_arg
       (if Float.is_nan time then "Engine.schedule_at: time is NaN"
        else
          Printf.sprintf "Engine.schedule_at: time %g is before now %g" time
-           t.clock.now);
-  if time = t.clock.now then lane_push t f else push t time f
+           c.now);
+  if time < c.now +. window && whole time then begin
+    lane_push t (calendar_lane t time) f;
+    if time < c.first then c.first <- time
+  end
+  else if time = c.now then lane_push t t.now_lane f
+  else push t time f
 
 let schedule t ~delay f =
   if not (delay >= 0.0) then
@@ -241,46 +294,88 @@ let schedule t ~delay f =
 
 (* The time of the next event; the queue must not be empty. *)
 let[@inline] next_time t =
-  if t.lane_len > 0 then t.clock.now else Float.Array.unsafe_get t.times 0
+  let c = t.clock in
+  if t.now_lane.len > 0 then c.now
+  else if t.size > 0 && Float.Array.unsafe_get t.times 0 <= c.first then
+    Float.Array.unsafe_get t.times 0
+  else c.first
+
+(* Pop the first calendar lane's head, moving the clock to its time.
+   When that empties the lane, [first] moves on to the next non-empty
+   lane: the window's later whole numbers, in order. *)
+let calendar_pop t =
+  let c = t.clock in
+  let time = c.first in
+  c.now <- time;
+  let i = Float.to_int time land (k - 1) in
+  let lane = Array.unsafe_get t.calendar i in
+  let f = lane_pop lane in
+  if lane.len = 0 then begin
+    let d = ref 1 in
+    while !d < k && (Array.unsafe_get t.calendar ((i + !d) land (k - 1))).len = 0 do
+      incr d
+    done;
+    c.first <- (if !d = k then infinity else time +. Float.of_int !d)
+  end;
+  f
 
 (* Pop and run the next event in (time, seq) order; the queue must not
-   be empty. *)
+   be empty.  A tie goes to the heap root. *)
 let fire t =
+  let c = t.clock in
   let f =
-    if t.lane_len > 0
-       && not (t.size > 0 && Float.Array.unsafe_get t.times 0 = t.clock.now)
-    then lane_pop t
-    else begin
-      t.clock.now <- Float.Array.unsafe_get t.times 0;
+    if t.now_lane.len > 0
+       && not (t.size > 0 && Float.Array.unsafe_get t.times 0 = c.now)
+    then lane_pop t.now_lane
+    else if t.size > 0 && Float.Array.unsafe_get t.times 0 <= c.first then begin
+      c.now <- Float.Array.unsafe_get t.times 0;
       pop_root t
     end
+    else calendar_pop t
   in
   t.executed <- t.executed + 1;
   f ()
 
 let step t =
-  if pending t = 0 then false
+  if is_empty t then false
   else begin
     fire t;
     true
+  end
+
+(* Before the clock moves back, every lane's events join the heap at
+   their own times, earliest first and each lane in FIFO order: behind
+   every entry already there at the same time, which was scheduled
+   earlier.  The lanes are then empty, so the window may move back. *)
+let flush_lanes t =
+  let c = t.clock in
+  while t.now_lane.len > 0 do
+    push t c.now (lane_pop t.now_lane)
+  done;
+  if c.first < infinity then begin
+    for d = 0 to k - 1 do
+      let time = c.first +. Float.of_int d in
+      let lane = calendar_lane t time in
+      while lane.len > 0 do
+        push t time (lane_pop lane)
+      done
+    done;
+    c.first <- infinity
   end
 
 (* The next event's time decides the horizon, then one pop executes.
    An empty queue terminates as [Quiescent] before the budget is
    consulted, so a drained queue can never burn the remaining event
    budget into [Event_limit].  A horizon below the clock moves the clock
-   back; the lane's events, due at the old clock, then join the heap
-   behind every entry already there, keeping their order. *)
+   back, after the lanes are flushed into the heap. *)
 let run ?until ?max_events t =
   let budget = ref (match max_events with None -> max_int | Some m -> m) in
   let horizon = match until with None -> infinity | Some u -> u in
   let rec loop () =
-    if pending t = 0 then Quiescent
+    if is_empty t then Quiescent
     else if !budget <= 0 then Event_limit
     else if next_time t > horizon then begin
-      while t.lane_len > 0 do
-        push t t.clock.now (lane_pop t)
-      done;
+      if horizon < t.clock.now then flush_lanes t;
       t.clock.now <- horizon;
       Time_limit
     end

@@ -23,8 +23,10 @@ val create : ?queue_capacity:int -> unit -> t
     {!retire}), a new one otherwise.  [queue_capacity] is a
     sizing hint for the event queue: a run whose peak number of pending
     events is roughly known allocates once instead of doubling up from
-    16.  It sizes both parts of the queue: the heap of later events and
-    the FIFO of events due at the current instant.
+    16.  It sizes each part of the queue on its first use: the heap, the
+    FIFO of events due at a fractional current instant, and each FIFO
+    lane of the calendar that holds the events due at the next few
+    whole-number instants.
     @raise Invalid_argument if [queue_capacity] is negative. *)
 
 val reset : t -> unit

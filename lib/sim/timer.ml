@@ -12,9 +12,10 @@ let arm t ~delay f =
   t.armed <- true;
   let gen = t.generation in
   Engine.schedule t.engine ~delay (fun () ->
-      (* A superseded or cancelled arming leaves this event in the heap;
-         the generation check turns it into a no-op so cancellation is
-         O(1) and never perturbs the heap order other events see. *)
+      (* A superseded or cancelled arming leaves this event queued (in
+         the heap or a lane); the generation check turns it into a no-op
+         so cancellation is O(1) and never perturbs the order other
+         events see. *)
       if t.armed && t.generation = gen then begin
         t.armed <- false;
         t.fired <- t.fired + 1;

@@ -216,40 +216,48 @@ let test_queue_capacity_hint () =
    at delay 0, so that zero-delay pushes happen while same-time events
    from earlier instants are still queued; [Run] stops after a random
    number of events, often in the middle of a same-time batch; [Until]
-   offsets may fall below the clock, which moves the clock back. *)
-type spawn = Spawn of int * spawn list  (* delay, then the children it schedules *)
+   offsets may fall below the clock, which moves the clock back.
+   Delays and offsets mix whole numbers and halves, so the clock is
+   sometimes fractional and an event takes the now-lane, a calendar
+   lane or the heap; delays of 4 and more start outside the calendar's
+   window, and later pushes for the same instant land inside it. *)
+type spawn = Spawn of float * spawn list  (* delay, then the children it schedules *)
 
-type op = Push of spawn | Pop | Run of int | Until of int | Reset
+type op = Push of spawn | Pop | Run of int | Until of float | Reset
+
+(* 4 is the calendar's window edge, so it is drawn twice as often. *)
+let delay_gen =
+  QCheck.Gen.oneofl [ 0.0; 0.5; 1.0; 1.5; 2.0; 3.0; 3.5; 4.0; 4.0; 5.0; 6.5; 8.0 ]
 
 let spawn_gen =
-  let delay_gen = QCheck.Gen.(frequency [ (4, return 0); (1, int_range 1 2) ]) in
+  let kid_delay = QCheck.Gen.(frequency [ (3, return 0.0); (2, delay_gen) ]) in
   QCheck.Gen.(
     sized_size (int_bound 3)
     @@ fix (fun self depth ->
            let kids = if depth = 0 then return [] else list_size (int_bound 2) (self (depth - 1)) in
-           map2 (fun d k -> Spawn (d, k)) delay_gen kids))
+           map2 (fun d k -> Spawn (d, k)) kid_delay kids))
 
 let op_gen =
   QCheck.Gen.(
     frequency
       [
-        (3, map (fun d -> Push (Spawn (d, []))) (int_bound 3));
+        (3, map (fun d -> Push (Spawn (d, []))) delay_gen);
         (3, map (fun s -> Push s) spawn_gen);
         (3, return Pop);
         (1, map (fun k -> Run k) (int_bound 6));
-        (1, map (fun d -> Until d) (int_range (-3) 3));
+        (1, map (fun d -> Until d) (oneofl [ -3.0; -1.5; -0.5; 0.5; 1.0; 2.5; 4.0; 5.0 ]));
         (1, return Reset);
       ])
 
 let rec show_spawn (Spawn (d, kids)) =
-  if kids = [] then string_of_int d
-  else Printf.sprintf "%d(%s)" d (String.concat "," (List.map show_spawn kids))
+  if kids = [] then Printf.sprintf "%g" d
+  else Printf.sprintf "%g(%s)" d (String.concat "," (List.map show_spawn kids))
 
 let show_op = function
   | Push s -> "push+" ^ show_spawn s
   | Pop -> "pop"
   | Run k -> Printf.sprintf "run%d" k
-  | Until d -> Printf.sprintf "until%+d" d
+  | Until d -> Printf.sprintf "until%+g" d
   | Reset -> "reset"
 
 let qcheck_queue_interleavings =
@@ -262,14 +270,14 @@ let qcheck_queue_interleavings =
          each level, so both sides name an event the same way whatever
          order they fire in. *)
       let rec schedule id (Spawn (d, kids)) =
-        Sim.Engine.schedule e ~delay:(float_of_int d) (fun () ->
+        Sim.Engine.schedule e ~delay:d (fun () ->
             fired := id :: !fired;
             List.iteri (fun i k -> schedule (i :: id) k) kids)
       in
       (* the model: pending (time, id, children) in scheduling order, and a clock *)
       let pending = ref [] and clock = ref 0.0 and expected = ref [] in
       let model_push id (Spawn (d, kids)) =
-        pending := !pending @ [ (!clock +. float_of_int d, id, kids) ]
+        pending := !pending @ [ (!clock +. d, id, kids) ]
       in
       let model_pop () =
         match List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b) !pending with
@@ -296,7 +304,7 @@ let qcheck_queue_interleavings =
                 ignore (model_pop ())
               done
           | Until d ->
-              let until = !clock +. float_of_int d in
+              let until = !clock +. d in
               ignore (Sim.Engine.run ~until e);
               let rec drain () =
                 match !pending with
@@ -327,29 +335,118 @@ let[@inline never] schedule_watched e w slot ~delay =
   Weak.set w slot (Some f);
   Sim.Engine.schedule e ~delay f
 
+(* Schedule a watched closure at [delay], drop it with [reset] or fire
+   it with [run], and check that a full collection frees it. *)
+let check_released e ~setup ~delay ~fire what =
+  let w = Weak.create 1 in
+  setup ();
+  schedule_watched e w 0 ~delay;
+  if fire then ignore (Sim.Engine.run e) else Sim.Engine.reset e;
+  Gc.full_major ();
+  check_bool what false (Weak.check w 0)
+
 let test_queue_releases_closures () =
   let e = Sim.Engine.create () in
-  let w = Weak.create 2 in
-  schedule_watched e w 0 ~delay:1.0;
-  ignore (Sim.Engine.run e);
-  Gc.full_major ();
-  check_bool "fired closure collected" false (Weak.check w 0);
-  schedule_watched e w 1 ~delay:5.0;
-  Sim.Engine.reset e;
-  Gc.full_major ();
-  check_bool "reset-dropped closure collected" false (Weak.check w 1);
-  (* zero-delay events, fired and dropped alike *)
-  let w = Weak.create 2 in
-  schedule_watched e w 0 ~delay:0.0;
-  ignore (Sim.Engine.run e);
-  Gc.full_major ();
-  check_bool "fired zero-delay closure collected" false (Weak.check w 0);
-  schedule_watched e w 1 ~delay:0.0;
-  Sim.Engine.reset e;
-  Gc.full_major ();
-  check_bool "reset-dropped zero-delay closure collected" false (Weak.check w 1);
+  let at_zero () = Sim.Engine.reset e in
+  (* a fractional clock, so a zero-delay event takes the now-lane *)
+  let at_half () =
+    Sim.Engine.reset e;
+    ignore (Sim.Engine.run ~until:0.5 e)
+  in
+  List.iter
+    (fun (setup, delay, where) ->
+      List.iter
+        (fun fire ->
+          check_released e ~setup ~delay ~fire
+            (Printf.sprintf "%s closure %s collected" where
+               (if fire then "fired" else "reset-dropped")))
+        [ true; false ])
+    [
+      (at_zero, 5.0, "heap");
+      (at_zero, 1.0, "calendar-lane");
+      (at_zero, 0.0, "zero-delay calendar-lane");
+      (at_half, 0.0, "now-lane");
+    ];
   (* the engine must outlive the collections above, or they prove nothing *)
   check_int "engine still reachable" 0 (Sim.Engine.pending e)
+
+(* Log the names of fired events, in firing order, with their times. *)
+let logger e =
+  let log = ref [] in
+  let ev name () = log := (name, Sim.Engine.now e) :: !log in
+  (log, ev)
+
+let check_log what expected log =
+  Alcotest.(check (list (pair string (float 0.0)))) what expected (List.rev !log)
+
+(* An event at a whole-number time [T] scheduled while [T] is outside
+   the calendar's window goes to the heap; one scheduled for [T] once
+   the clock is near goes to [T]'s lane.  The heap entries were
+   scheduled first, so they fire first. *)
+let test_heap_before_lane_at_same_time () =
+  let e = Sim.Engine.create () in
+  let log, ev = logger e in
+  Sim.Engine.schedule_at e ~time:5.0 (ev "heap1");
+  Sim.Engine.schedule_at e ~time:2.0 (fun () ->
+      Sim.Engine.schedule_at e ~time:5.0 (ev "lane1");
+      Sim.Engine.schedule e ~delay:3.0 (ev "lane2"));
+  Sim.Engine.schedule_at e ~time:5.0 (ev "heap2");
+  ignore (Sim.Engine.run e);
+  check_log "heap entries first, then the lane"
+    [ ("heap1", 5.0); ("heap2", 5.0); ("lane1", 5.0); ("lane2", 5.0) ]
+    log
+
+(* A horizon below the clock moves it back while the now-lane and the
+   calendar lanes hold events; they join the heap in order, and events
+   scheduled after the move fall in behind them at equal times. *)
+let test_backward_until_keeps_order () =
+  let e = Sim.Engine.create () in
+  let log, ev = logger e in
+  Sim.Engine.schedule_at e ~time:1.5 (fun () ->
+      ev "x" ();
+      Sim.Engine.schedule e ~delay:0.0 (ev "y");
+      Sim.Engine.schedule e ~delay:0.5 (ev "z"));
+  Sim.Engine.schedule_at e ~time:2.0 (ev "b");
+  Sim.Engine.schedule_at e ~time:3.0 (ev "d");
+  check_bool "stopped after x" true
+    (Sim.Engine.run ~max_events:1 e = Sim.Engine.Event_limit);
+  check_bool "horizon below the clock" true
+    (Sim.Engine.run ~until:1.0 e = Sim.Engine.Time_limit);
+  check_float "clock moved back" 1.0 (Sim.Engine.now e);
+  check_int "nothing lost" 4 (Sim.Engine.pending e);
+  Sim.Engine.schedule_at e ~time:1.5 (ev "w");
+  Sim.Engine.schedule_at e ~time:2.0 (ev "e");
+  Sim.Engine.schedule_at e ~time:5.0 (ev "g");
+  Sim.Engine.schedule_at e ~time:1.0 (ev "h");
+  ignore (Sim.Engine.run e);
+  check_log "(time, seq) order"
+    [
+      ("x", 1.5); ("h", 1.0); ("y", 1.5); ("w", 1.5); ("b", 2.0); ("z", 2.0);
+      ("e", 2.0); ("d", 3.0); ("g", 5.0);
+    ]
+    log
+
+(* A retired engine comes back from [create] with every lane empty:
+   nothing it held fires, and it orders new events like a fresh one. *)
+let test_retire_then_create_lanes_empty () =
+  let hint = 37 in
+  let e = Sim.Engine.create ~queue_capacity:hint () in
+  let log, ev = logger e in
+  ignore (Sim.Engine.run ~until:0.5 e);
+  Sim.Engine.schedule e ~delay:0.0 (ev "now-lane");
+  Sim.Engine.schedule e ~delay:1.5 (ev "calendar");
+  Sim.Engine.schedule e ~delay:9.0 (ev "heap");
+  Sim.Engine.retire e;
+  let e' = Sim.Engine.create ~queue_capacity:hint () in
+  check_bool "the spare is reused" true (e == e');
+  check_int "no pending" 0 (Sim.Engine.pending e');
+  check_float "clock at 0" 0.0 (Sim.Engine.now e');
+  check_bool "quiescent" true (Sim.Engine.run e' = Sim.Engine.Quiescent);
+  check_int "nothing ran" 0 (Sim.Engine.events_processed e');
+  Sim.Engine.schedule e' ~delay:2.0 (ev "b");
+  Sim.Engine.schedule e' ~delay:1.0 (ev "a");
+  ignore (Sim.Engine.run e');
+  check_log "only the new events, in order" [ ("a", 1.0); ("b", 2.0) ] log
 
 let suite =
   [
@@ -378,4 +475,10 @@ let suite =
     Alcotest.test_case "queue releases closures" `Quick
       test_queue_releases_closures;
     QCheck_alcotest.to_alcotest qcheck_queue_interleavings;
+    Alcotest.test_case "heap before lane at the same time" `Quick
+      test_heap_before_lane_at_same_time;
+    Alcotest.test_case "backward until keeps order" `Quick
+      test_backward_until_keeps_order;
+    Alcotest.test_case "retire then create: lanes empty" `Quick
+      test_retire_then_create_lanes_empty;
   ]
