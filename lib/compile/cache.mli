@@ -8,10 +8,10 @@
     their key; a first-touch race can at worst build twice and keep
     one winner.
 
-    The cache never invalidates graphs — keys are immutable
-    descriptions, not live network state.  What does invalidate is the
-    route table inside an artifact: {!Topology.routes} refuses to hand
-    out compiled routes while a {!Hardware.Fault_plan} is armed. *)
+    The cache never invalidates anything — keys are immutable
+    descriptions, not live network state, and an artifact's compiled
+    routes stay valid under a {!Hardware.Fault_plan} (see
+    {!Topology.routes}). *)
 
 type stats = { hits : int; misses : int; evictions : int }
 

@@ -1,14 +1,13 @@
 module Graph = Netgraph.Graph
 module Tree = Netgraph.Tree
 module Labels = Core.Labels
-module Anr = Hardware.Anr
 
 (* A compiled-topology artifact: the CSR graph plus the derived setup
    products every scenario used to rebuild per run — BFS tree, Section
    3.1 labelling/path decomposition, and the compiled ANR route table
-   of the branching-paths broadcast.  The derived fields fill lazily
-   under a per-artifact lock, so concurrent sweep replicas sharing one
-   artifact each pay at most one build. *)
+   of the branching-paths broadcast with its BFS parent array.  The
+   derived fields fill lazily under a per-artifact lock, so concurrent
+   sweep replicas sharing one artifact each pay at most one build. *)
 
 type key = {
   family : string;  (* builder family, e.g. "random-connected" *)
@@ -24,7 +23,7 @@ type t = {
   lock : Mutex.t;
   mutable tree : Tree.t option;
   mutable labelling : Labels.t option;
-  mutable routes : Anr.route array array option;
+  mutable routes : Core.Branching_paths.compiled option;
 }
 
 let create ~key graph =
@@ -72,12 +71,7 @@ let routes_u t =
 let tree t = locked t (fun () -> tree_u t)
 let labelling t = locked t (fun () -> labelling_u t)
 
-let routes t ~chaos =
-  match chaos with
-  | Some _ ->
-      (* a fault plan mutates the live topology; compiled routes from
-         the pristine graph must not be replayed across the mutation,
-         so an armed plan invalidates them — callers fall back to
-         building headers from walks at send time *)
-      None
-  | None -> Some (locked t (fun () -> routes_u t))
+(* [~chaos] is ignored: a broadcast's routes are a function of the
+   root's view when it starts, which a fault plan does not change.  It
+   stays, with the option, until the benchmark stops passing it. *)
+let routes t ~chaos:_ = Some (locked t (fun () -> routes_u t))

@@ -3,10 +3,11 @@
     One artifact bundles a scenario's whole setup product: the CSR
     graph, its BFS spanning tree rooted at node 0, the Section 3.1
     labelling / path decomposition, and the compiled ANR route table
-    of the branching-paths broadcast.  Artifacts are built once —
-    usually through {!Cache} — and shared by bench iterations, sweep
-    replicas, chaos schedules and experiment rows, so per-run cost is
-    algorithm execution, not scenario reconstruction.
+    of the branching-paths broadcast with its BFS parent array.
+    Artifacts are built once — usually through {!Cache} — and shared
+    by bench iterations, sweep replicas, chaos schedules and
+    experiment rows, so per-run cost is algorithm execution, not
+    scenario reconstruction.
 
     Derived fields fill lazily under a per-artifact mutex: sharing an
     artifact across pool workers is safe, and each field is computed
@@ -38,14 +39,17 @@ val tree : t -> Netgraph.Tree.t
 val labelling : t -> Core.Labels.t
 (** The labelling / path decomposition of {!tree}. *)
 
-val routes : t -> chaos:Hardware.Fault_plan.t option -> Hardware.Anr.route array array option
-(** The branching-paths route table,
+val routes :
+  t -> chaos:Hardware.Fault_plan.t option -> Core.Branching_paths.compiled option
+(** The branching-paths route table and BFS parent array,
     [Core.Branching_paths.compile_routes (graph t) ~root:0]: element
-    [v] holds the compiled copy-all headers of
+    [v] of the table holds the compiled copy-all headers of
     [Labels.paths_from (labelling t) v] in path order, built without
-    the tree or the labelling.  Returns [None] when a fault plan is
-    armed: the plan mutates the live topology, and compiled routes must never be
-    replayed across such a mutation — callers then rebuild headers
-    from walks at send time (the route cache is invalidated, the
-    graph and labelling remain valid because broadcasts compute them
-    from the static view). *)
+    the tree or the labelling, once per artifact.  A fault plan does
+    not invalidate it: a broadcast's routes are a function of the
+    root's view when it starts, which a plan does not change, and a
+    header over a failed link is dropped at that link like any other
+    packet.
+
+    [~chaos] is ignored and the option is always [Some]: both are shims
+    kept for the benchmark's callers, to go with its next revision. *)

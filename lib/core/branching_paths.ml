@@ -1,9 +1,10 @@
 module Graph = Netgraph.Graph
-module Tree = Netgraph.Tree
 module Network = Hardware.Network
 
+type compiled = { table : Hardware.Anr.route array array; parent : int array }
+
 type msg =
-  | Data of { origin : int; labelling : Labels.t; attempt : int }
+  | Data of { origin : int; routes : compiled; attempt : int }
       (** the broadcast payload; [attempt] > 0 marks a retransmission
           (relays forward once per attempt, acceptance is idempotent) *)
   | Ack of { src : int }  (** delivery acknowledgement back to the origin *)
@@ -39,7 +40,9 @@ let publish_paths ctx k =
    (4) the same-label child continuing a chain, unique by Lemma 1;
    (5) each head's chains, in ascending child order, written straight
        into ANR codes: a copy on every hop after the first, then the
-       NCU. *)
+       NCU.
+   The BFS [parent] array ships beside the table: recovery acks climb
+   it to the root. *)
 let compile_routes ?edge_up graph ~root =
   let n = Graph.n graph in
   let up e =
@@ -143,62 +146,68 @@ let compile_routes ?edge_up graph ~root =
       end
     end
   done;
-  table
+  { table; parent }
+
+(* The root's table over its view: the network graph with every link
+   the view lacks masked out, so the headers carry the network's local
+   link indices and the tree is [tree_for ~view ~root]. *)
+let compile_view ~graph ~view ~root =
+  if view == graph then compile_routes graph ~root
+  else begin
+    let in_view = Array.make (Graph.m graph) false in
+    for u = 0 to Graph.n graph - 1 do
+      for i = 1 to Graph.degree graph u do
+        let e = Graph.edge_id graph u i in
+        let v = Graph.edge_target graph e in
+        if u < v && Graph.has_edge view u v then
+          in_view.(Graph.edge_uid graph e) <- true
+      done
+    done;
+    compile_routes ~edge_up:(Array.get in_view) graph ~root
+  end
 
 let send_route ctx m route = Network.send_compiled ~label:"bpaths" ctx ~route m
 
-let send_path ctx m walk =
-  Network.send_walk ~label:"bpaths" ~copy_at:(fun _ -> true) ctx ~walk m
-
-(* Ship [m] over every path leaving this head.  With multicast one
+(* Ship [m] over every path this node heads.  With multicast one
    activation ships them all (they leave through distinct child links,
    which the PARIS primitive covers); without it (ablation) each further
    path needs its own software activation. *)
-let ship ~multicast ctx m paths send =
+let send_paths ~multicast ctx routes m =
+  let paths = routes.table.(Network.self ctx) in
   let count = Array.length paths in
   publish_paths ctx count;
   if multicast then
     for i = 0 to count - 1 do
-      send ctx m paths.(i)
+      send_route ctx m paths.(i)
     done
   else if count > 0 then begin
-    send ctx m paths.(0);
+    send_route ctx m paths.(0);
     let rec drain i =
       if i < count then
         Network.set_timer ~label:"bpaths-extra" ctx ~delay:0.0 (fun () ->
-            send ctx m paths.(i);
+            send_route ctx m paths.(i);
             drain (i + 1))
     in
     drain 1
   end
 
-(* Over the head's compiled routes when a route table is supplied, else
-   over walk-built headers — the compiled route of a path is exactly the
-   header [send_walk] would build, so both arms produce the same
-   packets. *)
-let send_paths ~multicast ~routes ctx labelling m =
-  let self = Network.self ctx in
-  match routes with
-  | Some table -> ship ~multicast ctx m table.(self) send_route
-  | None ->
-      ship ~multicast ctx m (Array.of_list (Labels.paths_from labelling self)) send_path
-
 (* One handler record serves every node of a run: each handler reads
    its node from the context, so a run builds no per-node closures. *)
-let spec ?precomputed ?routes ?recovery ~multicast ~reached ~view =
+let spec ?precomputed:_ ?routes ?recovery ~multicast ~reached ~view =
   let handlers =
     {
       Network.on_start =
         (fun ctx ->
           let root = Network.self ctx in
-          let labelling =
-            match precomputed with
-            | Some l -> l
-            | None -> Labels.compute (tree_for ~view ~root)
+          let routes =
+            match routes with
+            | Some r -> r
+            | None ->
+                let graph = Network.graph (Network.network ctx) in
+                compile_view ~graph ~view ~root
           in
           let send attempt =
-            send_paths ~multicast ~routes ctx labelling
-              (Data { origin = root; labelling; attempt })
+            send_paths ~multicast ctx routes (Data { origin = root; routes; attempt })
           in
           send 0;
           match recovery with
@@ -222,24 +231,17 @@ let spec ?precomputed ?routes ?recovery ~multicast ~reached ~view =
               in
               reached.(v) <- true;
               if relay then
-                (* the message shares the root's labelling: every relay
-                   would recompute the identical decomposition from the
-                   same tree description, so the paper's "tree
-                   description in the message" is carried as the
-                   decomposition itself *)
-                send_paths ~multicast ~routes ctx d.labelling m;
+                (* the message carries the root's compiled table, the
+                   paper's "tree description in the message": every
+                   head ships its own row *)
+                send_paths ~multicast ctx d.routes m;
               match recovery with
-              | Some _ when relay -> (
+              | Some _ when relay ->
                   (* acknowledge this attempt up the broadcast tree; a
                      lost ack is healed by the next retransmission
                      re-triggering it *)
-                  match
-                    Broadcast.Recovery.ack_walk (Labels.tree d.labelling) v
-                  with
-                  | Some walk ->
-                      Network.send_walk ~label:"bpaths-ack" ctx ~walk
-                        (Ack { src = v })
-                  | None -> ())
+                  Broadcast.Recovery.send_ack ~label:"bpaths-ack" ctx
+                    ~parent:d.routes.parent (Ack { src = v })
               | _ -> ())
           | Ack { src } -> (
               match recovery with
@@ -250,13 +252,9 @@ let spec ?precomputed ?routes ?recovery ~multicast ~reached ~view =
   in
   fun _ -> handlers
 
-let run ?(config = Broadcast.default_config ()) ?(multicast = true) ?precomputed
+let run ?(config = Broadcast.default_config ()) ?(multicast = true) ?precomputed:_
     ?routes ~graph ~root () =
-  (* a fault plan mutates topology mid-run: conservatively drop any
-     pre-compiled route table and rebuild headers from walks at send
-     time, so chaos never replays routes across the mutation *)
-  let routes = if config.Broadcast.chaos <> None then None else routes in
   let recovery = Broadcast.Recovery.create config ~n:(Graph.n graph) ~root in
   Broadcast.execute ~config ~graph ~root
-    ~spec:(spec ?precomputed ?routes ?recovery ~multicast)
+    ~spec:(spec ?precomputed:None ?routes ?recovery ~multicast)
     ()

@@ -16,17 +16,27 @@
       so a link failure silently truncates the affected paths and the
       maintenance protocol converges (Theorem 1). *)
 
+type compiled = {
+  table : Hardware.Anr.route array array;
+      (** [table.(v)]: the compiled copy-all headers of the chains [v]
+          heads, in ascending order of their first child *)
+  parent : int array;
+      (** the BFS tree's parent of each node; [-1] at the root and
+          outside its component *)
+}
+(** A broadcast tree compiled for the switching fabric
+    ({!compile_routes}). *)
+
 type msg =
   | Data of {
       origin : int;  (** the broadcasting node *)
-      labelling : Labels.t;
-          (** the broadcast tree's labelling and path decomposition —
-              the "tree description" the paper puts in the message so
-              path heads recognise themselves.  Every relay would
-              recompute the identical decomposition from the same tree,
-              so the message shares the root's artifact instead of
-              shipping raw edges and re-labelling at every head (which
-              made setup quadratic). *)
+      routes : compiled;
+          (** the broadcast tree's compiled route table and parent
+              array — the "tree description" the paper puts in the
+              message.  The root compiles it once (or ships one
+              compiled ahead of time); each relay ships its own row
+              and each recovery ack climbs [parent], so no node builds
+              a header from a walk. *)
       attempt : int;
           (** 0 for the original broadcast; [k > 0] marks the [k]-th
               retransmission under recovery.  Relays forward once per
@@ -48,24 +58,29 @@ val predicted_time_units : Netgraph.Tree.t -> int
     is the root's own trigger activation). *)
 
 val compile_routes :
-  ?edge_up:(int -> bool) ->
-  Netgraph.Graph.t ->
-  root:int ->
-  Hardware.Anr.route array array
+  ?edge_up:(int -> bool) -> Netgraph.Graph.t -> root:int -> compiled
 (** The branching-paths route table of [root]'s minimum-hop spanning
     tree over the links [edge_up] keeps (an undirected-edge-id
-    predicate, default all): element [v] holds the compiled copy-all
-    headers of the chains [v] heads, in ascending order of their first
-    child ([[||]] for nodes that head no chain or lie outside [root]'s
-    component).  It equals compiling
-    [Labels.paths_from (Labels.compute (Netgraph.Spanning.bfs_tree
-    ?edge_up graph ~root)) v] walk by walk, but builds no tree, no
-    labelling and no list: one masked BFS over the CSR and a few
-    int arrays of length [n] (DESIGN.md §12). *)
+    predicate, default all), with that tree's parent array: element
+    [v] of the table holds the compiled copy-all headers of the chains
+    [v] heads, in ascending order of their first child ([[||]] for
+    nodes that head no chain or lie outside [root]'s component).  The
+    table equals compiling [Labels.paths_from (Labels.compute
+    (Netgraph.Spanning.bfs_tree ?edge_up graph ~root)) v] walk by
+    walk, but builds no tree, no labelling and no list: one masked BFS
+    over the CSR and a few int arrays of length [n] (DESIGN.md §12). *)
+
+val compile_view :
+  graph:Netgraph.Graph.t -> view:Netgraph.Graph.t -> root:int -> compiled
+(** [root]'s table over its view: {!compile_routes} over the network
+    [graph] with every link [view] lacks masked out, so the tree is
+    [tree_for ~view ~root] and the headers carry [graph]'s local link
+    indices.  [view] is a subgraph of [graph] on the same nodes;
+    [view == graph] compiles unmasked. *)
 
 val spec :
   ?precomputed:Labels.t ->
-  ?routes:Hardware.Anr.route array array ->
+  ?routes:compiled ->
   ?recovery:Broadcast.Recovery.t ->
   multicast:bool ->
   reached:bool array ->
@@ -78,21 +93,21 @@ val spec :
     handler takes its node from [Network.self ctx], so a run allocates
     no per-node handlers.
 
-    [precomputed] is the labelling of [tree_for ~view ~root] computed
-    ahead of time (e.g. by a {!Compile.Topology} artifact); the root
-    skips its setup step and ships it directly.  [routes] is the
-    matching compiled route table — [routes.(v)] holds the compiled
-    copy-all headers of [Labels.paths_from labelling v], in the same
-    order — letting every head skip per-send header construction.
-    Both are pure amortisations: the run's packets, metrics and
-    timings are identical with or without them, which
-    test/suite_compile.ml checks. *)
+    [routes] is the root's compiled tree, computed ahead of time (e.g.
+    by a {!Compile.Topology} artifact); without it the root compiles
+    [compile_view ~graph ~view ~root] once, at start.  Either way every
+    send, relay and ack ships a compiled header, fault plan or not,
+    and the run's packets, metrics and timings are the same, which
+    test/suite_compile.ml checks.
+
+    [precomputed] is ignored: a shim kept for the benchmark's callers,
+    to go with its next revision. *)
 
 val run :
   ?config:Broadcast.config ->
   ?multicast:bool ->
   ?precomputed:Labels.t ->
-  ?routes:Hardware.Anr.route array array ->
+  ?routes:compiled ->
   graph:Netgraph.Graph.t ->
   root:int ->
   unit ->
@@ -103,12 +118,13 @@ val run :
     costs one time unit.  With [multicast:false] each path costs its
     own activation (ablation A1): the broadcast stays at n deliveries
     but its completion time degrades from O(log n) toward
-    O(log n * max-degree).
+    O(log n * max-degree).  [routes] and [precomputed] are as in
+    {!spec}.
 
-    When [config.chaos] carries a fault plan, [routes] is ignored: the
-    plan mutates topology mid-run, and compiled routes must never be
-    replayed across such a mutation (see {!Compile.Topology.routes},
-    which refuses to hand them out in the first place).
+    Under a fault plan ([config.chaos]) the run ships the same compiled
+    routes: they are a function of the root's view when it starts,
+    which the plan does not change, and a header that meets a failed
+    link is dropped there as the hardware drops any packet.
 
     When [config.recover] is set, the run is self-healing: receivers
     acknowledge each accepted attempt up the broadcast tree and the

@@ -133,15 +133,30 @@ module Recovery = struct
     in
     arm ()
 
-  (* The ack route: up the broadcast tree from [v] to its root — a
-     path of the static graph, so it is valid again once every fault
-     has healed.  [None] when [v] is the root or outside the tree. *)
-  let ack_walk tree v =
-    if not (Netgraph.Tree.mem tree v) then None
-    else
-      match List.rev (Netgraph.Tree.path_from_root tree v) with
-      | _ :: _ :: _ as walk -> Some walk
-      | _ -> None
+  (* The ack route: up the broadcast tree from [v] to its root, one
+     plain hop per [parent] step — a path of the static graph, so it is
+     valid again once every fault has healed. *)
+  let ack_route graph ~parent v =
+    (* the nodes of the climb, [v] and the root included *)
+    let len = ref 1 and u = ref v in
+    while parent.(!u) >= 0 do
+      incr len;
+      u := parent.(!u)
+    done;
+    let codes = Array.make !len 0 in
+    let u = ref v in
+    for i = 0 to !len - 2 do
+      let p = parent.(!u) in
+      codes.(i) <- Graph.link_index graph !u p lsl 1;
+      u := p
+    done;
+    Hardware.Anr.route_of_codes codes
+
+  let send_ack ~label ctx ~parent m =
+    let v = Network.self ctx in
+    if parent.(v) >= 0 then
+      let graph = Network.graph (Network.network ctx) in
+      Network.send_compiled ~label ctx ~route:(ack_route graph ~parent v) m
 end
 
 type 'msg spec =

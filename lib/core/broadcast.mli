@@ -86,9 +86,17 @@ module Recovery : sig
       number (1-based) and re-arms under capped exponential backoff;
       an exhausted budget counts one [recover.give_ups] and stops. *)
 
-  val ack_walk : Netgraph.Tree.t -> int -> int list option
-  (** The walk from a member node up the broadcast tree to its root
-      ([None] at the root itself or off-tree). *)
+  val ack_route :
+    Netgraph.Graph.t -> parent:int array -> int -> Hardware.Anr.route
+  (** [ack_route graph ~parent v] is the header that climbs the BFS
+      [parent] array (the root's is [-1]) from [v] to the root and
+      delivers there, with no copies: the compiled form of the walk up
+      the broadcast tree.  [v] must be a non-root member of the tree. *)
+
+  val send_ack :
+    label:string -> 'msg Hardware.Network.context -> parent:int array -> 'msg -> unit
+  (** Send [m] from this node to the root over its {!ack_route}; a no-op
+      at the root and at nodes outside the tree ([parent.(v) < 0]). *)
 end
 
 (** {1 Internal executor used by the algorithm modules} *)

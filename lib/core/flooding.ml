@@ -9,12 +9,15 @@ let forward ctx ~except m =
   let self = Network.self ctx in
   let net = Network.network ctx in
   let forwarded = ref 0 in
-  (* allocation-free scan of the up links; same increasing-peer order
-     as the old [Network.neighbors] list *)
-  Network.iter_active_neighbors net self (fun peer ->
+  (* a list-free scan of the up links, in increasing-peer order; each
+     copy goes out over a compiled one-hop route, [i] being the link's
+     local index here *)
+  Network.iter_active_neighbors net self (fun i peer ->
       if Some peer <> except then begin
         incr forwarded;
-        Network.send_walk ~label:"flood" ctx ~walk:[ self; peer ] m
+        Network.send_compiled ~label:"flood" ctx
+          ~route:(Hardware.Anr.route_of_codes [| i lsl 1; 0 |])
+          m
       end);
   if !forwarded > 0 then
     match Network.registry (Network.network ctx) with
@@ -23,11 +26,12 @@ let forward ctx ~except m =
           (Hardware.Registry.counter r "flood.forwards") !forwarded
     | _ -> ()
 
-(* [ack_tree] (recovery only) is a BFS tree of the root's view: the
-   fixed routes acks climb to reach the root.  One handler record
-   serves every node of a run: each handler reads its node from the
-   context, and [seen_attempt.(v)] is the last attempt [v] flooded. *)
-let spec ?recovery ?ack_tree ~reached ~view:_ =
+(* [ack_parent] (recovery only) is the BFS parent array of the root's
+   view, the one the branching-paths compiler builds: the fixed routes
+   acks climb to reach the root.  One handler
+   record serves every node of a run: each handler reads its node from
+   the context, and [seen_attempt.(v)] is the last attempt [v] flooded. *)
+let spec ?recovery ?ack_parent ~reached ~view:_ =
   let seen_attempt = Array.make (Array.length reached) (-1) in
   let handlers =
     {
@@ -52,13 +56,10 @@ let spec ?recovery ?ack_tree ~reached ~view:_ =
               if d.attempt > seen_attempt.(v) then begin
                 seen_attempt.(v) <- d.attempt;
                 forward ctx ~except:via m;
-                match (recovery, ack_tree) with
-                | Some _, Some tree -> (
-                    match Broadcast.Recovery.ack_walk tree v with
-                    | Some walk ->
-                        Network.send_walk ~label:"flood-ack" ctx ~walk
-                          (Ack { src = v })
-                    | None -> ())
+                match (recovery, ack_parent) with
+                | Some _, Some parent ->
+                    Broadcast.Recovery.send_ack ~label:"flood-ack" ctx ~parent
+                      (Ack { src = v })
                 | _ -> ()
               end
           | Ack { src } -> (
@@ -72,11 +73,11 @@ let spec ?recovery ?ack_tree ~reached ~view:_ =
 
 let run ?(config = Broadcast.default_config ()) ~graph ~root () =
   let recovery = Broadcast.Recovery.create config ~n:(Graph.n graph) ~root in
-  let ack_tree =
+  let ack_parent =
     match recovery with
     | None -> None
     | Some _ ->
         let view = Option.value ~default:graph config.Broadcast.view in
-        Some (Netgraph.Spanning.bfs_tree view ~root)
+        Some (Branching_paths.compile_view ~graph ~view ~root).parent
   in
-  Broadcast.execute ~config ~graph ~root ~spec:(spec ?recovery ?ack_tree) ()
+  Broadcast.execute ~config ~graph ~root ~spec:(spec ?recovery ?ack_parent) ()

@@ -18,7 +18,7 @@ type msg =
 
 val spec :
   ?recovery:Broadcast.Recovery.t ->
-  ?ack_tree:Netgraph.Tree.t ->
+  ?ack_parent:int array ->
   reached:bool array ->
   view:Netgraph.Graph.t ->
   int ->
@@ -26,8 +26,9 @@ val spec :
 (** Low-level handler factory, for embedding in custom harnesses.
     [spec ... ~reached ~view] builds one handler record per run and
     returns it for every node: each handler takes its node from
-    [Network.self ctx].  [ack_tree] must accompany [recovery]: the
-    fixed tree acks climb. *)
+    [Network.self ctx].  [ack_parent] must accompany [recovery]: the
+    BFS parent array of the view, which acks climb
+    ({!Broadcast.Recovery.send_ack}). *)
 
 val run :
   ?config:Broadcast.config ->

@@ -226,8 +226,9 @@ let run ?(params = default_params ()) ?(chaos = []) ~graph ~events () =
         let version = Topology.version st.db in
         if st.routes_at <> version then begin
           st.routes <-
-            Branching_paths.compile_routes graph ~root:v
-              ~edge_up:(Topology.believes st.db);
+            (Branching_paths.compile_routes graph ~root:v
+               ~edge_up:(Topology.believes st.db))
+              .table;
           st.routes_at <- version
         end;
         let m = { origin = v; seq = st.seq; views; routes = st.routes } in

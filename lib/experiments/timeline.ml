@@ -80,7 +80,7 @@ let broadcast_timeline ~algorithm ~graph ~root =
       execute
         (Core.Branching_paths.spec ?precomputed:None ?routes:None
            ?recovery:None ~multicast:true)
-  | `Flooding -> execute (Core.Flooding.spec ?recovery:None ?ack_tree:None)
+  | `Flooding -> execute (Core.Flooding.spec ?recovery:None ?ack_parent:None)
 
 let run () =
   let g = Netgraph.Builders.grid ~rows:4 ~cols:4 in

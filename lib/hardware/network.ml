@@ -214,7 +214,12 @@ let publish_distributions t =
    exactly the time of the last Receive/Syscall event a trace would
    have recorded — available even with tracing off. *)
 let last_activation_time t =
-  Array.fold_left Float.max 0.0 t.ncu_busy_until
+  let last = ref 0.0 in
+  for v = 0 to Array.length t.ncu_busy_until - 1 do
+    let b = t.ncu_busy_until.(v) in
+    if b > !last then last := b
+  done;
+  !last
 
 let link_id t u v =
   match Graph.undirected_edge_id t.graph u v with
@@ -246,7 +251,7 @@ let iter_active_neighbors t u f =
   let deg = Graph.degree g u in
   for i = 1 to deg do
     let e = Graph.edge_id g u i in
-    if word_up t.link.(Graph.edge_uid g e) then f (Graph.edge_target g e)
+    if word_up t.link.(Graph.edge_uid g e) then f i (Graph.edge_target g e)
   done
 
 
@@ -256,10 +261,14 @@ let iter_active_neighbors t u f =
    triggering event has arrived and the processor is free, and
    completes one software delay later; effects of [f] (sends, state
    changes) take place at completion.  [msg_id >= 0] marks a packet
-   delivery; a negative id a software activation. *)
+   delivery; a negative id a software activation.  Times here are
+   never NaN (the engine refuses them), so a plain comparison takes
+   the later of two: [Float.max] would cost a C call per activation
+   and per hop. *)
 let activate t v ~label ~msg_id f =
   let arrival = Sim.Engine.now t.engine in
-  let start = Float.max arrival t.ncu_busy_until.(v) in
+  let busy = t.ncu_busy_until.(v) in
+  let start = if arrival >= busy then arrival else busy in
   let finish = start +. t.cost.Cost_model.sys_delay () in
   t.ncu_busy_until.(v) <- finish;
   Sim.Engine.schedule_at t.engine ~time:finish (fun () ->
@@ -341,7 +350,8 @@ let rec switch t u ~via route cursor ~label ~msg_id payload =
           let proposed = now +. t.cost.Cost_model.hop_delay () in
           (* FIFO per directed link: never deliver before an earlier
              packet on the same link. *)
-          let arrival = Float.max proposed t.fifo.(dedge) in
+          let queued = t.fifo.(dedge) in
+          let arrival = if proposed >= queued then proposed else queued in
           t.fifo.(dedge) <- arrival;
           Metrics.record_hop t.metrics;
           (match t.obs with

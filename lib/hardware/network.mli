@@ -132,10 +132,11 @@ val preset_link : 'msg t -> int -> int -> up:bool -> unit
 val link_is_up : 'msg t -> int -> int -> bool
 val active_neighbors : 'msg t -> int -> int list
 
-val iter_active_neighbors : 'msg t -> int -> (int -> unit) -> unit
-(** [iter_active_neighbors t u f] applies [f] to each neighbour of [u]
-    whose link is currently up, in increasing peer order — the same
-    sequence as {!active_neighbors} without materialising the list.
+val iter_active_neighbors : 'msg t -> int -> (int -> int -> unit) -> unit
+(** [iter_active_neighbors t u f] applies [f i peer] to each neighbour
+    [peer] of [u] whose link is currently up, [i] being that link's
+    local index at [u], in increasing peer order — the same sequence
+    as {!active_neighbors} without materialising the list.
     For hot paths (per-hop relay decisions) that must not allocate. *)
 
 val fail_node : 'msg t -> int -> unit

@@ -38,17 +38,16 @@ let scenario_of_string s =
 let broadcast_scenarios =
   List.filter (fun sc -> sc <> Election && sc <> Maintenance) all_scenarios
 
-(* The artifact's labelling and routes are rooted at node 0, so they
-   only apply to a broadcast from that root.  The labelling comes from
-   the static view and stays sound under a fault plan; compiled routes
-   do not, and [routes] returns [None] while one is armed. *)
+(* The artifact's routes are rooted at node 0, so they only apply to a
+   broadcast from that root; from any other root the run compiles its
+   own at start.  They come from the static graph, the root's view
+   when it starts, so they hold under a fault plan too. *)
 let broadcast scenario ~config art ~root =
   let graph = Compile.Topology.graph art in
   match scenario with
   | Bpaths when root = 0 ->
       Core.Branching_paths.run ~config
-        ~precomputed:(Compile.Topology.labelling art)
-        ?routes:(Compile.Topology.routes art ~chaos:config.Core.Broadcast.chaos)
+        ?routes:(Compile.Topology.routes art ~chaos:None)
         ~graph ~root ()
   | Bpaths -> Core.Branching_paths.run ~config ~graph ~root ()
   | Flood -> Core.Flooding.run ~config ~graph ~root ()

@@ -39,10 +39,9 @@ val broadcast :
   root:int ->
   Core.Broadcast.result
 (** [broadcast sc ~config art ~root] runs broadcast family [sc] on the
-    artifact's graph from [root].  Branching paths from root 0 reuses
-    the artifact's labelling and its
-    [routes ~chaos:config.chaos]; from any other root it computes its
-    own.
+    artifact's graph from [root].  Branching paths from root 0 ships
+    the artifact's compiled routes, fault plan or not; from any other
+    root it compiles its own at start.
     @raise Invalid_argument if [sc] is not in {!broadcast_scenarios}. *)
 
 type replica = {

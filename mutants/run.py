@@ -6,16 +6,16 @@
 Run from the root of a checkout (`make mutants` does).  Copies the
 checkout's files, as they are in the working tree, to a fresh
 temporary directory, builds the test runner there, and checks that
-each mutant's test case passes on the unmutated code.  Then, for each
+each mutant's test cases pass on the unmutated code.  Then, for each
 mutant, it replaces one exact piece of text in one file, rebuilds,
-runs only the mutant's test case, and restores the file.  The mutant
-is killed when that test case fails (or runs past the timeout) and
-survives when it passes.
+runs only the mutant's test cases, and restores the file.  The mutant
+is killed when every one of its test cases fails (or runs past the
+timeout) and survives when any of them passes.
 
 Exit status: 0 when every mutant is killed; 1 naming each survivor;
 2 when a mutant no longer applies (its text is not in its file exactly
-once, or the mutated code does not build), its test case is not found,
-or the unmutated code fails it.
+once, or the mutated code does not build), one of its test cases is
+not found, or the unmutated code fails one.
 """
 
 import os
@@ -29,32 +29,61 @@ TEST_EXE = os.path.join("_build", "default", "test", "test_futurenet.exe")
 RUN_TIMEOUT_S = 600
 
 # Each mutant: a name, the file it changes, the exact text it replaces
-# (which must occur once), the replacement, and the alcotest test case
-# that must fail: a suite name and the case's full name.
+# (which must occur once), the replacement, and the alcotest test cases
+# that must all fail: each a suite name and the case's full name.
 MUTANTS = [
     {
         "name": "engine-tie-goes-to-lane",
         "file": "lib/sim/engine.ml",
         "old": "else if t.size > 0 && Float.Array.unsafe_get t.times 0 <= c.first then begin",
         "new": "else if t.size > 0 && Float.Array.unsafe_get t.times 0 < c.first then begin",
-        "suite": "sim.engine",
-        "case": "queue interleavings fire in stable time order",
+        "cases": [("sim.engine", "queue interleavings fire in stable time order")],
     },
     {
         "name": "engine-window-edge-inclusive",
         "file": "lib/sim/engine.ml",
         "old": "if time < c.now +. window && whole time then begin",
         "new": "if time <= c.now +. window && whole time then begin",
-        "suite": "sim.engine",
-        "case": "queue interleavings fire in stable time order",
+        "cases": [("sim.engine", "queue interleavings fire in stable time order")],
     },
     {
         "name": "engine-lane-slot-kept-on-pop",
         "file": "lib/sim/engine.ml",
         "old": "  Array.unsafe_set lane.ring h idle;\n",
         "new": "",
-        "suite": "sim.engine",
-        "case": "queue releases closures",
+        "cases": [("sim.engine", "queue releases closures")],
+    },
+    {
+        # a recovery ack delivered one hop below the broadcast root
+        "name": "ack-route-one-hop-short",
+        "file": "lib/core/broadcast.ml",
+        "old": "    let len = ref 1 and u = ref v in\n",
+        "new": "    let len = ref 0 and u = ref v in\n",
+        "cases": [
+            ("chaos", "verdict digests pinned"),
+            ("compile", "ack route equals the tree walk up to the root"),
+        ],
+    },
+    {
+        # the root's table compiled over its view, whose local link
+        # indices are not the network's, instead of over the network
+        # graph with the view's links masked
+        "name": "view-table-without-mask",
+        "file": "lib/core/branching_paths.ml",
+        "old": "compile_routes ~edge_up:(Array.get in_view) graph ~root",
+        "new": "compile_routes view ~root",
+        "cases": [
+            ("core.election", "leader tree carries broadcast"),
+            ("compile", "view routes equal the reference"),
+        ],
+    },
+    {
+        # a flood copy delivered to the sender's own NCU as it leaves
+        "name": "flood-one-hop-copy-bit",
+        "file": "lib/core/flooding.ml",
+        "old": "route_of_codes [| i lsl 1; 0 |]",
+        "new": "route_of_codes [| (i lsl 1) lor 1; 0 |]",
+        "cases": [("chaos", "verdict digests pinned")],
     },
 ]
 
@@ -127,9 +156,10 @@ def main():
             fail("the unmutated code does not build")
         index = {}
         for m in MUTANTS:
-            index[m["name"]] = case_index(work, m["suite"], m["case"])
-            if not passes(work, m["suite"], index[m["name"]]):
-                fail(f"{m['name']}: {m['suite']} {m['case']!r} fails on the unmutated code")
+            for suite, case in m["cases"]:
+                index[suite, case] = case_index(work, suite, case)
+                if not passes(work, suite, index[suite, case]):
+                    fail(f"{m['name']}: {suite} {case!r} fails on the unmutated code")
 
         survivors = []
         for m in MUTANTS:
@@ -145,15 +175,18 @@ def main():
                 if not ok:
                     sys.stderr.write(out)
                     fail(f"{m['name']}: the mutated code does not build")
-                if passes(work, m["suite"], index[m["name"]]):
-                    verdict = "SURVIVED"
-                    survivors.append(m["name"])
-                else:
-                    verdict = "killed"
+                passed = [(suite, case) for suite, case in m["cases"]
+                          if passes(work, suite, index[suite, case])]
             finally:
                 with open(path, "w") as f:
                     f.write(original)
-            print(f"{m['name']}: {verdict} by {m['suite']} {m['case']!r}", flush=True)
+            if passed:
+                survivors.append(m["name"])
+                cases = ", ".join(f"{suite} {case!r}" for suite, case in passed)
+                print(f"{m['name']}: SURVIVED {cases}", flush=True)
+            else:
+                cases = ", ".join(f"{suite} {case!r}" for suite, case in m["cases"])
+                print(f"{m['name']}: killed by {cases}", flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

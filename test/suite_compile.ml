@@ -1,7 +1,8 @@
 (* Tests for the compiled-topology cache (lib/compile, DESIGN.md §12):
-   physical sharing on hit, recompilation on miss, fault-plan route
-   invalidation, and the oracle regression showing what a stale route
-   table would break. *)
+   physical sharing on hit, recompilation on miss, one route table
+   shipped with or without a fault plan, the route compiler and the
+   ack climb against their walk references, and the oracle regression
+   showing what a stale route table would break. *)
 
 module Cache = Compile.Cache
 module Topology = Compile.Topology
@@ -69,22 +70,19 @@ let test_routes_compiled_once () =
   | Some r1, Some r2 -> check_bool "one compiled table" true (r1 == r2)
   | _ -> Alcotest.fail "routes must be available without a fault plan"
 
-let test_armed_plan_invalidates_routes () =
+let test_fault_plan_keeps_routes () =
   Cache.clear ();
   let art = Cache.random_connected ~seed:5 ~n:32 ~extra_edges:16 in
   let plan =
     [ Hardware.Fault_plan.Link_set { at = 0.0; u = 0; v = 1; up = false } ]
   in
-  check_bool "armed plan yields no compiled routes" true
-    (Topology.routes art ~chaos:(Some plan) = None);
-  (* dropping the plan restores the (already compiled) table *)
-  check_bool "unarmed again" true (Topology.routes art ~chaos:None <> None)
+  match (Topology.routes art ~chaos:(Some plan), Topology.routes art ~chaos:None) with
+  | Some r1, Some r2 -> check_bool "the one compiled table" true (r1 == r2)
+  | _ -> Alcotest.fail "routes must be available with or without a fault plan"
 
-let test_run_drops_routes_under_chaos () =
-  (* belt and braces at the algorithm layer: even if a caller smuggles
-     a compiled table past the cache, Branching_paths.run ignores it
-     whenever a fault plan is armed, so the run is identical to the
-     route-free one *)
+let test_chaos_run_ships_routes () =
+  (* under a fault plan a supplied table and the one the root compiles
+     at start are the same, and so are the runs *)
   Cache.clear ();
   let art = Cache.random_connected ~seed:9 ~n:24 ~extra_edges:12 in
   let g = Topology.graph art in
@@ -95,15 +93,15 @@ let test_run_drops_routes_under_chaos () =
   let config = { (Core.Broadcast.default_config ()) with chaos = Some plan } in
   let with_routes = BP.run ~config ?routes ~graph:g ~root:0 () in
   let without = BP.run ~config ~graph:g ~root:0 () in
-  check_bool "chaos run ignores compiled routes" true (with_routes = without)
+  check_bool "same run with and without a supplied table" true (with_routes = without)
 
-(* The regression the invalidation rule exists for.  A compiled route
-   table is only sound as long as it is *the* decomposition of the
-   current tree: if invalidation failed and harnesses mixed tables
-   from two epochs (here modelled as the union of the fresh table and
-   one compiled from a different spanning tree of the same graph),
-   chain walks overlap and nodes hear the payload twice — exactly
-   what the chaos at-most-once oracle rejects. *)
+(* Why a broadcast ships one table, compiled once.  A compiled route
+   table is only sound as long as it is *the* decomposition of one
+   tree: if harnesses mixed tables from two epochs (here modelled as
+   the union of the fresh table and one compiled from a different
+   spanning tree of the same graph), chain walks overlap and nodes
+   hear the payload twice — exactly what the chaos at-most-once
+   oracle rejects. *)
 let test_stale_routes_violate_at_most_once () =
   Cache.clear ();
   let n = 6 in
@@ -121,19 +119,18 @@ let test_stale_routes_violate_at_most_once () =
   for i = 0 to n - 2 do
     path_edge.(Netgraph.Graph.undirected_edge_id g i (i + 1)) <- true
   done;
-  let stale = BP.compile_routes ~edge_up:(Array.get path_edge) g ~root:0 in
+  let stale = (BP.compile_routes ~edge_up:(Array.get path_edge) g ~root:0).table in
   check_int "one chain from the root" 1 (Array.length stale.(0));
-  let mixed = Array.init n (fun v -> Array.append fresh.(v) stale.(v)) in
+  let mixed =
+    { fresh with table = Array.init n (fun v -> Array.append fresh.table.(v) stale.(v)) }
+  in
   let deliveries_with routes =
     let tap = Chaos.Oracle.tap ~n in
     let trace = Sim.Trace.streaming ~consumer:(Chaos.Oracle.observe tap) () in
     let config =
       { (Core.Broadcast.default_config ()) with trace = Some trace }
     in
-    ignore
-      (BP.run ~config ~precomputed:(Topology.labelling art) ~routes ~graph:g
-         ~root:0 ()
-        : Core.Broadcast.result);
+    ignore (BP.run ~config ~routes ~graph:g ~root:0 () : Core.Broadcast.result);
     Chaos.Oracle.deliveries tap
   in
   let ok routes =
@@ -143,6 +140,55 @@ let test_stale_routes_violate_at_most_once () =
   check_bool "fresh table delivers each node once" true (ok fresh);
   check_bool "stale-mixed table caught by the oracle" false (ok mixed)
 
+(* A recovering broadcast from a root other than 0, over a view that
+   lacks some of the grid's links, under a fault plan that crashes
+   a tree node and cuts a tree link, then heals both.  The digest of
+   its streamed JSONL trace was computed when chaos runs still built
+   every header, data and ack alike, from labelling walks. *)
+let test_recovering_view_broadcast_pinned () =
+  let g = B.grid ~rows:6 ~cols:6 in
+  let n = G.n g and root = 14 in
+  let spine = Netgraph.Tree.edges (Netgraph.Spanning.bfs_tree g ~root:35) in
+  let view =
+    G.of_edges ~n
+      (List.filter
+         (fun (u, v) ->
+           (u + v) mod 3 = 0 || List.mem (u, v) spine || List.mem (v, u) spine)
+         (G.edges g))
+  in
+  check_bool "the view lacks links" true (G.m view < G.m g);
+  let plan =
+    Hardware.Fault_plan.
+      [
+        Node_set { at = 0.5; node = 21; alive = false };
+        Link_set { at = 1.5; u = 14; v = 20; up = false };
+        Drop_in_flight { at = 2.0; u = 13; v = 14 };
+        Node_set { at = 3.0; node = 21; alive = true };
+        Link_set { at = 4.0; u = 14; v = 20; up = true };
+      ]
+  in
+  let lines = Buffer.create 4096 in
+  let consumer e =
+    Buffer.add_string lines (Sim.Trace_export.jsonl_of_event e);
+    Buffer.add_char lines '\n';
+    true
+  in
+  let config =
+    {
+      (Core.Broadcast.default_config ()) with
+      view = Some view;
+      trace = Some (Sim.Trace.streaming ~consumer ());
+      chaos = Some plan;
+      recover = Some (Hardware.Recover.default ~n);
+    }
+  in
+  let r = BP.run ~config ~graph:g ~root () in
+  check_bool "everyone reached" true (Core.Broadcast.all_reached r);
+  check_bool "the faults forced a retransmission" true (r.syscalls > 2 * n);
+  Alcotest.(check string)
+    "streamed trace" "579aba7072e913ad2eee4e4ceeabf8f8"
+    (Digest.to_hex (Digest.string (Buffer.contents lines)))
+
 let test_precomputed_routes_parity () =
   (* the fast path must be semantically invisible: same result record
      with and without the shared artifact *)
@@ -151,25 +197,25 @@ let test_precomputed_routes_parity () =
   let g = Topology.graph art in
   let plain = BP.run ~graph:g ~root:0 () in
   let fast =
-    BP.run ~precomputed:(Topology.labelling art)
-      ?routes:(Topology.routes art ~chaos:None) ~graph:g ~root:0 ()
+    BP.run ?routes:(Topology.routes art ~chaos:None) ~graph:g ~root:0 ()
   in
   check_bool "identical results" true (plain = fast)
 
 (* The engine's allocation budget.  An untraced, registry-free
    branching-paths broadcast over compiled routes runs one engine event
    per system call and one per hop; the minor words it allocates per
-   event are a deterministic function of the binary: 25.1 measured,
-   27.4 with a record per link and a context per node, 50.9 before the
-   engine queue and the per-run handlers. *)
-let words_per_event_bound = 27.0
+   event are a deterministic function of the binary: 24.1 measured,
+   25.1 when the network took the later of two times with [Float.max]
+   (which returns a boxed float), 27.4 with a record per link and a
+   context per node, 50.9 before the engine queue and the per-run
+   handlers. *)
+let words_per_event_bound = 26.0
 
 let test_bpaths_words_per_event () =
   let art = Cache.random_connected ~seed:11 ~n:1024 ~extra_edges:512 in
   let graph = Topology.graph art in
-  let precomputed = Topology.labelling art in
   let routes = Topology.routes art ~chaos:None in
-  let run () = BP.run ~precomputed ?routes ~graph ~root:0 () in
+  let run () = BP.run ?routes ~graph ~root:0 () in
   ignore (run ());
   let before = Gc.minor_words () in
   let r = run () in
@@ -201,8 +247,9 @@ let test_election_words_per_event () =
 
 (* The same budget for flooding (Section 3's ARPANET baseline): an
    untraced, registry-free run from node 0, one engine event per system
-   call and one per hop.  41.5 minor words per event measured. *)
-let flooding_words_per_event_bound = 43.0
+   call and one per hop.  29.5 minor words per event measured, 41.5
+   when each forward built its header from a [[self; peer]] walk. *)
+let flooding_words_per_event_bound = 31.0
 
 let test_flooding_words_per_event () =
   let art = Cache.random_connected ~seed:11 ~n:1024 ~extra_edges:512 in
@@ -220,9 +267,11 @@ let test_flooding_words_per_event () =
 (* The heal op's allocation budget: generate a healing schedule and run
    it in liveness mode with the recovery layer on, the benchmark's heal
    shape, over eight fixed n=256 schedules.  Minor words per system
-   call: 250.3 measured, 266.5 with a closure per CSR edge lookup,
-   369.7 with the tuple-table fault replay and a retained trace ring. *)
-let heal_words_per_syscall_bound = 265.0
+   call: 151.8 measured, 189.6 when chaos relays built their headers
+   from labelling walks and each ack climbed a [Tree.t].  Older pins
+   read 250.3, 266.5 with a closure per CSR edge lookup, and 369.7
+   with the tuple-table fault replay and a retained trace ring. *)
+let heal_words_per_syscall_bound = 160.0
 
 let test_heal_words_per_syscall () =
   Cache.clear ();
@@ -257,11 +306,9 @@ let test_repeat_broadcast_major_words () =
   let n = 4096 in
   let art = Cache.random_connected ~seed:11 ~n ~extra_edges:(n / 2) in
   let graph = Topology.graph art in
-  let precomputed = Topology.labelling art in
   let routes = Topology.routes art ~chaos:None in
   let run () =
-    ignore
-      (BP.run ~precomputed ?routes ~graph ~root:0 () : Core.Broadcast.result)
+    ignore (BP.run ?routes ~graph ~root:0 () : Core.Broadcast.result)
   in
   run ();
   let _, promoted0, major0 = Gc.counters () in
@@ -354,9 +401,67 @@ let qcheck_routes_match_reference =
       let edge_up = Array.get up in
       List.for_all
         (fun root ->
-          BP.compile_routes ~edge_up g ~root = reference_routes ~edge_up g ~root
-          && BP.compile_routes g ~root = reference_routes g ~root)
+          (BP.compile_routes ~edge_up g ~root).table = reference_routes ~edge_up g ~root
+          && (BP.compile_routes g ~root).table = reference_routes g ~root)
         (List.init n Fun.id))
+
+(* The ack climb against the walk it replaced: the path up
+   [Spanning.bfs_tree] from each non-root member to the root, compiled
+   with no copies, as [Tree.path_from_root] gives it. *)
+let reference_ack tree g v =
+  Hardware.Anr.(compile (of_walk g (List.rev (Netgraph.Tree.path_from_root tree v))))
+
+let qcheck_ack_route_matches_tree_walk =
+  QCheck.Test.make ~name:"ack route equals the tree walk up to the root"
+    ~count:200
+    QCheck.(pair (int_range 1 40) (int_range 0 10_000))
+    (fun (n, salt) ->
+      let rng = Sim.Rng.create ~seed:((n * 104_729) + salt) in
+      let g = B.random_connected rng ~n ~extra_edges:(Sim.Rng.int rng (n + 1)) in
+      let root = Sim.Rng.int rng n in
+      let parent = (BP.compile_routes g ~root).parent in
+      let tree = Netgraph.Spanning.bfs_tree g ~root in
+      List.for_all
+        (fun v ->
+          if v = root then parent.(v) = -1
+          else
+            Core.Broadcast.Recovery.ack_route g ~parent v = reference_ack tree g v)
+        (List.init n Fun.id))
+
+(* A view that is a spanning tree of the network, rooted elsewhere
+   than the broadcast: the root's table is the view tree's
+   decomposition, its headers written in the network's link indices,
+   and its acks climb the view tree. *)
+let test_view_routes_match_reference () =
+  let g = B.grid ~rows:6 ~cols:6 in
+  let view =
+    G.of_edges ~n:(G.n g) (Netgraph.Tree.edges (Netgraph.Spanning.bfs_tree g ~root:35))
+  in
+  List.iter
+    (fun root ->
+      let tree = Netgraph.Spanning.bfs_tree view ~root in
+      let l = Core.Labels.compute tree in
+      let expected =
+        Array.init (G.n g) (fun v ->
+            Array.of_list
+              (List.map
+                 (fun walk ->
+                   Hardware.Anr.(compile (of_walk ~copy_at:(fun _ -> true) g walk)))
+                 (Core.Labels.paths_from l v)))
+      in
+      let c = BP.compile_view ~graph:g ~view ~root in
+      let name = Printf.sprintf "root %d" root in
+      check_bool (name ^ ": table") true (c.BP.table = expected);
+      check_bool (name ^ ": differs from the network's own table") true
+        (c.BP.table <> (BP.compile_routes g ~root).table);
+      List.iter
+        (fun v ->
+          if v <> root then
+            check_bool (Printf.sprintf "%s: ack from %d" name v) true
+              (Core.Broadcast.Recovery.ack_route g ~parent:c.BP.parent v
+              = reference_ack tree g v))
+        (List.init (G.n g) Fun.id))
+    [ 0; 14; 20 ]
 
 let test_cache_routes_match_reference () =
   Cache.clear ();
@@ -366,7 +471,7 @@ let test_cache_routes_match_reference () =
       match Topology.routes art ~chaos:None with
       | None -> Alcotest.failf "%s: routes must compile" name
       | Some routes ->
-          check_bool name true (routes = reference_routes g ~root:0))
+          check_bool name true (routes.BP.table = reference_routes g ~root:0))
     [
       ("random-connected", Cache.random_connected ~seed:3 ~n:64 ~extra_edges:32);
       ("sweep-replica", Cache.sweep_replica ~seed:3 ~index:1 ~n:64);
@@ -391,14 +496,16 @@ let suite =
     Alcotest.test_case "sweep replica streams" `Quick
       test_sweep_replica_matches_sweep_streams;
     Alcotest.test_case "routes compiled once" `Quick test_routes_compiled_once;
-    Alcotest.test_case "fault plan invalidates routes" `Quick
-      test_armed_plan_invalidates_routes;
-    Alcotest.test_case "chaos run ignores routes" `Quick
-      test_run_drops_routes_under_chaos;
+    Alcotest.test_case "fault plan keeps routes" `Quick
+      test_fault_plan_keeps_routes;
+    Alcotest.test_case "chaos run ships routes" `Quick
+      test_chaos_run_ships_routes;
     Alcotest.test_case "stale routes violate at-most-once" `Quick
       test_stale_routes_violate_at_most_once;
     Alcotest.test_case "precomputed parity" `Quick
       test_precomputed_routes_parity;
+    Alcotest.test_case "recovering view broadcast pinned" `Quick
+      test_recovering_view_broadcast_pinned;
     Alcotest.test_case "bpaths minor words per event" `Quick
       test_bpaths_words_per_event;
     Alcotest.test_case "election minor words per event" `Quick
@@ -412,6 +519,9 @@ let suite =
     Alcotest.test_case "a repeat broadcast allocates O(1) major words" `Quick
       test_repeat_broadcast_major_words;
     QCheck_alcotest.to_alcotest qcheck_routes_match_reference;
+    QCheck_alcotest.to_alcotest qcheck_ack_route_matches_tree_walk;
+    Alcotest.test_case "view routes equal the reference" `Quick
+      test_view_routes_match_reference;
     Alcotest.test_case "cache routes equal the reference" `Quick
       test_cache_routes_match_reference;
   ]
