@@ -957,18 +957,19 @@ let diff_cmd =
 (* -- maintenance ----------------------------------------------------------- *)
 
 let maintenance_cmd =
-  let method_conv =
-    Arg.enum
-      [
-        ("bpaths", Core.Topo_maintenance.Branching);
-        ("flood", Core.Topo_maintenance.Flood);
-        ("dfs", Core.Topo_maintenance.Dfs_token);
-      ]
+  (* the three broadcast families maintenance runs on, named by them *)
+  let methods =
+    List.map
+      (fun (s, m) -> (Sweep.scenario_name s, m))
+      Core.Topo_maintenance.
+        [
+          (Sweep.Bpaths, Branching); (Sweep.Flood, Flood); (Sweep.Dfs, Dfs_token);
+        ]
   in
   let method_arg =
-    Arg.(value & opt method_conv Core.Topo_maintenance.Branching
+    Arg.(value & opt (enum methods) Core.Topo_maintenance.Branching
            & info [ "m"; "method" ] ~docv:"METHOD"
-               ~doc:"$(b,bpaths), $(b,flood) or $(b,dfs).")
+               ~doc:("Broadcast method: " ^ doc_alts_enum methods ^ "."))
   in
   let failures_arg =
     Arg.(value & opt int 2
@@ -1000,12 +1001,7 @@ let maintenance_cmd =
             up = false;
           })
     in
-    let method_name =
-      match method_ with
-      | Core.Topo_maintenance.Branching -> "bpaths"
-      | Core.Topo_maintenance.Flood -> "flood"
-      | Core.Topo_maintenance.Dfs_token -> "dfs"
-    in
+    let method_name = fst (List.find (fun (_, m) -> m = method_) methods) in
     let nodes = Netgraph.Graph.n graph in
     let origin_list =
       if origins <= 0 then None

@@ -415,26 +415,6 @@ let shrink ?heartbeat:hb verdict =
   | None -> ());
   v
 
-(* Totals for the registry: like Pool.publish, counters sum so
-   registries from several soaks merge order-independently. *)
-let publish soak r =
-  if Hardware.Registry.enabled r then begin
-    let module R = Hardware.Registry in
-    let faults =
-      Array.fold_left
-        (fun acc v -> acc + List.length v.schedule.Schedule.faults)
-        0 soak.verdicts
-    in
-    R.add
-      (R.counter r "chaos.schedules" ~help:"schedules executed")
-      (Array.length soak.verdicts);
-    R.add
-      (R.counter r "chaos.oracle_failures" ~help:"schedules with a red oracle")
-      (failures soak);
-    R.add (R.counter r "chaos.faults_injected" ~help:"fault events armed")
-      faults
-  end
-
 (* -- JSON -------------------------------------------------------------- *)
 
 let oracle_json (r : Monitor.report) =
@@ -498,7 +478,7 @@ let write_repro ~path v =
 
 let ( let* ) = Result.bind
 
-let read_repro_full path =
+let read_repro path =
   let* contents =
     match In_channel.with_open_text path In_channel.input_all with
     | contents -> Ok contents
@@ -531,12 +511,8 @@ let read_repro_full path =
   let* schedule = Schedule.of_json_value schedule_obj in
   Ok (scenario, schedule, liveness)
 
-let read_repro path =
-  Result.map (fun (scenario, schedule, _) -> (scenario, schedule))
-    (read_repro_full path)
-
 let replay path =
-  let* scenario, schedule, liveness = read_repro_full path in
+  let* scenario, schedule, liveness = read_repro path in
   Ok (run_schedule ~liveness scenario schedule)
 
 (* -- Human-readable summaries ------------------------------------------ *)

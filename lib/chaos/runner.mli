@@ -132,11 +132,6 @@ val shrink : ?heartbeat:heartbeat -> verdict -> verdict
     never masquerades as a smaller counterexample.
     @raise Invalid_argument on a passing verdict. *)
 
-val publish : soak -> Hardware.Registry.t -> unit
-(** Fold soak totals into a registry: [chaos.schedules],
-    [chaos.oracle_failures], [chaos.faults_injected] counters.
-    Merge-safe in any order; no-op on a disabled registry. *)
-
 (** {1 JSON} *)
 
 val verdict_json : verdict -> string
@@ -152,14 +147,12 @@ val write_repro : path:string -> verdict -> unit
 (** Write the verdict's schedule (typically post-{!shrink}) with its
     failed oracle names as a self-contained JSON repro file. *)
 
-val read_repro : string -> (scenario * Schedule.t, string) result
-(** [Error] for a file that is not a chaos repro, an unknown scenario,
-    a schedule {!Schedule.well_formed} refuses, or liveness mode asked
-    of a family outside {!liveness_scenarios}: whatever it accepts,
-    {!replay} runs without raising. *)
-
 val replay : string -> (verdict, string) result
-(** {!read_repro} then {!run_schedule}. *)
+(** Read a repro file and {!run_schedule} its schedule.  [Error] for a
+    file that is not a chaos repro, an unknown scenario, a schedule
+    {!Schedule.well_formed} refuses, or liveness mode asked of a family
+    outside {!liveness_scenarios}: whatever it accepts runs without
+    raising. *)
 
 (** {1 Pretty-printing} *)
 

@@ -74,12 +74,13 @@ let iter_edges graph f =
     done
   done
 
-let gen_dynamic rng ~graph ~n ~horizon =
+let gen_dynamic rng ~graph ~n =
   (* fault times stay below 3/4 of the horizon so flap/heal partners
      always fit strictly before it *)
-  let stamp () = Sim.Rng.float rng (horizon *. 0.75) in
+  let stamp () = Sim.Rng.float rng (default_horizon *. 0.75) in
   let later down lead =
-    down +. lead +. Sim.Rng.float rng (Float.max 0.1 (horizon -. down -. lead))
+    down +. lead
+    +. Sim.Rng.float rng (Float.max 0.1 (default_horizon -. down -. lead))
   in
   let groups = Sim.Rng.int_in rng 1 5 in
   let faults = ref [] in
@@ -141,7 +142,7 @@ let gen_static rng ~graph ~n =
   done;
   List.rev !faults
 
-let generate ?(horizon = default_horizon) ~n ~seed ~index () =
+let generate ~n ~seed ~index () =
   let _, fault_rng, _ = rngs ~seed ~index in
   let probe = { seed; index; n; jitter = 0.0; faults = [] } in
   let graph = graph_of probe in
@@ -152,7 +153,7 @@ let generate ?(horizon = default_horizon) ~n ~seed ~index () =
   let static = Sim.Rng.chance fault_rng 0.2 in
   let faults =
     if static then gen_static fault_rng ~graph ~n
-    else gen_dynamic fault_rng ~graph ~n ~horizon
+    else gen_dynamic fault_rng ~graph ~n
   in
   { seed; index; n; jitter; faults = Plan.by_time faults }
 
@@ -311,13 +312,13 @@ let heals t =
   let { up; dead } = final_state ~graph:(graph_of t) t in
   (not (Array.exists Fun.id dead)) && Array.for_all Fun.id up
 
-let generate_healing ?(horizon = default_horizon) ~n ~seed ~index () =
-  let s = generate ~horizon ~n ~seed ~index () in
+let generate_healing ~n ~seed ~index () =
+  let s = generate ~n ~seed ~index () in
   let graph = graph_of s in
   (* every destructive event is stamped below 0.75 * horizon, so heal
      events at 0.8 * horizon land after all damage but still strictly
      before the horizon — the quiescence budget is unchanged *)
-  let heal_at = horizon *. 0.8 in
+  let heal_at = default_horizon *. 0.8 in
   let damaged = final_state ~graph s in
   let recovers = ref [] in
   for v = n - 1 downto 0 do

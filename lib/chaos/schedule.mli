@@ -33,7 +33,7 @@ val default_horizon : float
 (** All generated faults land strictly before this time (48.); runners
     size their round budgets so plenty of quiescent time follows. *)
 
-val generate : ?horizon:float -> n:int -> seed:int -> index:int -> unit -> t
+val generate : n:int -> seed:int -> index:int -> unit -> t
 (** Derive schedule [index] of seed [seed]: 1–5 fault groups drawn
     from {link flap, permanent link cut, node crash (± recovery),
     partition-and-heal, in-flight drop}, each over the same
@@ -41,15 +41,14 @@ val generate : ?horizon:float -> n:int -> seed:int -> index:int -> unit -> t
     schedules are {e static} — every fault a cut or crash at time 0 —
     the regime where component-scoped budget oracles are sound. *)
 
-val generate_healing :
-  ?horizon:float -> n:int -> seed:int -> index:int -> unit -> t
+val generate_healing : n:int -> seed:int -> index:int -> unit -> t
 (** {!generate}, then append deterministic heal events: a recovering
-    [Node_set] at [0.8 * horizon] for every node the schedule leaves
-    dead, then a [Link_set] up at [0.8 * horizon + 0.25] for every
-    edge still missing once all nodes are back.  All destructive draws
-    land below [0.75 * horizon], so the heal events strictly follow
-    the damage; the result satisfies {!heals} by construction and is
-    still a pure function of [(seed, index)]. *)
+    [Node_set] at [0.8 * default_horizon] for every node the schedule
+    leaves dead, then a [Link_set] up at [0.8 * default_horizon + 0.25]
+    for every edge still missing once all nodes are back.  All
+    destructive draws land below [0.75 * default_horizon], so the heal
+    events strictly follow the damage; the result satisfies {!heals} by
+    construction and is still a pure function of [(seed, index)]. *)
 
 val heals : t -> bool
 (** The schedule's final state (per {!final_state}) is fully healed:
@@ -86,13 +85,10 @@ val graph_of : t -> Netgraph.Graph.t
     graph-stream child — identical whether called at generation,
     replay or shrink time. *)
 
-val run_rng : t -> Sim.Rng.t
-(** A fresh copy of the run-stream child (cost-model jitter, protocol
-    tie-breaking): same caveat and guarantee as {!graph_of}. *)
-
 val cost : t -> Hardware.Cost_model.t
-(** [uniform_random] over {!run_rng} with [c = jitter], [p = 1]; the
-    deterministic [new_model] when [jitter = 0]. *)
+(** [uniform_random] with [c = jitter], [p = 1] over a fresh copy of
+    the schedule's run-stream child (same caveat and guarantee as
+    {!graph_of}); the deterministic [new_model] when [jitter = 0]. *)
 
 val compile : t -> Hardware.Fault_plan.t
 (** [t.faults], kept for the benchmark harness; the runner reads the

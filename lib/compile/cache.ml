@@ -61,29 +61,6 @@ let pp_stats ppf () =
     "compile cache: %d hits, %d misses, %d evictions (%d artifacts resident)"
     s.hits s.misses s.evictions (resident ())
 
-(* Snapshot totals into counters: call once per registry, or the adds
-   accumulate.  Counter/gauge shapes merge order-independently. *)
-let publish r =
-  if Hardware.Registry.enabled r then begin
-    let module R = Hardware.Registry in
-    let s = stats () in
-    R.add
-      (R.counter r "compile.cache.hits"
-         ~help:"artifact requests served from the cache")
-      s.hits;
-    R.add
-      (R.counter r "compile.cache.misses"
-         ~help:"artifact requests that had to build")
-      s.misses;
-    R.add
-      (R.counter r "compile.cache.evictions"
-         ~help:"whole-table flushes on capacity overflow")
-      s.evictions;
-    R.set
-      (R.gauge r "compile.cache.resident" ~help:"artifacts currently cached")
-      (float_of_int (resident ()))
-  end
-
 let clear () =
   locked (fun () ->
       Hashtbl.reset table;

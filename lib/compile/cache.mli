@@ -32,12 +32,6 @@ val pp_stats : Format.formatter -> unit -> unit
 (** One-line human summary ("compile cache: H hits, M misses, ...")
     for the bench / trace text output. *)
 
-val publish : Hardware.Registry.t -> unit
-(** Snapshot the process-wide totals into a registry as
-    [compile.cache.hits] / [.misses] / [.evictions] counters and a
-    [compile.cache.resident] gauge.  Call once per registry (counter
-    adds accumulate).  No-op on a disabled registry. *)
-
 val clear : unit -> unit
 (** Drop every artifact and zero the stats (tests; long soaks that
     want their memory back). *)

@@ -245,7 +245,7 @@ let spec ?precomputed:_ ?routes ?recovery ~multicast ~reached ~view =
               | _ -> ())
           | Ack { src } -> (
               match recovery with
-              | Some st -> Broadcast.Recovery.ack st ~src
+              | Some st -> Broadcast.Recovery.ack st ctx ~src
               | None -> ()));
       on_link_change = (fun _ ~peer:_ ~up:_ -> ());
     }

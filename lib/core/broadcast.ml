@@ -54,6 +54,7 @@ module Recovery = struct
   type t = {
     rc : Recover.t;
     obs : Recover.obs option;
+    root : int;
     acked : bool array;
     mutable acks : int;
     mutable attempt : int;
@@ -72,6 +73,7 @@ module Recovery = struct
           {
             rc;
             obs = Recover.obs config.registry;
+            root;
             acked;
             acks = 1;
             attempt = 0;
@@ -91,9 +93,16 @@ module Recovery = struct
 
   (* Root side: record one ack, at most once per source; the watchdog
      is cancelled the instant the last ack lands, so a fault-free
-     recovering run costs exactly the acks — no expiry ever fires. *)
-  let ack st ~src =
-    if src >= 0 && src < Array.length st.acked && not st.acked.(src) then begin
+     recovering run costs exactly the acks — no expiry ever fires.  An
+     ack counts only where its route ends, at the root: one delivered
+     anywhere else has not reached the node that retransmits. *)
+  let ack st ctx ~src =
+    if
+      Network.self ctx = st.root
+      && src >= 0
+      && src < Array.length st.acked
+      && not st.acked.(src)
+    then begin
       st.acked.(src) <- true;
       st.acks <- st.acks + 1;
       (match st.obs with Some o -> Registry.incr o.Recover.r_acks | None -> ());

@@ -76,9 +76,10 @@ module Recovery : sig
       node [v] has not yet relayed this attempt or a later one: relays
       forward once per attempt. *)
 
-  val ack : t -> src:int -> unit
-  (** Root side: record an ack from [src] (at most once per source);
-      cancels the watchdog when the last ack lands. *)
+  val ack : t -> 'msg Hardware.Network.context -> src:int -> unit
+  (** Record an ack from [src] delivered at [ctx]'s node (at most once
+      per source); cancels the watchdog when the last ack lands.  An ack
+      delivered anywhere but the run's root is ignored. *)
 
   val start : t -> 'msg Hardware.Network.context -> resend:(attempt:int -> unit) -> unit
   (** Root side: arm the watchdog loop.  Each expiry with acks still

@@ -26,10 +26,6 @@ let walk_groups ~view ~root =
     walks;
   Hashtbl.fold (fun _ group acc -> List.rev group :: acc) groups []
 
-let rounds_needed graph ~root =
-  let groups = walk_groups ~view:graph ~root in
-  List.fold_left (fun acc g -> max acc (List.length g)) 0 groups
-
 let spec ~reached ~view v =
   {
     Network.on_start =

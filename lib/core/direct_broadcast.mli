@@ -13,9 +13,6 @@
 
 type msg = { origin : int }
 
-val rounds_needed : Netgraph.Graph.t -> root:int -> int
-(** Number of root activations the round-robin dispatch needs. *)
-
 val run :
   ?config:Broadcast.config ->
   graph:Netgraph.Graph.t ->

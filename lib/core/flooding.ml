@@ -64,7 +64,7 @@ let spec ?recovery ?ack_parent ~reached ~view:_ =
               end
           | Ack { src } -> (
               match recovery with
-              | Some st -> Broadcast.Recovery.ack st ~src
+              | Some st -> Broadcast.Recovery.ack st ctx ~src
               | None -> ()));
       on_link_change = (fun _ ~peer:_ ~up:_ -> ());
     }

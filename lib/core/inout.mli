@@ -25,8 +25,6 @@ val singleton : graph:Netgraph.Graph.t -> int -> t
 
 val origin : t -> int
 val mem : t -> int -> bool
-val mem_in : t -> int -> bool
-val mem_out : t -> int -> bool
 val in_nodes : t -> int list
 (** Members of IN, sorted. *)
 

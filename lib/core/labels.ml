@@ -153,16 +153,3 @@ let depth_in_paths t v =
       invalid_arg (Printf.sprintf "Labels.depth_in_paths: node %d not in tree" v)
 
 let max_path_depth t = t.max_depth
-
-let pp ppf t =
-  Format.fprintf ppf "labels(max=%d):@." (max_label t);
-  List.iter
-    (fun v -> Format.fprintf ppf "  %d -> %d@." v (label t v))
-    (Tree.nodes t.tree);
-  Format.fprintf ppf "paths:@.";
-  List.iter
-    (fun p ->
-      Format.fprintf ppf "  [%s] label %d@."
-        (String.concat " " (List.map string_of_int p))
-        (path_label t p))
-    t.all_paths

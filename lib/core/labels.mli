@@ -51,5 +51,3 @@ val depth_in_paths : t -> int -> int
 val max_path_depth : t -> int
 (** Maximum of {!depth_in_paths} over all nodes — the number of time
     units the branching-paths broadcast needs. *)
-
-val pp : Format.formatter -> t -> unit

@@ -21,11 +21,6 @@ let tour_for ~view ~root =
     | first :: rest ->
         List.fold_left (fun acc tour -> acc @ List.tl tour) first rest)
 
-let header_length ~view ~root =
-  match tour_for ~view ~root with
-  | [] | [ _ ] -> 0
-  | walk -> List.length walk - 1
-
 let spec ~reached ~view v =
   {
     Network.on_start =

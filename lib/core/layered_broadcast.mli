@@ -12,10 +12,6 @@
 
 type msg = { origin : int }
 
-val header_length : view:Netgraph.Graph.t -> root:int -> int
-(** Length (in elements) of the header this broadcast needs — the
-    Θ(n·d) growth that motivates the dmax restriction. *)
-
 val run :
   ?config:Broadcast.config ->
   graph:Netgraph.Graph.t ->

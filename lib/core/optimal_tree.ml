@@ -273,10 +273,3 @@ let to_netgraph_tree tree =
       node.children
   done;
   Netgraph.Tree.of_parents ~root:0 ~parents:!parents
-
-let rec pp ppf t =
-  if t.children = [] then Format.fprintf ppf "."
-  else
-    Format.fprintf ppf "(%a)"
-      (Format.pp_print_list ~pp_sep:(fun _ () -> ()) pp)
-      t.children

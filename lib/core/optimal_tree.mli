@@ -101,5 +101,3 @@ val predicted_completion : params -> t -> float
 
 val to_netgraph_tree : t -> Netgraph.Tree.t
 (** Concretise with breadth-first node numbering, root = 0. *)
-
-val pp : Format.formatter -> t -> unit

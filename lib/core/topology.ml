@@ -10,17 +10,6 @@ type local_view = { origin : int; seq : int; downs : int array }
 
 let no_downs : int array = [||]
 
-let view_of_downs ~origin ~seq downs =
-  let downs =
-    if Array.length downs = 0 then no_downs
-    else begin
-      let d = Array.copy downs in
-      Array.sort compare d;
-      d
-    end
-  in
-  { origin; seq; downs }
-
 (* membership in the sorted [downs] array *)
 let reports_down view peer =
   let d = view.downs in
@@ -162,8 +151,6 @@ let all_views db =
            (fun o bv ->
              match Hashtbl.find_opt db.tbl o with Some v -> v | None -> bv)
            b)
-
-let known_nodes db = List.map (fun v -> v.origin) (all_views db)
 
 let version db = db.version
 

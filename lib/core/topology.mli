@@ -22,10 +22,6 @@ val no_downs : int array
 (** The shared empty delta — the view body of a node with all links
     up.  Physically equal across all healthy views. *)
 
-val view_of_downs : origin:int -> seq:int -> int array -> local_view
-(** Build a view from an unsorted down-peer array (copied and sorted;
-    the empty array is replaced by {!no_downs}). *)
-
 val reports_down : local_view -> int -> bool
 (** Does the view list this peer as down?  Binary search, no
     allocation. *)
@@ -69,8 +65,6 @@ val clear : db -> unit
 val find : db -> int -> local_view option
 val all_views : db -> local_view list
 (** Views sorted by origin. *)
-
-val known_nodes : db -> int list
 
 val believed_edge : db -> int -> int -> bool
 (** Is a physical edge believed active: at least one endpoint has

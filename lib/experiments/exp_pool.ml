@@ -11,7 +11,6 @@
 
 let jobs_ref = ref 1
 let set_jobs j = jobs_ref := max 1 j
-let jobs () = !jobs_ref
 
 let map f xs =
   if !jobs_ref <= 1 then List.map f xs

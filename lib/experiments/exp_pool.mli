@@ -9,5 +9,4 @@
 val set_jobs : int -> unit
 (** Clamped to at least 1.  Default 1 (fully sequential). *)
 
-val jobs : unit -> int
 val map : ('a -> 'b) -> 'a list -> 'b list

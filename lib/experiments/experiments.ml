@@ -36,4 +36,3 @@ let figures = Figures.run
 let timeline = Timeline.run
 
 let set_jobs = Exp_pool.set_jobs
-let jobs = Exp_pool.jobs

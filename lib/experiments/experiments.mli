@@ -29,5 +29,3 @@ val set_jobs : int -> unit
     (sequential).  Tables are byte-identical at any width — rows are
     computed in parallel but assembled in submission order, and all
     randomness is pre-split per row. *)
-
-val jobs : unit -> int

@@ -23,7 +23,8 @@ let cell_float ?(decimals = 2) x =
 
 let cell_bool b = if b then "yes" else "no"
 
-let render ppf t =
+let print t =
+  let ppf = Format.std_formatter in
   let rows = List.rev t.rows in
   let widths =
     List.mapi
@@ -46,8 +47,5 @@ let render ppf t =
   let rule = List.map (fun w -> String.make w '-') widths in
   render_row rule;
   List.iter render_row rows;
-  List.iter (fun n -> Format.fprintf ppf "  note: %s@." n) (List.rev t.notes)
-
-let print t =
-  render Format.std_formatter t;
-  Format.pp_print_flush Format.std_formatter ()
+  List.iter (fun n -> Format.fprintf ppf "  note: %s@." n) (List.rev t.notes);
+  Format.pp_print_flush ppf ()

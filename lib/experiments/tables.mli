@@ -10,8 +10,6 @@ val cell_int : int -> string
 val cell_float : ?decimals:int -> float -> string
 val cell_bool : bool -> string
 
-val render : Format.formatter -> t -> unit
-(** Aligned columns, a rule under the header, notes after the body. *)
-
 val print : t -> unit
-(** Render to stdout. *)
+(** Render to stdout: aligned columns, a rule under the header, notes
+    after the body. *)

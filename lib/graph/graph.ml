@@ -216,11 +216,3 @@ let induced g nodes =
         g v)
     back;
   (of_edges ~n:(Array.length back) !edges, back)
-
-let pp ppf g =
-  Format.fprintf ppf "graph(n=%d, m=%d)" g.size g.edge_count;
-  iter_nodes
-    (fun u ->
-      Format.fprintf ppf "@. %d:" u;
-      iter_neighbors (fun v -> Format.fprintf ppf " %d" v) g u)
-    g

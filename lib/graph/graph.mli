@@ -101,5 +101,3 @@ val induced : t -> node list -> t * node array
     Useful for running a connected-graph algorithm inside one
     component of a partitioned network.
     @raise Invalid_argument on an empty or out-of-range node list. *)
-
-val pp : Format.formatter -> t -> unit

@@ -58,7 +58,6 @@ let route_of_codes codes =
 let route_length r = Array.length r
 let route_link r i = r.(i) lsr 1
 let route_copy r i = r.(i) land 1 <> 0
-let route_elem r i = { link = route_link r i; copy = route_copy r i }
 
 (* [compile (of_walk ?copy_at g walk)] over an int-array walk, as an
    {!Inout.route_array} climb produces it, so compiling the route
@@ -97,28 +96,6 @@ let compile_walk_marked_arr g walk =
     codes
   end
 
-let concat a b =
-  match List.rev a with
-  | { link = 0; copy = false } :: rev_prefix -> List.rev_append rev_prefix b
-  | _ -> invalid_arg "Anr.concat: first header does not end at an NCU"
-
-let walk_of g ~src t =
-  let rec follow u acc = function
-    | [] -> List.rev (u :: acc)
-    | { link = 0; _ } :: rest ->
-        if rest <> [] then invalid_arg "Anr.walk_of: elements after NCU delivery";
-        List.rev (u :: acc)
-    | { link; _ } :: rest ->
-        let v =
-          try Netgraph.Graph.peer_via g u link
-          with Not_found ->
-            invalid_arg
-              (Printf.sprintf "Anr.walk_of: node %d has no link %d" u link)
-        in
-        follow v (u :: acc) rest
-  in
-  follow src [] t
-
 let copy_targets g ~src t =
   let rec follow u acc = function
     | [] -> List.rev acc
@@ -138,46 +115,6 @@ let id_bits g =
   let ids = 2 * (Netgraph.Graph.max_degree g + 1) in
   let rec bits_needed k acc = if 1 lsl acc >= k then acc else bits_needed k (acc + 1) in
   max 2 (bits_needed ids 0)
-
-let encoded_bits g t = id_bits g * length t
-
-let encode g t =
-  let k = id_bits g in
-  let copy_bit = 1 lsl (k - 1) in
-  let buffer = Buffer.create (k * length t) in
-  List.iter
-    (fun e ->
-      if e.link >= copy_bit then
-        invalid_arg "Anr.encode: link index exceeds the ID width";
-      let id = if e.copy then e.link lor copy_bit else e.link in
-      for bit = k - 1 downto 0 do
-        Buffer.add_char buffer (if id land (1 lsl bit) <> 0 then '1' else '0')
-      done)
-    t;
-  Buffer.contents buffer
-
-let decode g bits =
-  let k = id_bits g in
-  let len = String.length bits in
-  if len mod k <> 0 then
-    invalid_arg "Anr.decode: bit-string length is not a multiple of the ID width";
-  let copy_bit = 1 lsl (k - 1) in
-  let elem_of_chunk pos =
-    let id = ref 0 in
-    for offset = 0 to k - 1 do
-      (id := (!id lsl 1) lor
-             (match bits.[pos + offset] with
-             | '0' -> 0
-             | '1' -> 1
-             | c -> invalid_arg (Printf.sprintf "Anr.decode: bad character %C" c)))
-    done;
-    let copy = !id land copy_bit <> 0 in
-    let link = !id land lnot copy_bit in
-    if link = 0 && copy then
-      invalid_arg "Anr.decode: copy flag on the NCU link";
-    { link; copy }
-  in
-  List.init (len / k) (fun i -> elem_of_chunk (i * k))
 
 let pp ppf t =
   let pp_elem ppf e =

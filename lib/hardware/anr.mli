@@ -85,9 +85,6 @@ val route_link : route -> int -> int
 val route_copy : route -> int -> bool
 (** The copy flag of the element at a cursor position. *)
 
-val route_elem : route -> int -> elem
-(** The element at a cursor position, re-materialised (testing aid). *)
-
 val compile_walk_arr :
   ?copy_at:(int -> bool) -> Netgraph.Graph.t -> int array -> route
 (** [compile (of_walk ?copy_at g walk)] over an int-array walk — the
@@ -101,42 +98,14 @@ val compile_walk_marked_arr : Netgraph.Graph.t -> int array -> route
     announcement tour this way, straight from the leader's table.
     @raise Invalid_argument if the walk is empty. *)
 
-val concat : t -> t -> t
-(** [concat a b] splices two headers: [a]'s terminating NCU element is
-    dropped and [b] is appended, so a packet follows [a]'s walk and
-    continues with [b] from [a]'s last node.  [a] must end with the
-    plain NCU element. *)
-
-val walk_of : Netgraph.Graph.t -> src:int -> t -> int list
-(** [walk_of g ~src t] replays the header from [src] and returns the
-    node walk it visits (including [src]).  Fails on a malformed
-    header.  Testing aid; the switches themselves never need global
-    knowledge.
-    @raise Invalid_argument on a dangling link index. *)
-
 val copy_targets : Netgraph.Graph.t -> src:int -> t -> int list
 (** Nodes whose NCU receives the packet: the selective-copy nodes in
     walk order, plus the terminal node. *)
 
-val encoded_bits : Netgraph.Graph.t -> t -> int
-(** Size of the header in bits under the paper's encoding: each ID is
-    a [k]-bit string with [k = O(log m)]; we use
-    [k = ceil(log2 (2 * (max_degree + 1)))] so every switch can name
-    each incident link's normal and copy IDs plus the NCU. *)
-
 val id_bits : Netgraph.Graph.t -> int
-(** The per-element ID width [k] used by {!encode} for this graph. *)
-
-val encode : Netgraph.Graph.t -> t -> string
-(** The header as the actual bit string the switching hardware would
-    parse: each element is one [k]-bit ID — the paper's normal IDs are
-    the link index, the copy IDs the same index with the top bit set,
-    and ID 0 names the NCU.  Rendered as ASCII '0'/'1' for clarity;
-    length is {!encoded_bits}. *)
-
-val decode : Netgraph.Graph.t -> string -> t
-(** Inverse of {!encode}.
-    @raise Invalid_argument on a malformed bit string (wrong length,
-    non-binary characters, or an ID with the copy bit on the NCU). *)
+(** The per-element ID width [k] of the paper's header encoding: each
+    element is one [k]-bit ID, [k = O(log m)], here
+    [ceil(log2 (2 * (max_degree + 1)))] so every switch can name each
+    incident link's normal and copy IDs plus the NCU. *)
 
 val pp : Format.formatter -> t -> unit

@@ -21,5 +21,3 @@ let uniform_random rng ~c ~p =
 let new_model () = deterministic ~c:0.0 ~p:1.0
 let traditional () = deterministic ~c:1.0 ~p:0.0
 let postal ~c ~p = deterministic ~c ~p
-
-let pp ppf t = Format.fprintf ppf "cost(C=%g, P=%g)" t.c t.p

@@ -38,5 +38,3 @@ val traditional : unit -> t
 val postal : c:float -> p:float -> t
 (** Alias for {!deterministic} named after the general parameterised
     family (cf. the postal/LogP models that extended this paper). *)
-
-val pp : Format.formatter -> t -> unit

@@ -171,8 +171,6 @@ let retire t =
 let graph t = t.graph
 let engine t = t.engine
 let metrics t = t.metrics
-let cost t = t.cost
-let trace t = t.trace
 let tracing t = Sim.Trace.enabled t.trace
 let registry t = t.registry
 
@@ -503,18 +501,6 @@ let send_walk_arr ?label ?copy_at ctx ~walk payload =
     invalid_arg "Network.send_walk_arr: walk must start at the sender";
   let route = Anr.compile_walk_arr ?copy_at ctx.net.graph walk in
   send_compiled ?label ctx ~route payload
-
-let neighbors ctx =
-  let t = ctx.net in
-  let g = t.graph in
-  let u = ctx.node in
-  let acc = ref [] in
-  for i = Graph.degree g u downto 1 do
-    let e = Graph.edge_id g u i in
-    acc :=
-      (Graph.edge_target g e, word_up t.link.(Graph.edge_uid g e)) :: !acc
-  done;
-  !acc
 
 let set_timer ?(label = "timer") ctx ~delay f =
   let t = ctx.net in

@@ -81,8 +81,6 @@ val retire : 'msg t -> unit
 val graph : 'msg t -> Netgraph.Graph.t
 val engine : 'msg t -> Sim.Engine.t
 val metrics : 'msg t -> Metrics.t
-val cost : 'msg t -> Cost_model.t
-val trace : 'msg t -> Sim.Trace.t
 
 val registry : 'msg t -> Registry.t option
 (** The registry handed to {!create}, if any — protocol layers use it
@@ -194,11 +192,6 @@ val send_walk_arr :
     same walk as a list — same header length, dmax check, metrics and
     switching.
     @raise Invalid_argument if the walk does not start here. *)
-
-val neighbors : 'msg context -> (int * bool) list
-(** Adjacent nodes with their current link state, as known to the
-    data-link layer instantaneously.  (Protocols that must rely only
-    on detected state should track [on_link_change] events.) *)
 
 val set_timer :
   ?label:string -> 'msg context -> delay:float -> (unit -> unit) -> unit

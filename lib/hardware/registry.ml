@@ -88,9 +88,6 @@ let observe h v =
   end
 
 let counter_value c = c.count
-let gauge_value g = g.value
-let histogram_count h = h.total
-let histogram_sum h = h.sum
 
 let histogram_buckets h =
   List.init
@@ -104,16 +101,6 @@ let histogram_buckets h =
 let find_counter t name =
   match Hashtbl.find_opt t.instruments name with
   | Some (Counter (c, _)) -> Some c
-  | _ -> None
-
-let find_gauge t name =
-  match Hashtbl.find_opt t.instruments name with
-  | Some (Gauge (g, _)) -> Some g
-  | _ -> None
-
-let find_histogram t name =
-  match Hashtbl.find_opt t.instruments name with
-  | Some (Histogram (h, _)) -> Some h
   | _ -> None
 
 let merge ~into src =
@@ -142,18 +129,6 @@ let merge ~into src =
       (List.sort
          (fun (a, _) (b, _) -> String.compare a b)
          (Hashtbl.fold (fun name i acc -> (name, i) :: acc) src.instruments []))
-
-let clear t =
-  Hashtbl.iter
-    (fun _ i ->
-      match i with
-      | Counter (c, _) -> c.count <- 0
-      | Gauge (g, _) -> g.value <- 0.0
-      | Histogram (h, _) ->
-          Array.fill h.bins 0 (Array.length h.bins) 0;
-          h.total <- 0;
-          h.sum <- 0.0)
-    t.instruments
 
 let sorted t =
   List.sort

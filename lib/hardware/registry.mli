@@ -55,20 +55,12 @@ val observe : histogram -> float -> unit
 (** {1 Reading} *)
 
 val counter_value : counter -> int
-val gauge_value : gauge -> float
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
 
 val histogram_buckets : histogram -> (float * int) list
 (** [(upper_bound, count)] per bin, the final bin as [(infinity, _)].
     Counts are per-bin, not cumulative. *)
 
 val find_counter : t -> string -> counter option
-val find_gauge : t -> string -> gauge option
-val find_histogram : t -> string -> histogram option
-
-val clear : t -> unit
-(** Reset every instrument to zero (registrations are kept). *)
 
 val merge : into:t -> t -> unit
 (** [merge ~into src] folds [src]'s instruments into [into],

@@ -224,16 +224,6 @@ let stats t =
 
 let generations t = t.generations_done
 
-let reset_stats t =
-  Array.iter
-    (fun s ->
-      s.w_tasks <- 0;
-      s.w_chunks <- 0;
-      s.w_busy <- 0.0;
-      s.w_idle <- 0.0)
-    t.stats;
-  t.generations_done <- 0
-
 let span_buckets = [| 0.0001; 0.001; 0.01; 0.1; 1.0; 10.0; 100.0 |]
 
 (* Totals go to counters and per-worker spans to histograms, so

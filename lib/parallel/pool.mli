@@ -36,12 +36,6 @@ val create : jobs:int -> t
 
 val jobs : t -> int
 
-val run : t -> (int -> unit) -> unit
-(** [run t task] executes [task worker] once on every worker
-    (worker 0 is the caller), returning when all are done.  Building
-    block for {!map}; most callers want {!map}.
-    @raise Invalid_argument on a closed or busy (re-entered) pool. *)
-
 val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map t f xs] applies [f] to every element, distributing items over
     the pool's workers, and returns the results {e in submission
@@ -82,8 +76,6 @@ val stats : t -> worker_stats array
 
 val generations : t -> int
 (** {!run}/{!map} submissions completed. *)
-
-val reset_stats : t -> unit
 
 val publish : t -> Hardware.Registry.t -> unit
 (** Fold the totals into a registry: [pool.tasks], [pool.chunks],

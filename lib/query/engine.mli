@@ -4,7 +4,7 @@
     schema-v2 JSONL stream (or an in-memory event list) through a
     filter, counts and time-bounds the survivors, optionally groups
     them, and prices them through {!Latency} — all in one pass with
-    O({!Histo.bins} + groups + in-flight packets) memory, so event
+    O(histogram bins + groups + in-flight packets) memory, so event
     count never bounds what can be analysed. *)
 
 type kind =

@@ -41,6 +41,3 @@ val quantile : t -> float -> float
 (** [quantile t q] for [q] in [[0, 1]]: nearest-rank estimate.
     [q = 0.] returns the exact minimum, [q = 1.] the exact maximum;
     [nan] when empty.  Out-of-range [q] raises [Invalid_argument]. *)
-
-val bins : int
-(** Grid size, exported so tests can pin the O(bins) memory claim. *)

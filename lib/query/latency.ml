@@ -240,11 +240,6 @@ let observe t (e : Sim.Trace.event) =
   | Sim.Trace.Custom _ ->
       ()
 
-let of_events ?cost events =
-  let t = create ?cost () in
-  List.iter (observe t) events;
-  t
-
 let c t = t.c
 let p t = t.p
 let hop t = t.hop
@@ -277,7 +272,6 @@ let links t =
       | d -> d)
     !all
 
-let link_count s = s.ls_count
 let link_mean s = if s.ls_count = 0 then nan else s.ls_total /. float_of_int s.ls_count
 let link_min s = if s.ls_count = 0 then nan else s.ls_min
 let link_max s = if s.ls_count = 0 then nan else s.ls_max
@@ -305,7 +299,7 @@ let dist_json h =
   in
   "{" ^ String.concat "," (List.map field (dist_fields h)) ^ "}"
 
-let to_json ?(max_links = 64) t =
+let to_json t =
   let all_links = links t in
   let shown, elided =
     let rec split n = function
@@ -315,7 +309,7 @@ let to_json ?(max_links = 64) t =
           let s, e = split (n - 1) rest in
           (x :: s, e)
     in
-    split max_links all_links
+    split 64 all_links
   in
   let link_json ((u, v), s) =
     let num f = J.float (if Float.is_nan f then 0.0 else f) in

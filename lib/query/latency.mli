@@ -13,7 +13,7 @@
     bound), so a fat p99 is attributable to contention rather than to
     the model's own delays.
 
-    Memory is O({!Histo.bins} + in-flight packets + distinct links):
+    Memory is O(histogram bins + in-flight packets + distinct links):
     the three global distributions are fixed-bin histograms, per-packet
     state is two floats, and per-link state is a four-word summary.
     All per-packet and per-link state lives in a few large parallel
@@ -31,8 +31,6 @@ val create : ?cost:Hardware.Cost_model.t -> unit -> t
 val observe : t -> Sim.Trace.event -> unit
 (** Feed one event, in chronological order.  Non-message events
     (syscalls, drops, link changes, custom marks) are ignored. *)
-
-val of_events : ?cost:Hardware.Cost_model.t -> Sim.Trace.event list -> t
 
 val c : t -> float
 val p : t -> float
@@ -58,7 +56,6 @@ val links : t -> ((int * int) * link_stat) list
 (** Per-directed-link hop summaries, busiest first (count descending,
     then link ascending — deterministic). *)
 
-val link_count : link_stat -> int
 val link_mean : link_stat -> float
 
 val messages : t -> int
@@ -84,9 +81,9 @@ val dist_fields : Histo.t -> (string * float) list
 (** [count, mean, min, max, p50, p95, p99] of one distribution as
     JSON-ready key/value pairs (count included as a float). *)
 
-val to_json : ?max_links:int -> t -> string
-(** Deterministic JSON object ([%.12g] floats).  At most [max_links]
-    (default 64) per-link entries are rendered, busiest first, with an
-    explicit ["links_elided"] count for the rest. *)
+val to_json : t -> string
+(** Deterministic JSON object ([%.12g] floats).  At most 64 per-link
+    entries are rendered, busiest first, with an explicit
+    ["links_elided"] count for the rest. *)
 
 val pp : Format.formatter -> t -> unit

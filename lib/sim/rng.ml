@@ -38,10 +38,6 @@ let int_in t lo hi =
 
 let float t bound = Random.State.float t bound
 
-let float_in t lo hi =
-  if lo > hi then invalid_arg "Rng.float_in: lo > hi";
-  lo +. Random.State.float t (hi -. lo)
-
 let bool t = Random.State.bool t
 
 let chance t p =

@@ -46,9 +46,6 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [0, bound). *)
 
-val float_in : t -> float -> float -> float
-(** [float_in t lo hi] draws uniformly from [lo, hi). *)
-
 val bool : t -> bool
 (** [bool t] draws a fair coin. *)
 

@@ -40,7 +40,6 @@ let close t =
     t.closed <- true
   end
 
-let is_closed t = t.closed
 let emitted t = t.emitted
 let dropped t = t.dropped
 let bytes t = t.bytes

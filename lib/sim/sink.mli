@@ -34,8 +34,6 @@ val close : t -> unit
 (** Flush and release the sink.  Idempotent.  After [close], {!emit}
     raises. *)
 
-val is_closed : t -> bool
-
 val emitted : t -> int
 (** Lines accepted so far. *)
 

@@ -83,8 +83,3 @@ let growth_exponent pts =
   in
   let slope, _ = linear_fit usable in
   slope
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.3f sd=%.3f min=%.3f med=%.3f p90=%.3f max=%.3f" s.count s.mean
-    s.stddev s.min s.median s.p90 s.max

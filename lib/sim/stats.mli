@@ -42,5 +42,3 @@ val growth_exponent : (float * float) list -> float
     (e.g. distinguishing Theta(n) from Theta(n log n) growth needs the
     companion {!linear_fit} on (x, y/x) instead, but the exponent is a
     convenient first check). *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -2,10 +2,9 @@ type t = {
   engine : Engine.t;
   mutable generation : int;  (* bumped on every arm/cancel *)
   mutable armed : bool;
-  mutable fired : int;
 }
 
-let create engine = { engine; generation = 0; armed = false; fired = 0 }
+let create engine = { engine; generation = 0; armed = false }
 
 let arm t ~delay f =
   t.generation <- t.generation + 1;
@@ -18,16 +17,12 @@ let arm t ~delay f =
          events see. *)
       if t.armed && t.generation = gen then begin
         t.armed <- false;
-        t.fired <- t.fired + 1;
         f ()
       end)
 
 let cancel t =
   t.generation <- t.generation + 1;
   t.armed <- false
-
-let is_armed t = t.armed
-let fires t = t.fired
 
 type backoff = { base : float; factor : float; cap : float; jitter : float }
 

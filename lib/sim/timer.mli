@@ -25,12 +25,6 @@ val arm : t -> delay:float -> (unit -> unit) -> unit
 val cancel : t -> unit
 (** Disarm [w]: any pending fire becomes a no-op.  Idempotent. *)
 
-val is_armed : t -> bool
-(** Whether a fire is pending (armed and not yet fired or cancelled). *)
-
-val fires : t -> int
-(** Number of armings that actually fired (diagnostics). *)
-
 (** Capped exponential backoff: attempt [k] waits
     [min (base *. factor^k) cap], stretched by a multiplicative jitter
     drawn from the caller's own {!Rng} stream so that two nodes backing

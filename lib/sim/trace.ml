@@ -55,7 +55,6 @@ let streaming ?(keep = false) ?capacity ~consumer () =
   }
 
 let enabled t = t.enabled
-let is_streaming t = t.consumer <> None
 
 let record t e =
   if t.enabled then begin

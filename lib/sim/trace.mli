@@ -44,9 +44,6 @@ val enabled : t -> bool
 (** Whether {!record} retains events.  Hot paths test this before
     building an event, so tracing-off costs no allocation at all. *)
 
-val is_streaming : t -> bool
-(** Whether a consumer is attached. *)
-
 val record : t -> event -> unit
 val events : t -> event list
 (** Events in chronological (recording) order. *)

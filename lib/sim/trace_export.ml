@@ -97,7 +97,7 @@ let ts time = Json.float (time *. 1000.0)
 
 let span_name label = if label = "" then "msg" else label
 
-let to_chrome ?(process_name = "futurenet") ?(decorate = fun _ -> "") buf t =
+let to_chrome ?(decorate = fun _ -> "") buf t =
   let events = Trace.events t in
   (* Every node mentioned anywhere gets a named track. *)
   let nodes = Hashtbl.create 64 in
@@ -138,10 +138,7 @@ let to_chrome ?(process_name = "futurenet") ?(decorate = fun _ -> "") buf t =
     Buffer.add_string buf obj
   in
   Buffer.add_string buf "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n";
-  emit
-    (Printf.sprintf
-       {|{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":%s}}|}
-       (Json.string process_name));
+  emit {|{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"futurenet"}}|};
   List.iter
     (fun v ->
       emit
@@ -217,7 +214,7 @@ let to_chrome ?(process_name = "futurenet") ?(decorate = fun _ -> "") buf t =
     events;
   Buffer.add_string buf "\n  ]\n}\n"
 
-let chrome ?process_name ?decorate t =
+let chrome ?decorate t =
   let buf = Buffer.create 8192 in
-  to_chrome ?process_name ?decorate buf t;
+  to_chrome ?decorate buf t;
   Buffer.contents buf

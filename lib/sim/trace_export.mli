@@ -67,10 +67,10 @@ val stream_finish : ?time:float -> Sink.t -> Trace.t -> unit
     then flush the sink.  Does not close it — the caller owns the
     sink. *)
 
-val chrome : ?process_name:string -> ?decorate:(int -> string) -> Trace.t -> string
+val chrome : ?decorate:(int -> string) -> Trace.t -> string
 (** The whole trace as one Chrome [trace_event] JSON document:
     [{"displayTimeUnit": "ms", "traceEvents": [...]}].
-    [process_name] (default ["futurenet"]) labels pid 0.
+    The process name ["futurenet"] labels pid 0.
 
     [decorate i] returns extra JSON fields (e.g. [",\"cname\":\"terrible\""],
     empty by default) appended to every [trace_event] object derived

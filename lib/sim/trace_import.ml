@@ -33,9 +33,6 @@ let parse_record s =
 let number fields key =
   match List.assoc_opt key fields with Some (Json.Num f) -> Some f | _ -> None
 
-let int_field fields key =
-  match number fields key with Some f -> Some (int_of_float f) | None -> None
-
 let string_field fields key =
   match List.assoc_opt key fields with Some (Json.Str s) -> Some s | _ -> None
 

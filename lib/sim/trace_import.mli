@@ -45,4 +45,3 @@ val fold_file :
     unparsable line aborts with [Error "path:lineno: reason"]. *)
 
 val number : record -> string -> float option
-val int_field : record -> string -> int option

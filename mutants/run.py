@@ -62,6 +62,7 @@ MUTANTS = [
         "cases": [
             ("chaos", "verdict digests pinned"),
             ("compile", "ack route equals the tree walk up to the root"),
+            ("chaos.recover", "fault-free recovering acks reach the root"),
         ],
     },
     {
@@ -84,6 +85,43 @@ MUTANTS = [
         "old": "route_of_codes [| i lsl 1; 0 |]",
         "new": "route_of_codes [| (i lsl 1) lor 1; 0 |]",
         "cases": [("chaos", "verdict digests pinned")],
+    },
+    {
+        # a reused network keeps the previous run's FIFO arrival clocks
+        "name": "reuse-fifo-not-refilled",
+        "file": "lib/hardware/network.ml",
+        "old": "      Array.fill s.s_fifo 0 (Array.length s.s_fifo) neg_infinity;\n",
+        "new": "",
+        "cases": [("core.reuse", "broadcast after a fault-laden run")],
+    },
+    {
+        # each flood copy's one-hop header built from a [self; peer]
+        # walk: the same trace, more minor words per event
+        "name": "flood-header-from-walk",
+        "file": "lib/core/flooding.ml",
+        "old": "        Network.send_compiled ~label:\"flood\" ctx\n"
+               "          ~route:(Hardware.Anr.route_of_codes [| i lsl 1; 0 |])\n"
+               "          m\n",
+        "new": "        ignore i;\n"
+               "        Network.send_walk ~label:\"flood\" ctx ~walk:[ self; peer ] m\n",
+        "cases": [("compile", "flooding minor words per event")],
+    },
+    {
+        # the Theorem 5 monitor's budget cut from 6n to n
+        "name": "monitor-election-budget-n",
+        "file": "lib/hardware/monitor.ml",
+        "old": "    ok = election_syscalls <= 6 * n;\n",
+        "new": "    ok = election_syscalls <= n;\n",
+        "cases": [("hardware.monitor",
+                   "6n election budget in fail mode, all families")],
+    },
+    {
+        # a delivery's software work bounded by C instead of P
+        "name": "latency-delivery-work-bounded-by-c",
+        "file": "lib/query/latency.ml",
+        "old": "          let work = Float.min t.p elapsed in\n",
+        "new": "          let work = Float.min t.c elapsed in\n",
+        "cases": [("bench_counters", "n=64 rows match the golden")],
     },
 ]
 

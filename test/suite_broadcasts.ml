@@ -88,8 +88,8 @@ let test_layered_single_unit_time () =
 
 let test_layered_header_growth () =
   (* header length Theta(n * d) on a path: the dmax motivation *)
-  let h16 = LA.header_length ~view:(B.path 16) ~root:0 in
-  let h32 = LA.header_length ~view:(B.path 32) ~root:0 in
+  let h16 = (LA.run ~graph:(B.path 16) ~root:0 ()).BC.max_header in
+  let h32 = (LA.run ~graph:(B.path 32) ~root:0 ()).BC.max_header in
   check_bool "quadratic-ish growth" true (h32 > 3 * h16);
   let bp = BP.run ~graph:(B.path 32) ~root:0 () in
   check_bool "branching paths headers stay linear" true (bp.BC.max_header <= 32)
@@ -109,9 +109,12 @@ let test_direct_linear_time () =
   let g = B.path 24 in
   let r = DI.run ~graph:g ~root:0 () in
   check_bool "O(n) time on a path" true (r.BC.time >= 23.0);
-  check_int "rounds = n-1 on a path" 23 (DI.rounds_needed g ~root:0);
-  (* on a star everything fits in one round *)
-  check_int "1 round on star" 1 (DI.rounds_needed (B.star 24) ~root:0)
+  (* the root ships one packet per link per activation, so its
+     activations are the rounds: n-1 on a path, one on a star; every
+     other node is activated once, by its delivery *)
+  check_int "rounds = n-1 on a path" (23 + 23) r.BC.syscalls;
+  check_int "1 round on star" (1 + 23)
+    (DI.run ~graph:(B.star 24) ~root:0 ()).BC.syscalls
 
 let test_failure_truncates_not_kills_bpaths () =
   (* failing one link loses only downstream path nodes *)

@@ -357,18 +357,15 @@ let test_repro_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       R.write_repro ~path verdict;
-      match R.read_repro path with
-      | Error e -> Alcotest.failf "read_repro: %s" e
-      | Ok (scenario, schedule) ->
-          check_bool "scenario preserved" true (scenario = Sweep.Flood);
+      match R.replay path with
+      | Error e -> Alcotest.failf "replay: %s" e
+      | Ok v ->
+          check_bool "scenario preserved" true (v.R.scenario = Sweep.Flood);
           check_bool "schedule preserved" true
-            (Sch.equal verdict.R.schedule schedule);
+            (Sch.equal verdict.R.schedule v.R.schedule);
           (* replaying the file reproduces the verdict exactly *)
-          (match R.replay path with
-          | Error e -> Alcotest.failf "replay: %s" e
-          | Ok v ->
-              check_string "same verdict JSON" (R.verdict_json verdict)
-                (R.verdict_json v)))
+          check_string "same verdict JSON" (R.verdict_json verdict)
+            (R.verdict_json v))
 
 let test_repro_rejects_foreign_files () =
   let path = Filename.temp_file "chaos-repro" ".json" in
@@ -378,7 +375,7 @@ let test_repro_rejects_foreign_files () =
       let oc = open_out path in
       output_string oc "{\"name\":\"bench\",\"ns_per_run\":12.0}";
       close_out oc;
-      check_bool "bench file refused" true (Result.is_error (R.read_repro path)))
+      check_bool "bench file refused" true (Result.is_error (R.replay path)))
 
 (* The repro's scenario name is outside input: a misspelled one is an
    error naming it, never an exception or another family.  Every name

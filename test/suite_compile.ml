@@ -344,37 +344,22 @@ let test_network_create_words () =
           n words create_minor_words_bound)
     [ 1024; 4096 ]
 
-let test_publish_and_pp_stats () =
+let test_stats_and_pp_stats () =
   Cache.clear ();
   ignore (Cache.random_connected ~seed:5 ~n:32 ~extra_edges:16);
   ignore (Cache.random_connected ~seed:5 ~n:32 ~extra_edges:16);
   ignore (Cache.random_connected ~seed:6 ~n:32 ~extra_edges:16);
-  let module R = Hardware.Registry in
-  let r = R.create () in
-  Cache.publish r;
-  let counter name =
-    match R.find_counter r name with
-    | Some c -> R.counter_value c
-    | None -> Alcotest.failf "counter %s not published" name
-  in
   let s = Cache.stats () in
-  check_int "hits" s.Cache.hits (counter "compile.cache.hits");
-  check_int "misses" s.Cache.misses (counter "compile.cache.misses");
-  check_int "evictions" s.Cache.evictions (counter "compile.cache.evictions");
-  (match R.find_gauge r "compile.cache.resident" with
-  | Some g ->
-      check_int "resident gauge" (Cache.resident ())
-        (int_of_float (R.gauge_value g))
-  | None -> Alcotest.fail "resident gauge not published");
-  (* the text summary carries the same numbers *)
-  let line = Format.asprintf "%a" Cache.pp_stats () in
-  check_bool "pp_stats mentions misses" true
-    (let needle = Printf.sprintf "%d misses" s.Cache.misses in
-     let nh = String.length line and nn = String.length needle in
-     let rec go i = i + nn <= nh && (String.sub line i nn = needle || go (i + 1)) in
-     go 0);
-  (* publishing into a disabled registry is a silent no-op *)
-  Cache.publish (R.disabled ())
+  check_int "hits" 1 s.Cache.hits;
+  check_int "misses" 2 s.Cache.misses;
+  check_int "resident" 2 (Cache.resident ());
+  (* the stats are published as the text summary the bench and trace
+     reports print *)
+  Alcotest.(check string) "pp_stats"
+    (Printf.sprintf
+       "compile cache: 1 hits, 2 misses, %d evictions (2 artifacts resident)"
+       s.Cache.evictions)
+    (Format.asprintf "%a" Cache.pp_stats ())
 
 (* The route compiler against the pipeline it replaced: BFS tree,
    labelling, then each chain's copy-all header built from its walk. *)
@@ -396,7 +381,7 @@ let qcheck_routes_match_reference =
     (fun (n, salt) ->
       let rng = Sim.Rng.create ~seed:((n * 7919) + salt) in
       let g = B.random_connected rng ~n ~extra_edges:(Sim.Rng.int rng (n + 1)) in
-      let keep = Sim.Rng.float_in rng 0.2 1.0 in
+      let keep = 0.2 +. Sim.Rng.float rng 0.8 in
       let up = Array.init (G.m g) (fun _ -> Sim.Rng.chance rng keep) in
       let edge_up = Array.get up in
       List.for_all
@@ -489,7 +474,7 @@ let suite =
   [
     Alcotest.test_case "hit is physically shared" `Quick
       test_hit_is_physically_shared;
-    Alcotest.test_case "cache stats published" `Quick test_publish_and_pp_stats;
+    Alcotest.test_case "cache stats published" `Quick test_stats_and_pp_stats;
     Alcotest.test_case "miss recompiles" `Quick test_miss_recompiles;
     Alcotest.test_case "matches direct builder" `Quick
       test_artifact_matches_direct_builder;

@@ -368,13 +368,22 @@ let test_timer_charges_syscall () =
   check_float "timer activation time" 7.0 !fired;
   check_int "two syscalls" 2 (Hardware.Metrics.syscalls (N.metrics net))
 
+(* The link state a handler reads for each neighbour is the data-link
+   layer's current one. *)
 let test_neighbors_reports_state () =
   let graph = B.star 4 in
   let engine = Sim.Engine.create () in
   let seen = ref [] in
   let handlers v =
     {
-      N.on_start = (fun ctx -> if v = 0 then seen := N.neighbors ctx);
+      N.on_start =
+        (fun ctx ->
+          if v = 0 then
+            let net = N.network ctx in
+            seen :=
+              List.map
+                (fun u -> (u, N.link_is_up net 0 u))
+                (Netgraph.Graph.neighbors (N.graph net) 0));
       on_message = (fun _ ~via:_ (Payload _) -> ());
       on_link_change = (fun _ ~peer:_ ~up:_ -> ());
     }

@@ -634,7 +634,17 @@ module Scenarios (N : NET) = struct
     ]
 end
 
-module Fast = Scenarios (Hardware.Network)
+(* The data-link view the scenarios' handlers read, over the fast
+   path's own link state: every adjacent node with its link's state. *)
+module Fastnet = struct
+  include Hardware.Network
+
+  let neighbors ctx =
+    let net = network ctx and u = self ctx in
+    List.map (fun v -> (v, link_is_up net u v)) (Graph.neighbors (graph net) u)
+end
+
+module Fast = Scenarios (Fastnet)
 module Slow = Scenarios (Refnet)
 
 let parity_tests =

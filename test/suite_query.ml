@@ -135,8 +135,8 @@ let test_import_headers_both_kinds () =
   with
   | Ok (TI.Header { kind; fields; _ }) ->
       check_bool "kind" true (kind = "chaos_heartbeat");
-      check_bool "n field" true (TI.int_field fields "n" = Some 16);
-      check_bool "seed field" true (TI.int_field fields "seed" = Some 7)
+      check_bool "n field" true (TI.number fields "n" = Some 16.0);
+      check_bool "seed field" true (TI.number fields "seed" = Some 7.0)
   | _ -> Alcotest.fail "heartbeat header did not parse as Header"
 
 let test_import_truncation_and_other () =
@@ -152,7 +152,7 @@ let test_import_truncation_and_other () =
   match TI.parse_line {|{"type":"chaos_heartbeat","done":3,"total":6}|} with
   | Ok (TI.Other { kind; fields }) ->
       check_bool "kind" true (kind = "chaos_heartbeat");
-      check_bool "payload kept" true (TI.int_field fields "done" = Some 3)
+      check_bool "payload kept" true (TI.number fields "done" = Some 3.0)
   | _ -> Alcotest.fail "unknown record type must pass through as Other"
 
 let test_import_rejects_garbage () =
@@ -178,8 +178,14 @@ let hand_trace : T.event list =
     T.Receive { node = 2; time = 4.0; msg_id = 7; label = "m" };
   ]
 
+(* The aggregate of a whole event list, fed in order. *)
+let latency events =
+  let t = L.create () in
+  List.iter (L.observe t) events;
+  t
+
 let test_latency_hand_trace () =
-  let lat = L.of_events hand_trace in
+  let lat = latency hand_trace in
   check_int "messages" 1 (L.messages lat);
   check_int "deliveries" 1 (L.deliveries lat);
   check_int "orphans" 0 (L.unknown lat);
@@ -194,14 +200,20 @@ let test_latency_hand_trace () =
   | [ (l1, s1); (l2, s2) ] ->
       check_bool "links sorted deterministically" true
         (l1 = (0, 1) && l2 = (1, 2));
-      check_int "per-link counts" 1 (L.link_count s1);
+      check_bool "per-link counts" true
+        (Result.map
+           (List.map (fun l ->
+                Result.bind (Sim.Json.member "count" l) Sim.Json.to_int))
+           (Result.bind (Sim.Json.parse (L.to_json lat)) (fun j ->
+                Result.bind (Sim.Json.member "links" j) Sim.Json.to_list))
+        = Ok [ Ok 1; Ok 1 ]);
       check_float "link 0->1 mean" 1.0 (L.link_mean s1);
       check_float "link 1->2 mean" 2.0 (L.link_mean s2)
   | ls -> Alcotest.failf "expected 2 links, got %d" (List.length ls)
 
 let test_latency_orphans_counted () =
   let lat =
-    L.of_events [ T.Hop { src = 0; dst = 1; time = 1.0; msg_id = 99 } ]
+    latency [ T.Hop { src = 0; dst = 1; time = 1.0; msg_id = 99 } ]
   in
   check_int "orphan hop counted, not guessed at" 1 (L.unknown lat);
   check_int "no samples" 0 (H.count (L.hop lat))

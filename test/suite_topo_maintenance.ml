@@ -256,9 +256,9 @@ let test_reset_on_recover_forgets () =
   in
   let with_reset = run ~reset:true and without = run ~reset:false in
   check_int "reset: only its own view" 1
-    (List.length (Core.Topology.known_nodes with_reset.TM.dbs.(3)));
+    (List.length (Core.Topology.all_views with_reset.TM.dbs.(3)));
   check_int "no reset: stale world-view survives" 6
-    (List.length (Core.Topology.known_nodes without.TM.dbs.(3)))
+    (List.length (Core.Topology.all_views without.TM.dbs.(3)))
 
 let test_reset_on_recover_reconverges () =
   (* given rounds after the recovery, the periodic broadcasts refill
@@ -270,7 +270,7 @@ let test_reset_on_recover_reconverges () =
   let o = TM.run ~params:p ~chaos:outage_events ~graph:g ~events:[] () in
   check_bool "reconverged" true o.TM.converged;
   check_int "relearned every node" 6
-    (List.length (Core.Topology.known_nodes o.TM.dbs.(3)))
+    (List.length (Core.Topology.all_views o.TM.dbs.(3)))
 
 (* -- outcome golden ---------------------------------------------------- *)
 

@@ -8,7 +8,15 @@ module B = Netgraph.Builders
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let view origin seq downs = T.view_of_downs ~origin ~seq (Array.of_list downs)
+(* A view as the protocol builds one: down peers sorted, the shared
+   empty delta when there are none. *)
+let view origin seq downs =
+  let downs =
+    if downs = [] then T.no_downs else Array.of_list (List.sort compare downs)
+  in
+  { T.origin; seq; downs }
+
+let known_nodes db = List.map (fun v -> v.T.origin) (T.all_views db)
 
 let test_update_freshness () =
   let db = T.create () in
@@ -36,13 +44,18 @@ let test_set_own_overrides () =
 let test_all_views_sorted () =
   let db = T.create () in
   ignore (T.update_all db [ view 2 1 []; view 0 1 []; view 1 1 [] ] : bool);
-  Alcotest.(check (list int)) "sorted origins" [ 0; 1; 2 ] (T.known_nodes db)
+  Alcotest.(check (list int)) "sorted origins" [ 0; 1; 2 ] (known_nodes db)
 
 let test_no_downs_shared () =
   (* healthy views share the empty delta physically *)
-  let a = view 0 1 [] and b = view 1 1 [] in
-  check_bool "shared empty delta" true (a.T.downs == b.T.downs);
-  check_bool "is no_downs" true (a.T.downs == T.no_downs)
+  let o = Core.Topo_maintenance.run ~graph:(B.ring 6) ~events:[] () in
+  let views =
+    List.concat_map T.all_views (Array.to_list o.Core.Topo_maintenance.dbs)
+  in
+  check_bool "the run exchanged views" true (views <> []);
+  List.iter
+    (fun v -> check_bool "is no_downs" true (v.T.downs == T.no_downs))
+    views
 
 let test_reports_down_search () =
   let v = view 0 1 [ 7; 3; 11 ] in
@@ -112,7 +125,7 @@ let test_clear_forgets () =
   check_bool "base believed" true (believed db g 0 1);
   let before = T.version db in
   T.clear db;
-  check_int "no views" 0 (List.length (T.known_nodes db));
+  check_int "no views" 0 (List.length (known_nodes db));
   check_bool "nothing believed" false (believed db g 0 1);
   check_bool "version moved" true (T.version db > before)
 

@@ -133,9 +133,6 @@ let test_streaming_retains_nothing () =
   let seen = ref 0 in
   let t = Sim.Trace.streaming ~consumer:(fun _ -> incr seen; true) () in
   check_bool "enabled" true (Sim.Trace.enabled t);
-  check_bool "is_streaming" true (Sim.Trace.is_streaming t);
-  check_bool "create is not streaming" false
-    (Sim.Trace.is_streaming (Sim.Trace.create ()));
   for i = 1 to 5 do
     Sim.Trace.record t (hop (float_of_int i))
   done;
