@@ -5,7 +5,11 @@ type report = Monitor.report
 
 type tap = { receives : int array; fifo : Monitor.Fifo.t }
 
-let tap ~n = { receives = Array.make n 0; fifo = Monitor.Fifo.create () }
+let tap graph =
+  {
+    receives = Array.make (Graph.n graph) 0;
+    fifo = Monitor.Fifo.create ~links:(Graph.directed_edge_count graph) ();
+  }
 
 let observe t event =
   (match event with
@@ -24,8 +28,10 @@ let trace_complete ~capacity trace =
     detail =
       (if evicted <= 0 then "ring buffer kept every event"
        else
-         Printf.sprintf "%d events evicted — delivery oracles unsound"
-           evicted);
+         Printf.sprintf
+           "%d events recorded: a traced replay's %d-event ring would miss \
+            the oldest %d"
+           (Sim.Trace.recorded trace) capacity evicted);
   }
 
 let worst_node counts limit_of =

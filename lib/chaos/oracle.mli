@@ -27,8 +27,9 @@ type report = Hardware.Monitor.report
 
 type tap
 
-val tap : n:int -> tap
-(** Fresh state for one run on an [n]-node network. *)
+val tap : Netgraph.Graph.t -> tap
+(** Fresh state for one run on [graph], its FIFO table sized once for
+    the graph's directed links. *)
 
 val observe : tap -> Sim.Trace.event -> bool
 (** Count a [Receive], clock a [Hop] on its directed link
@@ -47,7 +48,10 @@ val fifo_per_link : tap -> report
 val trace_complete : capacity:int -> Sim.Trace.t -> report
 (** Guard oracle: the run recorded ({!Sim.Trace.recorded}) no more
     events than a [capacity]-event ring keeps, so a ring replay of the
-    same run ({!Runner.run_schedule_traced}) sees every event. *)
+    same run ({!Runner.run_schedule_traced}) sees every event.  The
+    online oracles see every event either way; a failure says that the
+    replay's ring, and so its baseline diff, would miss the oldest
+    events. *)
 
 val at_most_once_delivery : deliveries:int array -> report
 (** One-way broadcasts (branching paths, DFS token, direct, layered):

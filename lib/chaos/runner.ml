@@ -1,5 +1,4 @@
 module Sweep = Parallel.Sweep
-module Registry = Hardware.Registry
 module Monitor = Hardware.Monitor
 
 type scenario = Sweep.scenario
@@ -18,6 +17,7 @@ type verdict = {
   dropped_in_flight : int;
   retransmits : int;
   restarts : int;
+  give_ups : int;
   time : float;
 }
 
@@ -31,18 +31,34 @@ type soak = {
 let failures soak =
   Array.fold_left (fun acc v -> if v.ok then acc else acc + 1) 0 soak.verdicts
 
-let counter_value registry name =
-  match Registry.find_counter registry name with
-  | Some c -> Registry.counter_value c
-  | None -> 0
-
 (* The trace oracles consume events as they are recorded, so a run
    retains none; only a traced replay ([keep]), whose events feed a
    diff, also keeps them in a ring. *)
-let tapped ~keep n =
-  let tap = Oracle.tap ~n in
+let tapped ~keep graph =
+  let tap = Oracle.tap graph in
   let consumer = Oracle.observe tap in
   (tap, Sim.Trace.streaming ~keep ~capacity:trace_capacity ~consumer ())
+
+(* Every count a verdict carries is read from the run's own results:
+   no registry is attached. *)
+let verdict scenario schedule ~liveness ~syscalls ~hops ~drops
+    ~dropped_in_flight ?(retransmits = 0) ?(restarts = 0) ?(give_ups = 0)
+    ~time oracles =
+  {
+    scenario;
+    schedule;
+    liveness;
+    oracles;
+    ok = List.for_all (fun r -> r.Monitor.ok) oracles;
+    syscalls;
+    hops;
+    drops;
+    dropped_in_flight;
+    retransmits;
+    restarts;
+    give_ups;
+    time;
+  }
 
 let trace_oracles tap trace =
   [
@@ -53,14 +69,12 @@ let trace_oracles tap trace =
 let run_broadcast ~liveness ~keep scenario (s : Schedule.t) art =
   let n = s.Schedule.n in
   let graph = Compile.Topology.graph art in
-  let tap, trace = tapped ~keep n in
-  let registry = Registry.create () in
+  let tap, trace = tapped ~keep graph in
   let config =
     {
       (Core.Broadcast.default_config ()) with
       cost = Schedule.cost s;
       trace = Some trace;
-      registry = Some registry;
       chaos = Some s.Schedule.faults;
       recover = (if liveness then Some (Hardware.Recover.default ~n) else None);
     }
@@ -76,8 +90,7 @@ let run_broadcast ~liveness ~keep scenario (s : Schedule.t) art =
             termination: everyone reached, no retry budget exhausted *)
          [
            Oracle.liveness_all_reached ~reached:r.Core.Broadcast.reached;
-           Oracle.retry_budget_respected
-             ~give_ups:(counter_value registry "recover.give_ups");
+           Oracle.retry_budget_respected ~give_ups:r.give_ups;
          ]
        else
          (if scenario = Sweep.Flood then
@@ -91,22 +104,17 @@ let run_broadcast ~liveness ~keep scenario (s : Schedule.t) art =
            ]
          else [])
   in
-  ( oracles,
-    r.Core.Broadcast.syscalls,
-    r.hops,
-    r.drops,
-    counter_value registry "net.dropped_in_flight",
-    Hardware.Recover.counters (Some registry),
-    r.time,
+  ( verdict scenario s ~liveness ~syscalls:r.Core.Broadcast.syscalls
+      ~hops:r.hops ~drops:r.drops ~dropped_in_flight:r.dropped_in_flight
+      ~retransmits:r.retransmits ~give_ups:r.give_ups ~time:r.time oracles,
     Some trace )
 
 let run_election ~liveness ~keep (s : Schedule.t) graph =
   let n = s.Schedule.n in
-  let tap, trace = tapped ~keep n in
-  let registry = Registry.create () in
+  let tap, trace = tapped ~keep graph in
   let recover = if liveness then Some (Hardware.Recover.default ~n) else None in
   let o =
-    Core.Election.run_chaos ~cost:(Schedule.cost s) ?recover ~trace ~registry
+    Core.Election.run_chaos ~cost:(Schedule.cost s) ?recover ~trace
       ~chaos:s.Schedule.faults ~graph ()
   in
   let oracles =
@@ -116,11 +124,9 @@ let run_election ~liveness ~keep (s : Schedule.t) graph =
       [
         Oracle.liveness_unique_leader ~leaders:o.Core.Election.leaders
           ~believed:o.believed;
-        Oracle.election_budget_recovering ~n
-          ~restarts:(counter_value registry "recover.restarts")
+        Oracle.election_budget_recovering ~n ~restarts:o.restarts
           ~deliveries:o.election_deliveries;
-        Oracle.retry_budget_respected
-          ~give_ups:(counter_value registry "recover.give_ups");
+        Oracle.retry_budget_respected ~give_ups:o.give_ups;
       ]
     else
       [
@@ -129,13 +135,10 @@ let run_election ~liveness ~keep (s : Schedule.t) graph =
         Oracle.election_budget_held ~n ~deliveries:o.election_deliveries;
       ]
   in
-  ( oracles,
-    o.chaos_syscalls,
-    o.chaos_hops,
-    o.chaos_drops,
-    counter_value registry "net.dropped_in_flight",
-    Hardware.Recover.counters (Some registry),
-    o.chaos_time,
+  ( verdict Sweep.Election s ~liveness ~syscalls:o.chaos_syscalls
+      ~hops:o.chaos_hops ~drops:o.chaos_drops
+      ~dropped_in_flight:o.chaos_dropped_in_flight ~restarts:o.restarts
+      ~give_ups:o.give_ups ~time:o.chaos_time oracles,
     Some trace )
 
 (* The maintenance run gets no trace: rounds of n broadcasts can
@@ -155,7 +158,6 @@ let maintenance_period n = 2.0 *. float_of_int n
 let maintenance_rounds = 12
 
 let run_maintenance ~liveness (s : Schedule.t) graph =
-  let registry = Registry.create () in
   let n = s.Schedule.n in
   let params =
     {
@@ -165,7 +167,6 @@ let run_maintenance ~liveness (s : Schedule.t) graph =
       preseed = true;
       reset_on_recover = true;
       cost = Schedule.cost s;
-      registry = Some registry;
       recover = (if liveness then Some (Hardware.Recover.default ~n) else None);
     }
   in
@@ -179,13 +180,11 @@ let run_maintenance ~liveness (s : Schedule.t) graph =
         ~rounds:o.rounds;
     ]
   in
-  ( oracles,
-    o.syscalls,
-    o.hops,
-    counter_value registry "net.drops",
-    counter_value registry "net.dropped_in_flight",
-    Hardware.Recover.counters (Some registry),
-    o.time,
+  (* the recovery layer here resumes rounds; it neither retransmits,
+     restarts nor gives up *)
+  ( verdict Sweep.Maintenance s ~liveness ~syscalls:o.syscalls ~hops:o.hops
+      ~drops:o.drops ~dropped_in_flight:o.dropped_in_flight ~time:o.time
+      oracles,
     None )
 
 let liveness_scenarios =
@@ -201,34 +200,10 @@ let run_schedule_full ?(liveness = false) ~keep scenario (s : Schedule.t) =
     invalid_arg ("Runner: " ^ liveness_refusal scenario);
   let art = Schedule.artifact_of s in
   let graph = Compile.Topology.graph art in
-  let ( oracles,
-        syscalls,
-        hops,
-        drops,
-        dropped_in_flight,
-        (retransmits, restarts),
-        time,
-        trace ) =
-    match scenario with
-    | Sweep.Election -> run_election ~liveness ~keep s graph
-    | Sweep.Maintenance -> run_maintenance ~liveness s graph
-    | broadcast -> run_broadcast ~liveness ~keep broadcast s art
-  in
-  ( {
-      scenario;
-      schedule = s;
-      liveness;
-      oracles;
-      ok = List.for_all (fun r -> r.Monitor.ok) oracles;
-      syscalls;
-      hops;
-      drops;
-      dropped_in_flight;
-      retransmits;
-      restarts;
-      time;
-    },
-    trace )
+  match scenario with
+  | Sweep.Election -> run_election ~liveness ~keep s graph
+  | Sweep.Maintenance -> run_maintenance ~liveness s graph
+  | broadcast -> run_broadcast ~liveness ~keep broadcast s art
 
 let run_schedule ?liveness scenario s =
   fst (run_schedule_full ?liveness ~keep:false scenario s)

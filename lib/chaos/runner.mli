@@ -9,7 +9,14 @@
     keeps a ring, for {!baseline_divergence}.  A soak fans [schedules]
     consecutive indices through a {!Parallel.Pool}; because every
     verdict is a pure function of [(scenario, n, seed, index)],
-    {!soak_json} is byte-identical at any job count. *)
+    {!soak_json} is byte-identical at any job count.
+
+    A run attaches no {!Hardware.Registry}: every count a verdict
+    carries comes from the protocol's own result — the network's
+    {!Hardware.Metrics} (drops, in-flight losses) and the recovery
+    layer's {!Hardware.Recover.tally} (retransmits, restarts,
+    give-ups).  A replay with a registry attached reads the same
+    counts in its [net.*] and [recover.*] counters. *)
 
 type scenario = Parallel.Sweep.scenario
 
@@ -24,9 +31,14 @@ type verdict = {
   syscalls : int;
   hops : int;
   drops : int;
-  dropped_in_flight : int;
-  retransmits : int;  (** [recover.retransmits]; 0 in safety mode *)
-  restarts : int;  (** [recover.restarts]; 0 in safety mode *)
+  dropped_in_flight : int;  (** the part of [drops] lost mid-link *)
+  retransmits : int;
+      (** broadcast re-sends of the recovery layer; 0 in safety mode *)
+  restarts : int;  (** election epoch restarts; 0 in safety mode *)
+  give_ups : int;
+      (** watchdogs that spent their retry budget, what the
+          [retry-budget] oracle judges; 0 in safety mode.  Not in
+          {!verdict_json}. *)
   time : float;  (** simulation time, never wall clock *)
 }
 

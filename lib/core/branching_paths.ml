@@ -13,17 +13,6 @@ let tree_for ~view ~root = Netgraph.Spanning.bfs_tree view ~root
 
 let predicted_time_units tree = Labels.max_path_depth (Labels.compute tree)
 
-(* Registry lookups happen only on protocol events (one per relaying
-   node), never on the per-hop path, so by-name registration here is
-   within the fast-path budget. *)
-let publish_paths ctx k =
-  if k > 0 then
-    match Network.registry (Network.network ctx) with
-    | Some r when Hardware.Registry.enabled r ->
-        Hardware.Registry.add
-          (Hardware.Registry.counter r "bpaths.paths_sent") k
-    | _ -> ()
-
 (* The route table of [root]'s minimum-hop tree over the links
    [edge_up] keeps, in one pass over int arrays — the same tree,
    labelling and chains as [Labels.compute (tree_for ...)], without
@@ -172,10 +161,10 @@ let send_route ctx m route = Network.send_compiled ~label:"bpaths" ctx ~route m
    activation ships them all (they leave through distinct child links,
    which the PARIS primitive covers); without it (ablation) each further
    path needs its own software activation. *)
-let send_paths ~multicast ctx routes m =
+let send_paths ~multicast ~paths_sent ctx routes m =
   let paths = routes.table.(Network.self ctx) in
   let count = Array.length paths in
-  publish_paths ctx count;
+  paths_sent ctx count;
   if multicast then
     for i = 0 to count - 1 do
       send_route ctx m paths.(i)
@@ -194,6 +183,7 @@ let send_paths ~multicast ctx routes m =
 (* One handler record serves every node of a run: each handler reads
    its node from the context, so a run builds no per-node closures. *)
 let spec ?precomputed:_ ?routes ?recovery ~multicast ~reached ~view =
+  let paths_sent = Broadcast.run_counter "bpaths.paths_sent" in
   let handlers =
     {
       Network.on_start =
@@ -207,7 +197,8 @@ let spec ?precomputed:_ ?routes ?recovery ~multicast ~reached ~view =
                 compile_view ~graph ~view ~root
           in
           let send attempt =
-            send_paths ~multicast ctx routes (Data { origin = root; routes; attempt })
+            send_paths ~multicast ~paths_sent ctx routes
+              (Data { origin = root; routes; attempt })
           in
           send 0;
           match recovery with
@@ -234,7 +225,7 @@ let spec ?precomputed:_ ?routes ?recovery ~multicast ~reached ~view =
                 (* the message carries the root's compiled table, the
                    paper's "tree description in the message": every
                    head ships its own row *)
-                send_paths ~multicast ctx d.routes m;
+                send_paths ~multicast ~paths_sent ctx d.routes m;
               match recovery with
               | Some _ when relay ->
                   (* acknowledge this attempt up the broadcast tree; a
@@ -255,6 +246,6 @@ let spec ?precomputed:_ ?routes ?recovery ~multicast ~reached ~view =
 let run ?(config = Broadcast.default_config ()) ?(multicast = true) ?precomputed:_
     ?routes ~graph ~root () =
   let recovery = Broadcast.Recovery.create config ~n:(Graph.n graph) ~root in
-  Broadcast.execute ~config ~graph ~root
+  Broadcast.execute ?recovery ~config ~graph ~root
     ~spec:(spec ?precomputed:None ?routes ?recovery ~multicast)
     ()

@@ -9,8 +9,11 @@ type result = {
   hops : int;
   sends : int;
   drops : int;
+  dropped_in_flight : int;
   max_header : int;
   reached : bool array;
+  retransmits : int;
+  give_ups : int;
 }
 
 let coverage r = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 r.reached
@@ -56,7 +59,7 @@ module Recovery = struct
     obs : Recover.obs option;
     root : int;
     acked : bool array;
-    mutable acks : int;
+    tally : Recover.tally;  (* [acks] counts the non-root nodes acked *)
     mutable attempt : int;
     mutable dog : Sim.Timer.t option;
     rng : Sim.Rng.t;  (* the root's jitter stream *)
@@ -75,14 +78,14 @@ module Recovery = struct
             obs = Recover.obs config.registry;
             root;
             acked;
-            acks = 1;
+            tally = Recover.tally ();
             attempt = 0;
             dog = None;
             rng = Recover.stream rc root;
             relayed = Array.make n (-1);
           }
 
-  let complete st = st.acks >= Array.length st.acked
+  let complete st = st.tally.acks >= Array.length st.acked - 1
 
   let first_relay st v ~attempt =
     if attempt > st.relayed.(v) then begin
@@ -104,8 +107,7 @@ module Recovery = struct
       && not st.acked.(src)
     then begin
       st.acked.(src) <- true;
-      st.acks <- st.acks + 1;
-      (match st.obs with Some o -> Registry.incr o.Recover.r_acks | None -> ());
+      st.tally.acks <- st.tally.acks + 1;
       if complete st then
         match st.dog with Some d -> Sim.Timer.cancel d | None -> ()
     end
@@ -123,18 +125,12 @@ module Recovery = struct
       | None -> ());
       Network.arm_watchdog ~label:"bcast-watchdog" ctx dog ~delay (fun () ->
           if not (complete st) then begin
-            (match st.obs with
-            | Some o -> Registry.incr o.Recover.r_timeouts
-            | None -> ());
-            if st.attempt >= st.rc.Recover.max_retries then (
-              match st.obs with
-              | Some o -> Registry.incr o.Recover.r_give_ups
-              | None -> ())
+            st.tally.timeouts <- st.tally.timeouts + 1;
+            if st.attempt >= st.rc.Recover.max_retries then
+              st.tally.give_ups <- st.tally.give_ups + 1
             else begin
               st.attempt <- st.attempt + 1;
-              (match st.obs with
-              | Some o -> Registry.incr o.Recover.r_retransmits
-              | None -> ());
+              st.tally.retransmits <- st.tally.retransmits + 1;
               resend ~attempt:st.attempt;
               arm ()
             end
@@ -168,10 +164,28 @@ module Recovery = struct
       Network.send_compiled ~label ctx ~route:(ack_route graph ~parent v) m
 end
 
+(* The handle is looked up on the first add, not when the spec is
+   built: a spec is built before its network, so before the registry is
+   in reach, and a run that never adds must register no zero counter. *)
+let run_counter name =
+  let slot = ref `Unresolved in
+  fun ctx k ->
+    if k > 0 then
+      match !slot with
+      | `Counter c -> Hardware.Registry.add c k
+      | `Off -> ()
+      | `Unresolved -> (
+          match Network.registry (Network.network ctx) with
+          | Some r when Hardware.Registry.enabled r ->
+              let c = Hardware.Registry.counter r name in
+              slot := `Counter c;
+              Hardware.Registry.add c k
+          | _ -> slot := `Off)
+
 type 'msg spec =
   reached:bool array -> view:Graph.t -> int -> 'msg Network.handlers
 
-let execute ~config ~graph ~root ~spec () =
+let execute ?recovery ~config ~graph ~root ~spec () =
   (* queue peak is bounded by in-flight packets, itself O(n) for every
      broadcast here; the hint saves the doubling regrowth, and the
      engine and network retired below serve the next run of this size *)
@@ -199,6 +213,13 @@ let execute ~config ~graph ~root ~spec () =
       (* unreachable: no horizon/budget given *)
       assert false);
   Network.publish_distributions net;
+  let retransmits, give_ups =
+    match recovery with
+    | None -> (0, 0)
+    | Some st ->
+        Hardware.Recover.publish st.Recovery.obs st.tally;
+        (st.tally.retransmits, st.tally.give_ups)
+  in
   let m = Network.metrics net in
   (* completion = the last NCU activation finishing; taken from the
      network's busy-until marks so it holds with tracing off or
@@ -210,8 +231,11 @@ let execute ~config ~graph ~root ~spec () =
       hops = Metrics.hops m;
       sends = Metrics.sends m;
       drops = Metrics.drops m;
+      dropped_in_flight = Metrics.dropped_in_flight m;
       max_header = Metrics.max_header m;
       reached;
+      retransmits;
+      give_ups;
     }
   in
   Network.retire net;

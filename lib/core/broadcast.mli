@@ -15,10 +15,17 @@ type result = {
   hops : int;  (** total link traversals (traditional measure) *)
   sends : int;  (** distinct packets injected *)
   drops : int;  (** packets lost to inactive links or bad headers *)
+  dropped_in_flight : int;
+      (** the part of [drops] lost mid-link to a failing link *)
   max_header : int;  (** longest header used, in elements *)
   reached : bool array;
       (** [reached.(v)] iff [v]'s NCU received the payload (the root
           counts as reached) *)
+  retransmits : int;
+      (** whole-broadcast re-sends by the recovery layer; 0 without one *)
+  give_ups : int;
+      (** 1 when the root's watchdog spent its retry budget with acks
+          still missing, else 0 *)
 }
 
 val coverage : result -> int
@@ -85,7 +92,9 @@ module Recovery : sig
   (** Root side: arm the watchdog loop.  Each expiry with acks still
       missing and budget left calls [resend] with the next attempt
       number (1-based) and re-arms under capped exponential backoff;
-      an exhausted budget counts one [recover.give_ups] and stops. *)
+      an exhausted budget counts one give-up and stops.  The run's
+      tally reaches {!result} (and the [recover.*] counters) through
+      {!execute}'s [recovery]. *)
 
   val ack_route :
     Netgraph.Graph.t -> parent:int array -> int -> Hardware.Anr.route
@@ -102,12 +111,20 @@ end
 
 (** {1 Internal executor used by the algorithm modules} *)
 
+val run_counter : string -> 'msg Hardware.Network.context -> int -> unit
+(** [run_counter name], built once per run (in a {!spec}), adds to the
+    run's registry counter [name]: the first positive add looks the
+    counter up by name and registers it, every later one adds to the
+    held handle.  A run that never adds registers nothing, and a run
+    without an enabled registry counts nothing. *)
+
 type 'msg spec =
   reached:bool array -> view:Netgraph.Graph.t -> int -> 'msg Hardware.Network.handlers
 (** Handler factory: [spec ~reached ~view v] returns node [v]'s
     handlers; they mark [reached.(v)] on delivery of the payload. *)
 
 val execute :
+  ?recovery:Recovery.t ->
   config:config ->
   graph:Netgraph.Graph.t ->
   root:int ->
@@ -115,6 +132,7 @@ val execute :
   unit ->
   result
 (** Build a network, apply configured failures at time 0, start the
-    root, run to quiescence, and collect measurements.  [make_handlers]
+    root, run to quiescence, and collect measurements.  [spec]
     receives the [reached] array to mark deliveries and the root's
-    [view]. *)
+    [view].  [recovery], the state the handlers were built with, puts
+    its retransmit and give-up tallies into the result. *)

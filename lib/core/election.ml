@@ -64,7 +64,10 @@ type chaos_outcome = {
   chaos_syscalls : int;
   chaos_hops : int;
   chaos_drops : int;
+  chaos_dropped_in_flight : int;
   chaos_time : float;
+  restarts : int;
+  give_ups : int;
 }
 
 (* Per-run state of the epoch-restart recovery layer (DESIGN.md §16).
@@ -82,6 +85,7 @@ type recovery_state = {
   epochs : int array;
   restarts_used : int array;  (* watchdog budget consumed per node *)
   dogs : Sim.Timer.t option array;
+  tally : Hardware.Recover.tally;
 }
 
 let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
@@ -144,6 +148,7 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
             epochs = Array.make n 0;
             restarts_used = Array.make n 0;
             dogs = Array.make n None;
+            tally = Hardware.Recover.tally ();
           }
   in
   let epoch_of v =
@@ -291,18 +296,11 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
             match roles.(v) with
             | Origin { cstatus = `Touring; _ }
               when rs.epochs.(v) = armed_epoch -> (
-                (match rs.robs with
-                | Some o ->
-                    Hardware.Registry.incr o.Hardware.Recover.r_timeouts
-                | None -> ());
+                rs.tally.timeouts <- rs.tally.timeouts + 1;
                 if
                   rs.restarts_used.(v)
                   >= rs.rc.Hardware.Recover.max_retries
-                then (
-                  match rs.robs with
-                  | Some o ->
-                      Hardware.Registry.incr o.Hardware.Recover.r_give_ups
-                  | None -> ())
+                then rs.tally.give_ups <- rs.tally.give_ups + 1
                 else if
                   not (Network.node_is_alive (Network.network ctx) v)
                 then begin
@@ -324,9 +322,7 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
     | None -> ()
     | Some rs ->
         rs.restarts_used.(v) <- rs.restarts_used.(v) + 1;
-        (match rs.robs with
-        | Some o -> Hardware.Registry.incr o.Hardware.Recover.r_restarts
-        | None -> ());
+        rs.tally.restarts <- rs.tally.restarts + 1;
         rs.epochs.(v) <- rs.epochs.(v) + 1;
         believed_leader.(v) <- None;
         roles.(v) <-
@@ -561,11 +557,14 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
   | Sim.Engine.Quiescent -> ()
   | Sim.Engine.Time_limit | Sim.Engine.Event_limit -> assert false);
   Network.publish_distributions net;
-  (roles, believed_leader, net, engine, !tours, !captures, !max_route)
+  (match rstate with
+  | Some rs -> Hardware.Recover.publish rs.robs rs.tally
+  | None -> ());
+  (roles, believed_leader, net, engine, rstate, !tours, !captures, !max_route)
 
 let run ?cost ?starters ?rng ?notify_supporters ?recover ?trace ?registry
     ~graph () =
-  let roles, believed_leader, net, engine, tours, captures, max_route =
+  let roles, believed_leader, net, engine, _rstate, tours, captures, max_route =
     run_core ?cost ?starters ?rng ?notify_supporters ?recover ?trace ?registry
       ~graph ()
   in
@@ -613,7 +612,8 @@ let run ?cost ?starters ?rng ?notify_supporters ?recover ?trace ?registry
   outcome
 
 let run_chaos ?cost ?starters ?rng ?recover ?trace ?registry ?chaos ~graph () =
-  let roles, believed_leader, net, engine, _tours, _captures, _max_route =
+  let roles, believed_leader, net, engine, rstate, _tours, _captures, _max_route
+      =
     run_core ?cost ?starters ?rng ?recover ?trace ?registry ?chaos ~graph ()
   in
   let leaders = ref [] in
@@ -632,7 +632,10 @@ let run_chaos ?cost ?starters ?rng ?recover ?trace ?registry ?chaos ~graph () =
       chaos_syscalls = Hardware.Metrics.syscalls m;
       chaos_hops = Hardware.Metrics.hops m;
       chaos_drops = Hardware.Metrics.drops m;
+      chaos_dropped_in_flight = Hardware.Metrics.dropped_in_flight m;
       chaos_time = Sim.Engine.now engine;
+      restarts = (match rstate with Some rs -> rs.tally.restarts | None -> 0);
+      give_ups = (match rstate with Some rs -> rs.tally.give_ups | None -> 0);
     }
   in
   Network.retire net;

@@ -93,7 +93,12 @@ type chaos_outcome = {
   chaos_syscalls : int;  (** all NCU activations incl. link-change *)
   chaos_hops : int;
   chaos_drops : int;
+  chaos_dropped_in_flight : int;  (** the part of [chaos_drops] lost mid-link *)
   chaos_time : float;
+  restarts : int;
+      (** epoch restarts of the recovery layer (watchdog expiries and
+          post-crash rejoins); 0 without [recover] *)
+  give_ups : int;  (** watchdogs that spent their node's restart budget *)
 }
 
 val run_chaos :

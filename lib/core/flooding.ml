@@ -5,7 +5,7 @@ type msg =
   | Data of { origin : int; attempt : int }
   | Ack of { src : int }
 
-let forward ctx ~except m =
+let forward ~forwards ctx ~except m =
   let self = Network.self ctx in
   let net = Network.network ctx in
   let forwarded = ref 0 in
@@ -19,12 +19,7 @@ let forward ctx ~except m =
           ~route:(Hardware.Anr.route_of_codes [| i lsl 1; 0 |])
           m
       end);
-  if !forwarded > 0 then
-    match Network.registry (Network.network ctx) with
-    | Some r when Hardware.Registry.enabled r ->
-        Hardware.Registry.add
-          (Hardware.Registry.counter r "flood.forwards") !forwarded
-    | _ -> ()
+  forwards ctx !forwarded
 
 (* [ack_parent] (recovery only) is the BFS parent array of the root's
    view, the one the branching-paths compiler builds: the fixed routes
@@ -33,12 +28,13 @@ let forward ctx ~except m =
    the context, and [seen_attempt.(v)] is the last attempt [v] flooded. *)
 let spec ?recovery ?ack_parent ~reached ~view:_ =
   let seen_attempt = Array.make (Array.length reached) (-1) in
+  let forwards = Broadcast.run_counter "flood.forwards" in
   let handlers =
     {
       Network.on_start =
         (fun ctx ->
           let send attempt =
-            forward ctx ~except:None
+            forward ~forwards ctx ~except:None
               (Data { origin = Network.self ctx; attempt })
           in
           send 0;
@@ -55,7 +51,7 @@ let spec ?recovery ?ack_parent ~reached ~view:_ =
               reached.(v) <- true;
               if d.attempt > seen_attempt.(v) then begin
                 seen_attempt.(v) <- d.attempt;
-                forward ctx ~except:via m;
+                forward ~forwards ctx ~except:via m;
                 match (recovery, ack_parent) with
                 | Some _, Some parent ->
                     Broadcast.Recovery.send_ack ~label:"flood-ack" ctx ~parent
@@ -80,4 +76,5 @@ let run ?(config = Broadcast.default_config ()) ~graph ~root () =
         let view = Option.value ~default:graph config.Broadcast.view in
         Some (Branching_paths.compile_view ~graph ~view ~root).parent
   in
-  Broadcast.execute ~config ~graph ~root ~spec:(spec ?recovery ?ack_parent) ()
+  Broadcast.execute ?recovery ~config ~graph ~root
+    ~spec:(spec ?recovery ?ack_parent) ()

@@ -47,6 +47,8 @@ type outcome = {
   rounds : int;
   syscalls : int;
   hops : int;
+  drops : int;
+  dropped_in_flight : int;
   time : float;
   correct_per_round : int list;
   dbs : Topology.db array;
@@ -182,6 +184,7 @@ let run ?(params = default_params ()) ?(chaos = []) ~graph ~events () =
     | None -> None
     | Some _ -> Hardware.Recover.obs params.registry
   in
+  let tally = Hardware.Recover.tally () in
   (* per-origin resume closures, stashed at start so the recovery hook
      can trigger an immediate out-of-period rebroadcast (DESIGN.md §16);
      the periodic timer chain itself never stops ticking *)
@@ -355,9 +358,7 @@ let run ?(params = default_params ()) ?(chaos = []) ~graph ~events () =
          (possibly just reset) view into the network immediately *)
       match resumes.(node) with
       | Some resume ->
-          (match robs with
-          | Some o -> Hardware.Registry.incr o.Hardware.Recover.r_resumes
-          | None -> ());
+          tally.resumes <- tally.resumes + 1;
           resume ()
       | None -> ()
   in
@@ -407,6 +408,7 @@ let run ?(params = default_params ()) ?(chaos = []) ~graph ~events () =
   in
   let converged, rounds, progress = rounds_loop 1 [] in
   Network.publish_distributions net;
+  Hardware.Recover.publish robs tally;
   (match params.registry with
   | Some r when Hardware.Registry.enabled r ->
       Hardware.Registry.set
@@ -425,6 +427,8 @@ let run ?(params = default_params ()) ?(chaos = []) ~graph ~events () =
     rounds;
     syscalls = Hardware.Metrics.syscalls m;
     hops = Hardware.Metrics.hops m;
+    drops = Hardware.Metrics.drops m;
+    dropped_in_flight = Hardware.Metrics.dropped_in_flight m;
     time = Engine.now engine;
     correct_per_round = List.rev progress;
     dbs = Array.map (fun st -> st.db) states;

@@ -93,6 +93,8 @@ type outcome = {
           observed (or [max_rounds]) *)
   syscalls : int;
   hops : int;
+  drops : int;  (** packets lost to inactive links, headers past [dmax] *)
+  dropped_in_flight : int;  (** the part of [drops] lost mid-link *)
   time : float;  (** simulation time at the final convergence check *)
   correct_per_round : int list;
       (** after each round, how many nodes' views were consistent *)

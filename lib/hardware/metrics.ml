@@ -4,6 +4,7 @@ type t = {
   mutable syscalls : int;
   mutable sends : int;
   mutable drops : int;
+  mutable dropped_in_flight : int;
   mutable max_header : int;
   per_node : int array;
   (* int refs so the steady-state increment is [incr], not a
@@ -25,6 +26,7 @@ let create ~n =
     syscalls = 0;
     sends = 0;
     drops = 0;
+    dropped_in_flight = 0;
     max_header = 0;
     per_node = Array.make n 0;
     by_label = Hashtbl.create 8;
@@ -37,6 +39,7 @@ let reset t =
   t.syscalls <- 0;
   t.sends <- 0;
   t.drops <- 0;
+  t.dropped_in_flight <- 0;
   t.max_header <- 0;
   Array.fill t.per_node 0 t.size 0;
   Hashtbl.reset t.by_label;
@@ -48,6 +51,7 @@ let hops t = t.hops
 let syscalls t = t.syscalls
 let sends t = t.sends
 let drops t = t.drops
+let dropped_in_flight t = t.dropped_in_flight
 let syscalls_at t v = t.per_node.(v)
 
 let syscalls_labelled t label =
@@ -79,3 +83,4 @@ let record_send t ~header_len =
   if header_len > t.max_header then t.max_header <- header_len
 
 let record_drop t = t.drops <- t.drops + 1
+let record_dropped_in_flight t = t.dropped_in_flight <- t.dropped_in_flight + 1

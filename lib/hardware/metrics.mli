@@ -26,6 +26,11 @@ val sends : t -> int
 val drops : t -> int
 (** Packets that died (inactive link, malformed header). *)
 
+val dropped_in_flight : t -> int
+(** The part of {!drops} lost mid-link: packets committed to a link
+    that failed (or glitched) before they arrived.  A chaos verdict
+    reads it from here. *)
+
 val syscalls_at : t -> int -> int
 (** Per-node NCU activations. *)
 
@@ -40,3 +45,6 @@ val record_hop : t -> unit
 val record_syscall : t -> node:int -> label:string -> unit
 val record_send : t -> header_len:int -> unit
 val record_drop : t -> unit
+
+val record_dropped_in_flight : t -> unit
+(** Count one in-flight loss; the drop itself is {!record_drop}'s. *)

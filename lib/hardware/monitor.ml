@@ -40,7 +40,8 @@ module Fifo = struct
      the link's endpoints packed into one int: [keys.(i) < 0] marks a
      free slot, [clocks.(i)] is the last hop time on [keys.(i)].  No
      tuple is allocated or hashed, and a clock update allocates
-     nothing.  Linear probing; the table doubles past half full. *)
+     nothing.  Linear probing; the table doubles past half full, so one
+     created for the links it will see never grows. *)
   type t = {
     mutable keys : int array;
     mutable clocks : float array;
@@ -48,10 +49,12 @@ module Fifo = struct
     mutable violation : string option;
   }
 
-  let create () =
+  let create ?(links = 32) () =
+    let rec size s = if s >= 2 * links then s else size (2 * s) in
+    let slots = size 64 in
     {
-      keys = Array.make 64 (-1);
-      clocks = Array.make 64 0.0;
+      keys = Array.make slots (-1);
+      clocks = Array.make slots 0.0;
       links = 0;
       violation = None;
     }

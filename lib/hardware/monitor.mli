@@ -50,8 +50,10 @@ val dmax_ceiling : dmax:int -> max_header:int -> report
 module Fifo : sig
   type t
 
-  val create : unit -> t
-  (** No link seen yet. *)
+  val create : ?links:int -> unit -> t
+  (** No link seen yet.  [links] (default 32) is how many directed
+      links the table holds without growing: a checker sized for its
+      graph's {!Netgraph.Graph.directed_edge_count} never rehashes. *)
 
   val observe : t -> Sim.Trace.event -> unit
   (** Advance the hop's directed-link clock; any other event is

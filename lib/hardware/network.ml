@@ -367,6 +367,7 @@ let rec switch t u ~via route cursor ~label ~msg_id payload =
               else begin
                 (* the silent-discard path: a packet committed to the
                    link before the failure; account for it explicitly *)
+                Metrics.record_dropped_in_flight t.metrics;
                 (match t.obs with
                 | Some o -> Registry.incr o.o_dropped_in_flight
                 | None -> ());

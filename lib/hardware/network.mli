@@ -12,7 +12,8 @@
       in FIFO arrival order, each taking one software delay;
     - links are FIFO per direction; an inactive link delivers nothing,
       and packets in flight when a link fails are lost (each such loss
-      is counted in the [net.dropped_in_flight] registry counter);
+      is counted in {!Metrics.dropped_in_flight}, and in the
+      [net.dropped_in_flight] registry counter when one is attached);
     - a node may inject any number of packets at the same instant at
       no extra processing cost (the PARIS multicast feature used by
       the Section 3 broadcast);
@@ -108,7 +109,7 @@ val start_all : ?label:string -> 'msg t -> unit
 val set_link : 'msg t -> int -> int -> up:bool -> unit
 (** Activate or deactivate the (bidirectional) link at the current
     simulation time.  Packets in flight on a failing link are lost
-    (and counted in [net.dropped_in_flight]).  No-op if the link is
+    (and counted in {!Metrics.dropped_in_flight}).  No-op if the link is
     already in the requested state.
     @raise Invalid_argument if the edge does not exist. *)
 

@@ -66,13 +66,32 @@ let obs registry =
         }
   | _ -> None
 
-let counters registry =
-  match registry with
-  | Some r when Registry.enabled r ->
-      let read name =
-        match Registry.find_counter r name with
-        | Some c -> Registry.counter_value c
-        | None -> 0
-      in
-      (read "recover.retransmits", read "recover.restarts")
-  | _ -> (0, 0)
+type tally = {
+  mutable timeouts : int;
+  mutable retransmits : int;
+  mutable restarts : int;
+  mutable resumes : int;
+  mutable acks : int;
+  mutable give_ups : int;
+}
+
+let tally () =
+  {
+    timeouts = 0;
+    retransmits = 0;
+    restarts = 0;
+    resumes = 0;
+    acks = 0;
+    give_ups = 0;
+  }
+
+let publish obs t =
+  match obs with
+  | Some o ->
+      Registry.add o.r_timeouts t.timeouts;
+      Registry.add o.r_retransmits t.retransmits;
+      Registry.add o.r_restarts t.restarts;
+      Registry.add o.r_resumes t.resumes;
+      Registry.add o.r_acks t.acks;
+      Registry.add o.r_give_ups t.give_ups
+  | None -> ()

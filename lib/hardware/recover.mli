@@ -34,18 +34,38 @@ val delay : t -> rng:Sim.Rng.t -> attempt:int -> float
 (** Backoff delay before retry [attempt] (0-based), jittered from the
     node's own stream. *)
 
+(** {1 Tallies}
+
+    What a recovery layer did in one run, counted as plain ints.  The
+    layer returns them in its result (a chaos verdict reads them
+    there) and adds them to the [recover.*] counters when the run ends:
+    each fact is counted once, and the registry is fed from the
+    count. *)
+
+type tally = {
+  mutable timeouts : int;  (** watchdog expiries acted upon *)
+  mutable retransmits : int;  (** broadcast re-sends *)
+  mutable restarts : int;  (** election epoch restarts *)
+  mutable resumes : int;  (** maintenance rounds resumed on recover *)
+  mutable acks : int;  (** delivery acknowledgements received *)
+  mutable give_ups : int;  (** retry budgets exhausted *)
+}
+
+val tally : unit -> tally
+(** All zero. *)
+
 (** {1 recover.* instruments}
 
-    Pre-registered handles, one option match per event on the hot path
-    (same pattern as the [net.*] family). *)
+    Pre-registered handles: the counters receive a run's {!tally} when
+    it ends, the backoff histogram each chosen delay. *)
 
 type obs = {
-  r_timeouts : Registry.counter;  (** watchdog expiries acted upon *)
-  r_retransmits : Registry.counter;  (** broadcast re-sends *)
-  r_restarts : Registry.counter;  (** election epoch restarts *)
-  r_resumes : Registry.counter;  (** maintenance rounds resumed on recover *)
-  r_acks : Registry.counter;  (** delivery acknowledgements received *)
-  r_give_ups : Registry.counter;  (** retry budgets exhausted *)
+  r_timeouts : Registry.counter;
+  r_retransmits : Registry.counter;
+  r_restarts : Registry.counter;
+  r_resumes : Registry.counter;
+  r_acks : Registry.counter;
+  r_give_ups : Registry.counter;
   r_backoff : Registry.histogram;  (** chosen backoff delays *)
 }
 
@@ -53,6 +73,5 @@ val obs : Registry.t option -> obs option
 (** Register (or retrieve) the [recover.*] instruments; [None] when the
     registry is absent or disabled. *)
 
-val counters : Registry.t option -> int * int
-(** [(retransmits, restarts)] read back from the registry, [(0, 0)]
-    when absent — what the chaos runner and soak heartbeat surface. *)
+val publish : obs option -> tally -> unit
+(** Add the tally to the [recover.*] counters; a no-op on [None]. *)

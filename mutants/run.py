@@ -6,16 +6,23 @@
 Run from the root of a checkout (`make mutants` does).  Copies the
 checkout's files, as they are in the working tree, to a fresh
 temporary directory, builds the test runner there, and checks that
-each mutant's test cases pass on the unmutated code.  Then, for each
+each mutant's checks pass on the unmutated code.  Then, for each
 mutant, it replaces one exact piece of text in one file, rebuilds,
-runs only the mutant's test cases, and restores the file.  The mutant
-is killed when every one of its test cases fails (or runs past the
-timeout) and survives when any of them passes.
+runs only the mutant's checks, and restores the file.  The mutant is
+killed when every one of its checks fails and survives when any of
+them passes.
+
+A check is one of two kinds:
+- an alcotest case, which fails when it fails or runs past the
+  timeout;
+- a dune diff rule of test/dune: the target the rule builds and the
+  golden file it diffs that target against.  It fails when the built
+  target differs from the golden, as `dune runtest` would report.
 
 Exit status: 0 when every mutant is killed; 1 naming each survivor;
 2 when a mutant no longer applies (its text is not in its file exactly
 once, or the mutated code does not build), one of its test cases is
-not found, or the unmutated code fails one.
+not found, or the unmutated code fails one of its checks.
 """
 
 import os
@@ -29,8 +36,10 @@ TEST_EXE = os.path.join("_build", "default", "test", "test_futurenet.exe")
 RUN_TIMEOUT_S = 600
 
 # Each mutant: a name, the file it changes, the exact text it replaces
-# (which must occur once), the replacement, and the alcotest test cases
-# that must all fail: each a suite name and the case's full name.
+# (which must occur once), the replacement, and the checks that must
+# all fail: "cases", alcotest cases, each a suite name and the case's
+# full name; "diffs", dune diff rules, each the rule's target and its
+# golden file, both relative to the checkout.
 MUTANTS = [
     {
         "name": "engine-tie-goes-to-lane",
@@ -123,6 +132,46 @@ MUTANTS = [
         "new": "          let work = Float.min t.c elapsed in\n",
         "cases": [("bench_counters", "n=64 rows match the golden")],
     },
+    {
+        # a packet lost mid-link dropped without counting the loss
+        "name": "in-flight-loss-not-counted",
+        "file": "lib/hardware/network.ml",
+        "old": "                Metrics.record_dropped_in_flight t.metrics;\n",
+        "new": "",
+        "cases": [
+            ("chaos", "verdict digests pinned"),
+            ("chaos.recover", "verdict counts equal a registry replay"),
+        ],
+    },
+    {
+        # a recovering broadcast's root gives up without counting it,
+        # so the retry-budget oracle passes a run that gave up
+        "name": "give-up-not-tallied",
+        "file": "lib/core/broadcast.ml",
+        "old": "              st.tally.give_ups <- st.tally.give_ups + 1\n",
+        "new": "              ()\n",
+        "cases": [("chaos.recover",
+                   "a node that never recovers exhausts the retry budget")],
+    },
+    {
+        # a broadcast retransmission sent but not counted
+        "name": "retransmit-not-tallied",
+        "file": "lib/core/broadcast.ml",
+        "old": "              st.tally.retransmits <- st.tally.retransmits + 1;\n",
+        "new": "",
+        "cases": [
+            ("chaos", "verdict digests pinned"),
+            ("chaos.recover", "liveness scenarios green on healing schedules"),
+        ],
+    },
+    {
+        # E7's closed-form column printed as 2^k instead of 2^(k-1)
+        "name": "experiments-e7-closed-form",
+        "file": "lib/experiments/e7_s_of_t.ml",
+        "old": "Tables.cell_int (1 lsl (k - 1));",
+        "new": "Tables.cell_int (1 lsl k);",
+        "diffs": [("test/experiments_all.out", "test/golden/experiments_all.txt")],
+    },
 ]
 
 
@@ -146,8 +195,8 @@ def copy_checkout(dest):
             shutil.copy2(path, target)
 
 
-def build(work):
-    p = subprocess.run(["dune", "build", "--root", ".", "./test/test_futurenet.exe"],
+def build(work, target="test/test_futurenet.exe"):
+    p = subprocess.run(["dune", "build", "--root", ".", "./" + target],
                        cwd=work, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
     return p.returncode == 0, p.stdout.decode(errors="replace")
 
@@ -184,6 +233,19 @@ def passes(work, suite, index):
     return p.returncode == 0
 
 
+def diff_holds(work, target, golden):
+    """Whether the diff rule's [target], built, equals its [golden].
+    A target that does not build is a mutant that does not apply."""
+    ok, out = build(work, target)
+    if not ok:
+        sys.stderr.write(out)
+        fail(f"{target} does not build")
+    with open(os.path.join(work, "_build", "default", target), "rb") as f:
+        built = f.read()
+    with open(os.path.join(work, golden), "rb") as f:
+        return built == f.read()
+
+
 def main():
     work = tempfile.mkdtemp(prefix="futurenet-mutants-")
     try:
@@ -194,10 +256,13 @@ def main():
             fail("the unmutated code does not build")
         index = {}
         for m in MUTANTS:
-            for suite, case in m["cases"]:
+            for suite, case in m.get("cases", []):
                 index[suite, case] = case_index(work, suite, case)
                 if not passes(work, suite, index[suite, case]):
                     fail(f"{m['name']}: {suite} {case!r} fails on the unmutated code")
+            for target, golden in m.get("diffs", []):
+                if not diff_holds(work, target, golden):
+                    fail(f"{m['name']}: {target} differs from {golden} on the unmutated code")
 
         survivors = []
         for m in MUTANTS:
@@ -213,18 +278,20 @@ def main():
                 if not ok:
                     sys.stderr.write(out)
                     fail(f"{m['name']}: the mutated code does not build")
-                passed = [(suite, case) for suite, case in m["cases"]
+                passed = [f"{suite} {case!r}" for suite, case in m.get("cases", [])
                           if passes(work, suite, index[suite, case])]
+                passed += [f"diff {golden}" for target, golden in m.get("diffs", [])
+                           if diff_holds(work, target, golden)]
             finally:
                 with open(path, "w") as f:
                     f.write(original)
             if passed:
                 survivors.append(m["name"])
-                cases = ", ".join(f"{suite} {case!r}" for suite, case in passed)
-                print(f"{m['name']}: SURVIVED {cases}", flush=True)
+                print(f"{m['name']}: SURVIVED {', '.join(passed)}", flush=True)
             else:
-                cases = ", ".join(f"{suite} {case!r}" for suite, case in m["cases"])
-                print(f"{m['name']}: killed by {cases}", flush=True)
+                checks = [f"{suite} {case!r}" for suite, case in m.get("cases", [])]
+                checks += [f"diff {golden}" for _, golden in m.get("diffs", [])]
+                print(f"{m['name']}: killed by {', '.join(checks)}", flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

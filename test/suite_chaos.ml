@@ -333,6 +333,31 @@ let test_verdict_digests () =
       "76d29b930320b02eca53851aaa418dee" (* maintenance *);
     ]
 
+(* [trace-complete] guards the traced replay, not the online oracles,
+   which see every event: a run that records more events than the
+   replay's ring keeps fails it, and the detail says what the replay
+   would miss.  Its passing detail is part of every verdict digest. *)
+let test_trace_complete_detail () =
+  let run events =
+    let trace = Sim.Trace.streaming ~capacity:4 ~consumer:(fun _ -> true) () in
+    for i = 1 to events do
+      Sim.Trace.record trace
+        (Sim.Trace.Syscall { node = 0; time = float_of_int i; label = "x" })
+    done;
+    Chaos.Oracle.trace_complete ~capacity:4 trace
+  in
+  let fits = run 4 and overflows = run 10 in
+  check_bool "4 events fit a 4-event ring" true fits.Hardware.Monitor.ok;
+  check_string "passing detail" "ring buffer kept every event"
+    fits.Hardware.Monitor.detail;
+  check_bool "10 events overflow it" false overflows.Hardware.Monitor.ok;
+  check_string "monitor name" "trace-complete"
+    overflows.Hardware.Monitor.monitor;
+  check_string "failing detail"
+    "10 events recorded: a traced replay's 4-event ring would miss the \
+     oldest 6"
+    overflows.Hardware.Monitor.detail
+
 let test_healing_schedule_digests () =
   List.iter
     (fun (n, count, expected) ->
@@ -634,6 +659,8 @@ let suite =
       test_soak_json_independent_of_jobs;
     Alcotest.test_case "traced replay agrees" `Quick test_traced_replay_agrees;
     Alcotest.test_case "verdict digests pinned" `Quick test_verdict_digests;
+    Alcotest.test_case "trace-complete names what a replay misses" `Quick
+      test_trace_complete_detail;
     Alcotest.test_case "healing schedule digests pinned" `Quick
       test_healing_schedule_digests;
     Alcotest.test_case "repro round-trip" `Quick test_repro_roundtrip;

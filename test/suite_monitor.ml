@@ -129,8 +129,9 @@ let test_fifo_violation_detected () =
    same stream with one hop replayed a unit earlier on its link must
    fail. *)
 let test_fifo_consumer_catches_reordered_hop () =
+  let graph = B.grid ~rows:4 ~cols:5 in
   let run ~mutate =
-    let tap = Chaos.Oracle.tap ~n:20 in
+    let tap = Chaos.Oracle.tap graph in
     let mutated = ref false in
     let consumer e =
       (match e with
@@ -151,7 +152,7 @@ let test_fifo_consumer_catches_reordered_hop () =
       }
     in
     ignore
-      (BP.run ~config ~graph:(B.grid ~rows:4 ~cols:5) ~root:0 () : BC.result);
+      (BP.run ~config ~graph ~root:0 () : BC.result);
     Chaos.Oracle.fifo_per_link tap
   in
   check_bool "faithful stream passes" true (run ~mutate:false).M.ok;

@@ -211,6 +211,123 @@ let test_safety_mode_reports_zero_recovery () =
   check_int "no retransmits in safety mode" 0 v.R.retransmits;
   check_int "no restarts in safety mode" 0 v.R.restarts
 
+(* A verdict's counts come from the run's own results, with no registry
+   attached.  Replaying the schedule as the runner configures it, with
+   a registry attached, must read the same counts in the [net.*] and
+   [recover.*] counters.  Over these 48 healing schedules per family,
+   each family loses packets in flight (2, 3, 2 and 7 of them), the
+   broadcasts retransmit and the election restarts. *)
+let registry_replay sc (s : Sch.t) =
+  let n = s.Sch.n in
+  let registry = Hardware.Registry.create () in
+  let cost = Sch.cost s and recover = Some (Hardware.Recover.default ~n) in
+  let chaos = s.Sch.faults in
+  let graph = Sch.graph_of s in
+  (match sc with
+  | Sweep.Election ->
+      ignore
+        (Core.Election.run_chaos ~cost ?recover ~registry ~chaos ~graph ()
+          : Core.Election.chaos_outcome)
+  | Sweep.Maintenance ->
+      let params =
+        {
+          (Core.Topo_maintenance.default_params ()) with
+          period = R.maintenance_period n;
+          max_rounds = R.maintenance_rounds;
+          preseed = true;
+          reset_on_recover = true;
+          cost;
+          registry = Some registry;
+          recover;
+        }
+      in
+      ignore
+        (Core.Topo_maintenance.run ~params ~chaos ~graph ~events:[] ()
+          : Core.Topo_maintenance.outcome)
+  | broadcast ->
+      let config =
+        {
+          (Core.Broadcast.default_config ()) with
+          cost;
+          registry = Some registry;
+          chaos = Some chaos;
+          recover;
+        }
+      in
+      ignore
+        (Sweep.broadcast broadcast ~config (Sch.artifact_of s) ~root:0
+          : Core.Broadcast.result));
+  fun name ->
+    match Hardware.Registry.find_counter registry name with
+    | Some c -> Hardware.Registry.counter_value c
+    | None -> 0
+
+let test_verdict_counts_equal_registry_replay () =
+  let totals = Hashtbl.create 8 in
+  let add key k =
+    Hashtbl.replace totals key
+      (k + Option.value ~default:0 (Hashtbl.find_opt totals key))
+  in
+  List.iter
+    (fun sc ->
+      for index = 0 to 47 do
+        let s = Sch.generate_healing ~n:32 ~seed:3 ~index () in
+        let v = R.run_schedule ~liveness:true sc s in
+        let counter = registry_replay sc s in
+        let agree what verdict name =
+          check_int
+            (Printf.sprintf "%s index %d: %s" (Sweep.scenario_name sc) index
+               what)
+            (counter name) verdict;
+          add (sc, what) verdict
+        in
+        agree "syscalls" v.R.syscalls "net.syscalls";
+        agree "drops" v.R.drops "net.drops";
+        agree "dropped_in_flight" v.R.dropped_in_flight "net.dropped_in_flight";
+        agree "retransmits" v.R.retransmits "recover.retransmits";
+        agree "restarts" v.R.restarts "recover.restarts";
+        agree "give_ups" v.R.give_ups "recover.give_ups"
+      done)
+    liveness_scenarios;
+  (* the comparisons are not all between zeros *)
+  let total sc what =
+    Option.value ~default:0 (Hashtbl.find_opt totals (sc, what))
+  in
+  List.iter
+    (fun sc ->
+      check_bool
+        (Sweep.scenario_name sc ^ " lost packets in flight")
+        true
+        (total sc "dropped_in_flight" > 0))
+    liveness_scenarios;
+  check_bool "bpaths retransmitted" true (total Sweep.Bpaths "retransmits" > 0);
+  check_bool "flood retransmitted" true (total Sweep.Flood "retransmits" > 0);
+  check_bool "election restarted" true (total Sweep.Election "restarts" > 0)
+
+(* A node that crashes at time 0 and never recovers can never ack: the
+   root retransmits until its budget is spent, then gives up once, and
+   the retry-budget oracle judges that. *)
+let test_unrecovered_node_exhausts_retry_budget () =
+  let s =
+    {
+      Sch.seed = 1;
+      index = 0;
+      n = 16;
+      jitter = 0.0;
+      faults = [ FP.Node_set { at = 0.0; node = 5; alive = false } ];
+    }
+  in
+  let v = R.run_schedule ~liveness:true Sweep.Bpaths s in
+  check_int "one give-up" 1 v.R.give_ups;
+  check_int "every retry spent"
+    (Hardware.Recover.default ~n:16).Hardware.Recover.max_retries
+    v.R.retransmits;
+  let retry_budget =
+    List.find (fun r -> r.Hardware.Monitor.monitor = "retry-budget") v.R.oracles
+  in
+  check_bool "retry-budget oracle fails" false retry_budget.Hardware.Monitor.ok;
+  check_bool "verdict fails" false v.R.ok
+
 (* -- zero overhead when off -------------------------------------------- *)
 
 let election_trace ?recover graph =
@@ -373,6 +490,10 @@ let suite =
       test_liveness_rejects_unsupported_scenarios;
     Alcotest.test_case "safety mode reports zero recovery" `Quick
       test_safety_mode_reports_zero_recovery;
+    Alcotest.test_case "verdict counts equal a registry replay" `Quick
+      test_verdict_counts_equal_registry_replay;
+    Alcotest.test_case "a node that never recovers exhausts the retry budget"
+      `Quick test_unrecovered_node_exhausts_retry_budget;
     Alcotest.test_case "recovery on is invisible without faults" `Quick
       test_recovery_on_is_invisible_without_faults;
     Alcotest.test_case "fault-free recovering acks reach the root" `Quick
