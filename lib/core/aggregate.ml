@@ -63,7 +63,8 @@ let run ?inputs ?(root = 0) ~c ~p ~graph ~spec () =
         match Netgraph.Paths.shortest_path graph ~src:v ~dst:parent with
         | Some walk ->
             max_route := max !max_route (List.length walk - 1);
-            Network.send_walk ~label:"aggregate" ctx ~walk (Partial acc.(v))
+            Network.send_walk ~label:"aggregate" ctx ~walk:(Array.of_list walk)
+              (Partial acc.(v))
         | None -> assert false (* connected *))
   in
   let handlers v =

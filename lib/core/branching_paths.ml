@@ -102,11 +102,11 @@ let compile_routes ?edge_up graph ~root =
       w := chain_next.(!w)
     done;
     let codes = Array.make !len 0 in
-    codes.(0) <- link.(c) lsl 1;
+    codes.(0) <- Hardware.Anr.code ~link:link.(c) ~copy:false;
     let w = ref c in
     for j = 1 to !len - 2 do
       let s = chain_next.(!w) in
-      codes.(j) <- (link.(s) lsl 1) lor 1;
+      codes.(j) <- Hardware.Anr.code ~link:link.(s) ~copy:true;
       w := s
     done;
     Hardware.Anr.route_of_codes codes
@@ -155,7 +155,7 @@ let compile_view ~graph ~view ~root =
     compile_routes ~edge_up:(Array.get in_view) graph ~root
   end
 
-let send_route ctx m route = Network.send_compiled ~label:"bpaths" ctx ~route m
+let send_route ctx m route = Network.send ~label:"bpaths" ctx ~route m
 
 (* Ship [m] over every path this node heads.  With multicast one
    activation ships them all (they leave through distinct child links,

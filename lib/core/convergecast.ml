@@ -52,7 +52,7 @@ let execute ?inputs ?random_delays ~params ~shape ~spec () =
         root_value := Some acc.(v);
         finish_time := Sim.Engine.now engine
     | Some parent ->
-        Network.send_walk ~label:"convergecast" ctx ~walk:[ v; parent ]
+        Network.send_walk ~label:"convergecast" ctx ~walk:[| v; parent |]
           (Partial acc.(v))
   in
   let handlers v =

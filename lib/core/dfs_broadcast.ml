@@ -15,8 +15,10 @@ let spec ~reached ~view v =
         match tour_for ~view ~root with
         | [] | [ _ ] -> ()  (* nothing to inform *)
         | tour ->
-            let marked = Walks.mark_first_visits tour in
-            let route = Anr.of_walk_marked (Network.graph (Network.network ctx)) marked in
+            let route =
+              Anr.of_walk_marked (Network.graph (Network.network ctx))
+                (Walks.mark_first_visits tour)
+            in
             Network.send ~label:"dfs-token" ctx ~route { origin = root });
     on_message = (fun _ ~via:_ _ -> reached.(v) <- true);
     on_link_change = (fun _ ~peer:_ ~up:_ -> ());

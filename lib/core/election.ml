@@ -164,7 +164,7 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
   let send ctx ~label walk m =
     max_route := max !max_route (Array.length walk - 1);
     obs_route (Array.length walk - 1);
-    Network.send_walk_arr ~label ctx ~walk m
+    Network.send_walk ~label ctx ~walk m
   in
 
   (* Route from [v] (currently holding the token) back to the token's
@@ -340,9 +340,9 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
     let tour = Inout.tour st.inout in
     if Array.length tour > 1 then
       let route =
-        Anr.compile_walk_marked_arr (Network.graph (Network.network ctx)) tour
+        Anr.of_walk_marked (Network.graph (Network.network ctx)) tour
       in
-      Network.send_compiled ~label:"announce" ctx ~route
+      Network.send ~label:"announce" ctx ~route
         (Announce { leader = v; aepoch = epoch_of v })
   in
 

@@ -71,7 +71,7 @@ let run_hirschberg_sinclair ?(cost = Hardware.Cost_model.new_model ())
   let max_phase = ref 0 in
   let next v = (v + 1) mod n and prev v = (v + n - 1) mod n in
   let send ctx ~to_ m =
-    Network.send_walk ~label:"hs" ctx ~walk:[ Network.self ctx; to_ ] m
+    Network.send_walk ~label:"hs" ctx ~walk:[| Network.self ctx; to_ |] m
   in
   let launch_probes ctx v st =
     st.pending_replies <- 2;

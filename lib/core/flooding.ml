@@ -10,14 +10,12 @@ let forward ~forwards ctx ~except m =
   let net = Network.network ctx in
   let forwarded = ref 0 in
   (* a list-free scan of the up links, in increasing-peer order; each
-     copy goes out over a compiled one-hop route, [i] being the link's
-     local index here *)
+     copy goes out over a one-hop header, [i] being the link's local
+     index here *)
   Network.iter_active_neighbors net self (fun i peer ->
       if Some peer <> except then begin
         incr forwarded;
-        Network.send_compiled ~label:"flood" ctx
-          ~route:(Hardware.Anr.route_of_codes [| i lsl 1; 0 |])
-          m
+        Network.send ~label:"flood" ctx ~route:(Hardware.Anr.hop i) m
       end);
   forwards ctx !forwarded
 

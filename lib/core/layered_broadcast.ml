@@ -29,9 +29,9 @@ let spec ~reached ~view v =
         match tour_for ~view ~root with
         | [] | [ _ ] -> ()
         | tour ->
-            let marked = Walks.mark_first_visits tour in
             let route =
-              Anr.of_walk_marked (Network.graph (Network.network ctx)) marked
+              Anr.of_walk_marked (Network.graph (Network.network ctx))
+                (Walks.mark_first_visits tour)
             in
             Network.send ~label:"layered-token" ctx ~route { origin = root });
     on_message = (fun _ ~via:_ _ -> reached.(v) <- true);

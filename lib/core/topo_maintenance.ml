@@ -190,20 +190,20 @@ let run ?(params = default_params ()) ?(chaos = []) ~graph ~events () =
      the periodic timer chain itself never stops ticking *)
   let resumes : (unit -> unit) option array = Array.make n None in
   (* send over each believed-up local link, in increasing peer order —
-     iterates the byte vector, allocating only the 2-node walks *)
+     iterates the byte vector, allocating only the one-hop headers *)
   let send_local_links ctx v st ~except m ~label =
     let deg = Graph.degree graph v in
     for i = 1 to deg do
       if Bytes.get st.local_up (i - 1) = '\001' then begin
         let peer = Graph.edge_target graph (Graph.edge_id graph v i) in
         if Some peer <> except then
-          Network.send_walk ~label ctx ~walk:[ v; peer ] m
+          Network.send ~label ctx ~route:(Anr.hop i) m
       end
     done
   in
   let send_routes ctx m routes =
     for i = 0 to Array.length routes - 1 do
-      Network.send_compiled ~label:"topo-bpaths" ctx ~route:routes.(i) m
+      Network.send ~label:"topo-bpaths" ctx ~route:routes.(i) m
     done
   in
   let broadcast ctx =
@@ -248,9 +248,9 @@ let run ?(params = default_params ()) ?(chaos = []) ~graph ~events () =
         | [] | [ _ ] -> ()
         | tour ->
             let m = { origin = v; seq = st.seq; views; routes = [||] } in
-            let marked = Walks.mark_first_visits tour in
             let route =
-              Anr.of_walk_marked (Network.graph (Network.network ctx)) marked
+              Anr.of_walk_marked (Network.graph (Network.network ctx))
+                (Walks.mark_first_visits tour)
             in
             Network.send ~label:"topo-dfs" ctx ~route m)
   in

@@ -52,9 +52,11 @@ let restrict_to_depth tree depth =
 
 let mark_first_visits walk =
   let seen = Hashtbl.create 16 in
-  List.map
-    (fun v ->
+  let packed = Array.of_list walk in
+  Array.iteri
+    (fun i v ->
       let first = not (Hashtbl.mem seen v) in
       if first then Hashtbl.replace seen v ();
-      (v, first))
-    walk
+      packed.(i) <- (v lsl 1) lor if first then 1 else 0)
+    packed;
+  packed

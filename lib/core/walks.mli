@@ -22,7 +22,8 @@ val restrict_to_depth : Netgraph.Tree.t -> int -> Netgraph.Tree.t
 (** The subtree spanning all members within the given depth of the
     root (the "layer-at-a-time" restriction of the footnote). *)
 
-val mark_first_visits : int list -> (int * bool) list
-(** Pair every walk position with a flag that is [true] exactly on the
-    first occurrence of each node — the copy marks for a tour-based
-    broadcast. *)
+val mark_first_visits : int list -> int array
+(** The walk packed with a copy mark per position, [(node lsl 1) lor
+    first], where [first] is [1] exactly on the first occurrence of
+    each node — the header walk of a tour-based broadcast, as
+    {!Hardware.Anr.of_walk_marked} reads it. *)

@@ -26,14 +26,15 @@ let figure_2 () =
   say "Figure 2 - Automatic Network Routing (ANR)";
   say "";
   let g = Netgraph.Builders.path 4 in
-  let route = Hardware.Anr.of_walk g [ 0; 1; 2; 3 ] in
+  let route = Hardware.Anr.of_walk g [| 0; 1; 2; 3 |] in
   say "  network: 0 -- 1 -- 2 -- 3";
   say "  node 0 sends to node 3 with header %s"
     (Format.asprintf "%a" Hardware.Anr.pp route);
   say "  each switch consumes one element; the final 'NCU' element";
   say "  delivers the payload to node 3's processor.";
+  (* every element but the final NCU one crosses a link *)
   say "  hops traversed: %d, software visits en route: 0"
-    (Hardware.Anr.hops route);
+    (Hardware.Anr.route_length route - 1);
   say ""
 
 (* Figure 3: the selective copy. *)
@@ -42,7 +43,7 @@ let figure_3 () =
   say "";
   let g = Netgraph.Builders.path 4 in
   let route =
-    Hardware.Anr.of_walk ~copy_at:(fun v -> v = 2) g [ 0; 1; 2; 3 ]
+    Hardware.Anr.of_walk ~copy_at:(fun v -> v = 2) g [| 0; 1; 2; 3 |]
   in
   say "  header %s : element 'c2' is a copy ID"
     (Format.asprintf "%a" Hardware.Anr.pp route);

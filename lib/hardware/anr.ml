@@ -1,53 +1,44 @@
-type elem = { link : int; copy : bool }
-type t = elem list
-
-let deliver = { link = 0; copy = false }
-
-let of_walk ?(copy_at = fun _ -> false) g walk =
-  match walk with
-  | [] -> invalid_arg "Anr.of_walk: empty walk"
-  | [ _ ] -> []
-  | first :: _ ->
-      (* The injecting node's own NCU already holds the message, so
-         [copy_at] is only consulted at intermediate nodes. *)
-      let rec build = function
-        | [] | [ _ ] -> [ deliver ]
-        | u :: (v :: _ as rest) ->
-            let link = Netgraph.Graph.link_index g u v in
-            let copy = u <> first && copy_at u in
-            { link; copy } :: build rest
-      in
-      build walk
-
-let of_walk_marked g walk =
-  match walk with
-  | [] -> invalid_arg "Anr.of_walk_marked: empty walk"
-  | [ _ ] -> []
-  | (first, _) :: _ ->
-      let rec build = function
-        | [] | [ _ ] -> [ deliver ]
-        | (u, flag) :: ((v, _) :: _ as rest) ->
-            let link = Netgraph.Graph.link_index g u v in
-            { link; copy = u <> first && flag } :: build rest
-      in
-      build walk
-
-let hops t = List.length (List.filter (fun e -> e.link > 0) t)
-let length t = List.length t
-
-(* -- compiled routes (the switching-fabric fast path) ----------------- *)
-
 (* One int per element, [(link lsl 1) lor copy]: the switching
    subsystem advances an int cursor instead of walking a list, so a
    packet in flight allocates nothing per hop. *)
 type route = int array
 
-let compile t =
-  let codes = Array.make (List.length t) 0 in
-  List.iteri
-    (fun i e -> codes.(i) <- (e.link lsl 1) lor (if e.copy then 1 else 0))
-    t;
-  codes
+let code ~link ~copy = (link lsl 1) lor if copy then 1 else 0
+
+(* The injecting node's own NCU already holds the message, so
+   [copy_at] is only consulted at intermediate nodes. *)
+let of_walk ?(copy_at = fun _ -> false) g walk =
+  let len = Array.length walk in
+  if len = 0 then invalid_arg "Anr.of_walk: empty walk"
+  else if len = 1 then [||]
+  else begin
+    let first = walk.(0) in
+    let codes = Array.make len 0 in
+    for i = 0 to len - 2 do
+      let u = walk.(i) and v = walk.(i + 1) in
+      let link = Netgraph.Graph.link_index g u v in
+      codes.(i) <- code ~link ~copy:(u <> first && copy_at u)
+    done;
+    codes
+  end
+
+(* [walk.(i)] is [(node lsl 1) lor flag], as {!Inout.tour} emits it. *)
+let of_walk_marked g walk =
+  let len = Array.length walk in
+  if len = 0 then invalid_arg "Anr.of_walk_marked: empty walk"
+  else if len = 1 then [||]
+  else begin
+    let first = walk.(0) lsr 1 in
+    let codes = Array.make len 0 in
+    for i = 0 to len - 2 do
+      let u = walk.(i) lsr 1 and v = walk.(i + 1) lsr 1 in
+      let link = Netgraph.Graph.link_index g u v in
+      codes.(i) <- code ~link ~copy:(u <> first && walk.(i) land 1 = 1)
+    done;
+    codes
+  end
+
+let hop link = [| code ~link ~copy:false; 0 |]
 
 let route_of_codes codes =
   let len = Array.length codes in
@@ -59,53 +50,20 @@ let route_length r = Array.length r
 let route_link r i = r.(i) lsr 1
 let route_copy r i = r.(i) land 1 <> 0
 
-(* [compile (of_walk ?copy_at g walk)] over an int-array walk, as an
-   {!Inout.route_array} climb produces it, so compiling the route
-   touches no list at all. *)
-let compile_walk_arr ?(copy_at = fun _ -> false) g walk =
-  let len = Array.length walk in
-  if len = 0 then invalid_arg "Anr.compile_walk_arr: empty walk"
-  else if len = 1 then [||]
-  else begin
-    let first = walk.(0) in
-    let codes = Array.make len 0 in
-    for i = 0 to len - 2 do
-      let u = walk.(i) and v = walk.(i + 1) in
-      let link = Netgraph.Graph.link_index g u v in
-      let copy = u <> first && copy_at u in
-      codes.(i) <- (link lsl 1) lor (if copy then 1 else 0)
-    done;
-    codes
-  end
-
-(* Packed-walk variant of {!of_walk_marked}: [walk.(i)] is
-   [(node lsl 1) lor flag], as {!Inout.tour} emits it. *)
-let compile_walk_marked_arr g walk =
-  let len = Array.length walk in
-  if len = 0 then invalid_arg "Anr.compile_walk_marked_arr: empty walk"
-  else if len = 1 then [||]
-  else begin
-    let first = walk.(0) lsr 1 in
-    let codes = Array.make len 0 in
-    for i = 0 to len - 2 do
-      let u = walk.(i) lsr 1 and v = walk.(i + 1) lsr 1 in
-      let link = Netgraph.Graph.link_index g u v in
-      let copy = u <> first && walk.(i) land 1 = 1 in
-      codes.(i) <- (link lsl 1) lor (if copy then 1 else 0)
-    done;
-    codes
-  end
-
-let copy_targets g ~src t =
-  let rec follow u acc = function
-    | [] -> List.rev acc
-    | [ { link = 0; _ } ] -> List.rev (u :: acc)
-    | { link = 0; _ } :: _ -> invalid_arg "Anr.copy_targets: malformed header"
-    | { link; copy } :: rest ->
+let copy_targets g ~src r =
+  let len = Array.length r in
+  let rec follow u i acc =
+    if i >= len then List.rev acc
+    else
+      let link = route_link r i in
+      if link = 0 then
+        if i = len - 1 then List.rev (u :: acc)
+        else invalid_arg "Anr.copy_targets: malformed header"
+      else
         let v = Netgraph.Graph.peer_via g u link in
-        follow v (if copy then u :: acc else acc) rest
+        follow v (i + 1) (if route_copy r i then u :: acc else acc)
   in
-  follow src [] t
+  follow src 0 []
 
 (* Per-element ID width: enough bits for every incident link's normal
    and copy ID plus the reserved NCU id 0.  The copy flag is the most
@@ -116,11 +74,12 @@ let id_bits g =
   let rec bits_needed k acc = if 1 lsl acc >= k then acc else bits_needed k (acc + 1) in
   max 2 (bits_needed ids 0)
 
-let pp ppf t =
-  let pp_elem ppf e =
-    if e.link = 0 then Format.fprintf ppf "NCU"
-    else Format.fprintf ppf "%s%d" (if e.copy then "c" else "") e.link
+let pp ppf r =
+  let pp_elem ppf i =
+    let link = route_link r i in
+    if link = 0 then Format.fprintf ppf "NCU"
+    else Format.fprintf ppf "%s%d" (if route_copy r i then "c" else "") link
   in
   Format.fprintf ppf "[%a]"
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";") pp_elem)
-    t
+    (List.init (Array.length r) Fun.id)

@@ -20,4 +20,3 @@ let uniform_random rng ~c ~p =
 
 let new_model () = deterministic ~c:0.0 ~p:1.0
 let traditional () = deterministic ~c:1.0 ~p:0.0
-let postal ~c ~p = deterministic ~c ~p

@@ -34,7 +34,3 @@ val new_model : unit -> t
 val traditional : unit -> t
 (** The classical message-passing model as a point of the parameter
     space: [C = 1, P = 0]. *)
-
-val postal : c:float -> p:float -> t
-(** Alias for {!deterministic} named after the general parameterised
-    family (cf. the postal/LogP models that extended this paper). *)

@@ -137,14 +137,6 @@ let pp_report ppf r =
     (if r.ok then "ok" else "VIOLATION")
     r.monitor r.detail
 
-let mode_to_string = function Off -> "off" | Warn -> "warn" | Fail -> "fail"
-
-let mode_of_string = function
-  | "off" -> Some Off
-  | "warn" -> Some Warn
-  | "fail" -> Some Fail
-  | _ -> None
-
 let enforce ?(out = Format.err_formatter) mode reports =
   let failed = List.filter (fun r -> not r.ok) reports in
   (match mode with

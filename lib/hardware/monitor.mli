@@ -80,5 +80,3 @@ val enforce : ?out:Format.formatter -> mode -> report list -> report list
     them. *)
 
 val pp_report : Format.formatter -> report -> unit
-val mode_of_string : string -> mode option
-val mode_to_string : mode -> string

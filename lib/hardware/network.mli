@@ -129,14 +129,11 @@ val preset_link : 'msg t -> int -> int -> up:bool -> unit
     @raise Invalid_argument if the edge does not exist. *)
 
 val link_is_up : 'msg t -> int -> int -> bool
-val active_neighbors : 'msg t -> int -> int list
-
 val iter_active_neighbors : 'msg t -> int -> (int -> int -> unit) -> unit
 (** [iter_active_neighbors t u f] applies [f i peer] to each neighbour
     [peer] of [u] whose link is currently up, [i] being that link's
-    local index at [u], in increasing peer order — the same sequence
-    as {!active_neighbors} without materialising the list.
-    For hot paths (per-hop relay decisions) that must not allocate. *)
+    local index at [u], in increasing peer order, without allocating:
+    for hot paths such as per-hop relay decisions. *)
 
 val fail_node : 'msg t -> int -> unit
 (** An inactive node is modelled by a node all of whose links are
@@ -156,42 +153,22 @@ val self : 'msg context -> int
 val network : 'msg context -> 'msg t
 val now : 'msg context -> float
 
-val send : ?label:string -> 'msg context -> route:Anr.t -> 'msg -> unit
+val send : ?label:string -> 'msg context -> route:Anr.route -> 'msg -> unit
 (** Inject a packet at this node's SS.  Injection itself is free (the
     NCU is already running); every hop and NCU delivery en route is
     charged as usual.  Multiple [send]s from one activation model the
     free local multicast.
     @raise Invalid_argument if the route exceeds [dmax]. *)
 
-val send_compiled : ?label:string -> 'msg context -> route:Anr.route -> 'msg -> unit
-(** {!send} with a pre-compiled route (e.g. from a compiled-topology
-    artifact), skipping per-send header compilation.  Behaviourally
-    identical to sending the route's list form: same dmax check, same
-    metrics, trace events and switching.
-    @raise Invalid_argument if the route exceeds [dmax]. *)
-
 val send_walk :
-  ?label:string ->
-  ?copy_at:(int -> bool) ->
-  'msg context ->
-  walk:int list ->
-  'msg ->
-  unit
-(** Convenience: build the header with {!Anr.of_walk} (the walk must
-    begin at this node) and send.
-    @raise Invalid_argument if the walk does not start here. *)
-
-val send_walk_arr :
   ?label:string ->
   ?copy_at:(int -> bool) ->
   'msg context ->
   walk:int array ->
   'msg ->
   unit
-(** {!send_walk} over an int-array walk (compiled directly with
-    {!Anr.compile_walk_arr}); behaviourally identical to sending the
-    same walk as a list — same header length, dmax check, metrics and
-    switching.
+(** [send] with the header {!Anr.of_walk} builds from [walk], which
+    must begin at this node.
     @raise Invalid_argument if the walk does not start here. *)
 
 val set_timer :

@@ -57,16 +57,6 @@ let observe t v =
   if v < t.min_v then t.min_v <- v;
   if v > t.max_v then t.max_v <- v
 
-let merge_into ~dst src =
-  for b = 0 to bins - 1 do
-    dst.counts.(b) <- dst.counts.(b) + src.counts.(b);
-    dst.sums.(b) <- dst.sums.(b) +. src.sums.(b)
-  done;
-  dst.n <- dst.n + src.n;
-  dst.total <- dst.total +. src.total;
-  if src.min_v < dst.min_v then dst.min_v <- src.min_v;
-  if src.max_v > dst.max_v then dst.max_v <- src.max_v
-
 let count t = t.n
 let total t = t.total
 let mean t = if t.n = 0 then nan else t.total /. float_of_int t.n

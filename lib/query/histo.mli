@@ -24,9 +24,6 @@ val observe : t -> float -> unit
     the simulator's clock is monotone, so a negative latency is a
     corrupted stream, not data.  Zero is exact (its own bin). *)
 
-val merge_into : dst:t -> t -> unit
-(** Bin-wise add: [merge_into ~dst src] folds [src] into [dst]. *)
-
 val count : t -> int
 val total : t -> float
 val mean : t -> float

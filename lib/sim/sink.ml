@@ -46,8 +46,6 @@ let bytes t = t.bytes
 
 (* -- Built-ins --------------------------------------------------------- *)
 
-let null () = create ~emit:(fun _ -> true) ()
-
 let buffer buf =
   create
     ~emit:(fun line ->
@@ -88,16 +86,4 @@ let file ?(chunk_bytes = default_chunk) ?max_bytes path =
       write_out ();
       Stdlib.flush oc)
     ~close:(fun () -> close_out oc)
-    ()
-
-let sampling ~every inner =
-  if every < 1 then invalid_arg "Sink.sampling: every must be >= 1";
-  let seen = ref 0 in
-  create
-    ~emit:(fun line ->
-      let keep = !seen mod every = 0 in
-      incr seen;
-      if keep then emit inner line else false)
-    ~flush:(fun () -> flush inner)
-    ~close:(fun () -> close inner)
     ()

@@ -55,8 +55,6 @@ let summarize xs =
         p90 = percentile 90.0 xs;
       }
 
-let summarize_ints xs = summarize (List.map float_of_int xs)
-
 let linear_fit pts =
   match pts with
   | [] | [ _ ] -> invalid_arg "Stats.linear_fit: need at least two points"
@@ -74,12 +72,3 @@ let linear_fit pts =
       (slope, intercept)
 
 let log2 x = log x /. log 2.0
-
-let growth_exponent pts =
-  let usable =
-    List.filter_map
-      (fun (x, y) -> if x > 0.0 && y > 0.0 then Some (log x, log y) else None)
-      pts
-  in
-  let slope, _ = linear_fit usable in
-  slope

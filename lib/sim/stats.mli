@@ -17,9 +17,6 @@ val summarize : float list -> summary
 (** [summarize xs] computes the summary of [xs].
     @raise Invalid_argument on the empty list. *)
 
-val summarize_ints : int list -> summary
-(** [summarize_ints xs] converts to floats and summarises. *)
-
 val mean : float list -> float
 val stddev : float list -> float
 
@@ -34,11 +31,3 @@ val linear_fit : (float * float) list -> float * float
 
 val log2 : float -> float
 (** Base-2 logarithm, as used throughout the paper's bounds. *)
-
-val growth_exponent : (float * float) list -> float
-(** [growth_exponent pts] fits [y = a * x^b] by least squares in
-    log-log space and returns [b].  Points with non-positive
-    coordinates are ignored.  Used to classify measured complexities
-    (e.g. distinguishing Theta(n) from Theta(n log n) growth needs the
-    companion {!linear_fit} on (x, y/x) instead, but the exponent is a
-    convenient first check). *)

@@ -62,7 +62,7 @@ val dropped_ring : t -> int
 
 val dropped_sink : t -> int
 (** Events a streaming consumer refused (sink backpressure — a bounded
-    file sink past its byte budget, a sampling sink skipping). *)
+    file sink past its byte budget). *)
 
 val dropped : t -> int
 (** [dropped_ring t + dropped_sink t]: total events lost.  A profile or

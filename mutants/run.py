@@ -88,12 +88,23 @@ MUTANTS = [
         ],
     },
     {
-        # a flood copy delivered to the sender's own NCU as it leaves
+        # a one-hop copy (a flood's) delivered to the sender's own NCU
+        # as it leaves
         "name": "flood-one-hop-copy-bit",
-        "file": "lib/core/flooding.ml",
-        "old": "route_of_codes [| i lsl 1; 0 |]",
-        "new": "route_of_codes [| (i lsl 1) lor 1; 0 |]",
+        "file": "lib/hardware/anr.ml",
+        "old": "let hop link = [| code ~link ~copy:false; 0 |]",
+        "new": "let hop link = [| code ~link ~copy:true; 0 |]",
         "cases": [("chaos", "verdict digests pinned")],
+    },
+    {
+        # a walk's header copies to the injecting node's own NCU when
+        # [copy_at] holds there: the injector check tests a fact that
+        # is always true
+        "name": "of-walk-copies-at-injector",
+        "file": "lib/hardware/anr.ml",
+        "old": "codes.(i) <- code ~link ~copy:(u <> first && copy_at u)",
+        "new": "codes.(i) <- code ~link ~copy:(first >= 0 && copy_at u)",
+        "cases": [("hardware.anr", "route builders equal the list reference")],
     },
     {
         # a reused network keeps the previous run's FIFO arrival clocks
@@ -108,11 +119,9 @@ MUTANTS = [
         # walk: the same trace, more minor words per event
         "name": "flood-header-from-walk",
         "file": "lib/core/flooding.ml",
-        "old": "        Network.send_compiled ~label:\"flood\" ctx\n"
-               "          ~route:(Hardware.Anr.route_of_codes [| i lsl 1; 0 |])\n"
-               "          m\n",
+        "old": "        Network.send ~label:\"flood\" ctx ~route:(Hardware.Anr.hop i) m\n",
         "new": "        ignore i;\n"
-               "        Network.send_walk ~label:\"flood\" ctx ~walk:[ self; peer ] m\n",
+               "        Network.send_walk ~label:\"flood\" ctx ~walk:[| self; peer |] m\n",
         "cases": [("compile", "flooding minor words per event")],
     },
     {

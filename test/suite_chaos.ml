@@ -463,7 +463,7 @@ let run_buggy (s : Sch.t) =
   let graph = B.path buggy_n in
   let engine = Sim.Engine.create () in
   let counts = Array.make buggy_n 0 in
-  let tail v = List.init (buggy_n - v) (fun i -> v + i) in
+  let tail v = Array.init (buggy_n - v) (fun i -> v + i) in
   let handlers v =
     {
       N.on_start =
@@ -637,7 +637,7 @@ let test_soak_heartbeat_under_pool () =
 
 let test_heartbeat_rejects_bad_every () =
   check_bool "every=0 rejected" true
-    (match R.heartbeat ~every:0 (Sim.Sink.null ()) with
+    (match R.heartbeat ~every:0 (Sim.Sink.buffer (Buffer.create 16)) with
     | (_ : R.heartbeat) -> false
     | exception Invalid_argument _ -> true)
 

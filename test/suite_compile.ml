@@ -370,7 +370,7 @@ let reference_routes ?edge_up g ~root =
       Array.of_list
         (List.map
            (fun walk ->
-             Hardware.Anr.(compile (of_walk ~copy_at:(fun _ -> true) g walk)))
+             Suite_anr.Ref.(route (of_walk ~copy_at:(fun _ -> true) g walk)))
            (Core.Labels.paths_from l v)))
 
 (* Random connected graphs, each edge kept with a per-case probability
@@ -395,7 +395,7 @@ let qcheck_routes_match_reference =
    [Spanning.bfs_tree] from each non-root member to the root, compiled
    with no copies, as [Tree.path_from_root] gives it. *)
 let reference_ack tree g v =
-  Hardware.Anr.(compile (of_walk g (List.rev (Netgraph.Tree.path_from_root tree v))))
+  Suite_anr.Ref.(route (of_walk g (List.rev (Netgraph.Tree.path_from_root tree v))))
 
 let qcheck_ack_route_matches_tree_walk =
   QCheck.Test.make ~name:"ack route equals the tree walk up to the root"
@@ -432,7 +432,7 @@ let test_view_routes_match_reference () =
             Array.of_list
               (List.map
                  (fun walk ->
-                   Hardware.Anr.(compile (of_walk ~copy_at:(fun _ -> true) g walk)))
+                   Suite_anr.Ref.(route (of_walk ~copy_at:(fun _ -> true) g walk)))
                  (Core.Labels.paths_from l v)))
       in
       let c = BP.compile_view ~graph:g ~view ~root in

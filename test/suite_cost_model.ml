@@ -43,11 +43,6 @@ let test_uniform_random_zero_bound () =
   let m = CM.uniform_random rng ~c:0.0 ~p:1.0 in
   check_float "zero stays zero" 0.0 (m.CM.hop_delay ())
 
-let test_postal_alias () =
-  let m = CM.postal ~c:7.0 ~p:3.0 in
-  check_float "c" 7.0 m.CM.c;
-  check_float "p deterministic" 3.0 (m.CM.sys_delay ())
-
 let suite =
   [
     Alcotest.test_case "deterministic" `Quick test_deterministic;
@@ -56,5 +51,4 @@ let suite =
     Alcotest.test_case "traditional C=1 P=0" `Quick test_traditional;
     Alcotest.test_case "uniform bounds" `Quick test_uniform_random_bounds;
     Alcotest.test_case "uniform zero bound" `Quick test_uniform_random_zero_bound;
-    Alcotest.test_case "postal alias" `Quick test_postal_alias;
   ]

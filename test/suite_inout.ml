@@ -166,8 +166,7 @@ let ref_view r =
     ~route:(fun ~src ~dst -> Array.to_list (Ref.route_array r ~src ~dst))
     ~tree
     ~tour:
-      (List.map
-         (fun (v, first) -> (v lsl 1) lor if first then 1 else 0)
+      (Array.to_list
          (Core.Walks.mark_first_visits
             (Core.Walks.truncate (Core.Walks.euler_tour tree))))
 

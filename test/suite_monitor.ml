@@ -224,15 +224,6 @@ let test_theorem2_time_bound_is_checked () =
   let scaled = M.theorem2_broadcast ~p:2.0 ~n ~syscalls:n ~time:(limit *. 2.0) () in
   check_bool "bound scales with P" true scaled.M.ok
 
-let test_mode_of_string_roundtrip () =
-  List.iter
-    (fun m ->
-      match M.mode_of_string (M.mode_to_string m) with
-      | Some m' -> check_bool "roundtrip" true (m = m')
-      | None -> Alcotest.fail "mode_of_string rejected its own rendering")
-    [ M.Off; M.Warn; M.Fail ];
-  check_bool "unknown rejected" true (M.mode_of_string "loud" = None)
-
 let suite =
   [
     Alcotest.test_case "theorem 2 in fail mode, all families" `Quick
@@ -249,8 +240,6 @@ let suite =
       test_fifo_violation_detected;
     Alcotest.test_case "theorem 2 time bound checked" `Quick
       test_theorem2_time_bound_is_checked;
-    Alcotest.test_case "mode strings roundtrip" `Quick
-      test_mode_of_string_roundtrip;
     Alcotest.test_case "fifo consumer catches reordered hop" `Quick
       test_fifo_consumer_catches_reordered_hop;
     QCheck_alcotest.to_alcotest qcheck_fifo_matches_reference;

@@ -4,13 +4,15 @@
    Hardware.Network (tuple-keyed hash tables for link records and
    per-directed-link FIFO clocks, list-walk ANR consumption).  Every
    scenario is a functor over the network signature and is executed on
-   both implementations; the suite asserts that the fast path produces
+   both implementations, the headers written as element lists (the
+   list form of [Suite_anr.Ref]) and handed to the fast path packed;
+   the suite asserts that the fast path produces
    the {e identical} trace event sequence, metrics counters, and
    completion time.  Because the simulation engine's heap is stable,
    any divergence in scheduling order or event content shows up as a
    trace mismatch. *)
 
-module A = Hardware.Anr
+module A = Suite_anr.Ref
 module CM = Hardware.Cost_model
 module Metrics = Hardware.Metrics
 module Graph = Netgraph.Graph
@@ -50,7 +52,7 @@ module type NET = sig
   val restore_node : 'msg t -> int -> unit
   val self : 'msg context -> int
   val now : 'msg context -> float
-  val send : ?label:string -> 'msg context -> route:A.t -> 'msg -> unit
+  val send : ?label:string -> 'msg context -> route:A.elem list -> 'msg -> unit
 
   val send_walk :
     ?label:string ->
@@ -288,13 +290,13 @@ module Refnet : NET = struct
     let t = ctx.net in
     let oversized =
       match t.dmax with
-      | Some bound -> A.length route > bound
+      | Some bound -> List.length route > bound
       | None -> false
     in
     if oversized && t.dmax_policy = `Raise then
       invalid_arg
         (Printf.sprintf "Network.send: header length %d exceeds dmax %d"
-           (A.length route)
+           (List.length route)
            (Option.get t.dmax))
     else if oversized then begin
       Metrics.record_drop t.metrics;
@@ -309,7 +311,7 @@ module Refnet : NET = struct
     else begin
       let msg_id = t.next_msg_id in
       t.next_msg_id <- msg_id + 1;
-      Metrics.record_send t.metrics ~header_len:(A.length route);
+      Metrics.record_send t.metrics ~header_len:(List.length route);
       Sim.Trace.record t.trace
         (Sim.Trace.Send
            { node = ctx.node; time = Sim.Engine.now t.engine; msg_id; label });
@@ -429,7 +431,7 @@ module Scenarios (N : NET) = struct
     finish ~graph ~trace ~engine net
 
   (* 2. Branching-path broadcast with selective copies along BFS-tree
-     walks of a grid, postal costs (C=2, P=1): stresses the copy flag
+     walks of a grid, deterministic costs (C=2, P=1): stresses the copy flag
      and multi-hop cursor advancement. *)
   let copy_routes () =
     let graph = B.grid ~rows:5 ~cols:5 in
@@ -452,7 +454,7 @@ module Scenarios (N : NET) = struct
     in
     let net =
       N.create ~trace ~engine
-        ~cost:(CM.postal ~c:2.0 ~p:1.0)
+        ~cost:(CM.deterministic ~c:2.0 ~p:1.0)
         ~graph ~handlers ()
     in
     N.start net 0;
@@ -514,7 +516,7 @@ module Scenarios (N : NET) = struct
     in
     let net =
       N.create ~trace ~engine ~detection_delay:1.0
-        ~cost:(CM.postal ~c:8.0 ~p:1.0)
+        ~cost:(CM.deterministic ~c:8.0 ~p:1.0)
         ~graph ~handlers ()
     in
     (* the first packet reaches link 1-2 around t=9 and is in flight
@@ -550,7 +552,7 @@ module Scenarios (N : NET) = struct
     in
     let net =
       N.create ~trace ~engine ~detection_delay:2.0
-        ~cost:(CM.postal ~c:3.0 ~p:1.0)
+        ~cost:(CM.deterministic ~c:3.0 ~p:1.0)
         ~graph ~handlers ()
     in
     Sim.Engine.schedule engine ~delay:5.0 (fun () -> N.fail_node net 5);
@@ -587,7 +589,8 @@ module Scenarios (N : NET) = struct
 
   (* 7. Malformed and unroutable headers: empty route, elements after
      the NCU element, copy flag on the NCU link, dangling link id, and
-     a send over a preset-inactive link. *)
+     a send over a preset-inactive link.  Each non-empty header ends in
+     the NCU element, as a packed route must. *)
   let malformed_headers () =
     let graph = B.star 5 in
     let engine = Sim.Engine.create () in
@@ -599,10 +602,10 @@ module Scenarios (N : NET) = struct
             if v = 0 then begin
               N.send ~label:"probe" ctx ~route:[] 0;
               N.send ~label:"probe" ctx
-                ~route:[ A.deliver; { A.link = 1; copy = false } ]
+                ~route:[ A.deliver; { A.link = 1; copy = false }; A.deliver ]
                 1;
               N.send ~label:"probe" ctx
-                ~route:[ { A.link = 0; copy = true } ]
+                ~route:[ { A.link = 0; copy = true }; A.deliver ]
                 2;
               N.send ~label:"probe" ctx
                 ~route:[ { A.link = 9; copy = false }; A.deliver ]
@@ -635,9 +638,15 @@ module Scenarios (N : NET) = struct
 end
 
 (* The data-link view the scenarios' handlers read, over the fast
-   path's own link state: every adjacent node with its link's state. *)
+   path's own link state: every adjacent node with its link's state;
+   list headers and walks go out packed. *)
 module Fastnet = struct
   include Hardware.Network
+
+  let send ?label ctx ~route m = send ?label ctx ~route:(A.route route) m
+
+  let send_walk ?label ?copy_at ctx ~walk m =
+    send_walk ?label ?copy_at ctx ~walk:(Array.of_list walk) m
 
   let neighbors ctx =
     let net = network ctx and u = self ctx in
@@ -735,7 +744,7 @@ let test_dmax_raise () =
       {
         Hardware.Network.on_start =
           (fun ctx ->
-            Hardware.Network.send_walk ctx ~walk:[ 0; 1; 2; 3 ] 0);
+            Hardware.Network.send_walk ctx ~walk:[| 0; 1; 2; 3 |] 0);
         on_message = (fun _ ~via:_ _ -> ());
         on_link_change = (fun _ ~peer:_ ~up:_ -> ());
       }

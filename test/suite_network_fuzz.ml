@@ -41,7 +41,7 @@ let fuzz_once ~seed =
             if List.length walk >= 2 then
               N.send_walk
                 ~copy_at:(fun _ -> Sim.Rng.bool rng)
-                ctx ~walk (Probe v)
+                ctx ~walk:(Array.of_list walk) (Probe v)
           done);
       on_message =
         (fun ctx ~via:_ (Probe _) ->
@@ -49,11 +49,14 @@ let fuzz_once ~seed =
           (* occasionally reply with another short packet *)
           if Sim.Rng.chance rng 0.2 then
             let self = N.self ctx in
-            match N.active_neighbors (N.network ctx) self with
+            let peers = ref [] in
+            N.iter_active_neighbors (N.network ctx) self (fun _ peer ->
+                peers := peer :: !peers);
+            match List.rev !peers with
             | [] -> ()
             | peers ->
                 let peer = Sim.Rng.pick rng peers in
-                N.send_walk ctx ~walk:[ self; peer ] (Probe self));
+                N.send_walk ctx ~walk:[| self; peer |] (Probe self));
       on_link_change = (fun _ ~peer:_ ~up:_ -> ());
     }
   in

@@ -87,16 +87,6 @@ let test_histo_rejects_bad_samples () =
     | (_ : float) -> false
     | exception Invalid_argument _ -> true)
 
-let test_histo_merge () =
-  let a = H.create () and b = H.create () in
-  H.observe a 1.0;
-  H.observe a 2.0;
-  H.observe b 4.0;
-  H.merge_into ~dst:a b;
-  check_int "merged count" 3 (H.count a);
-  check_float "merged total" 7.0 (H.total a);
-  check_float "merged max" 4.0 (H.max_value a)
-
 (* -- Trace_import ------------------------------------------------------- *)
 
 let all_variants : T.event list =
@@ -391,7 +381,6 @@ let suite =
       test_histo_quantile_within_bin_width;
     Alcotest.test_case "histo rejects bad samples" `Quick
       test_histo_rejects_bad_samples;
-    Alcotest.test_case "histo merge" `Quick test_histo_merge;
     Alcotest.test_case "import round-trips every variant" `Quick
       test_import_roundtrips_every_variant;
     Alcotest.test_case "import headers both kinds" `Quick

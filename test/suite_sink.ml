@@ -29,16 +29,6 @@ let lines =
 
 let feed sink = List.map (fun l -> S.emit sink l) lines
 
-let test_null_accepts_everything () =
-  let s = S.null () in
-  check_bool "all accepted" true (List.for_all Fun.id (feed s));
-  check_int "emitted" (List.length lines) (S.emitted s);
-  check_int "nothing dropped" 0 (S.dropped s);
-  check_int "bytes counted"
-    (List.fold_left (fun a l -> a + String.length l + 1) 0 lines)
-    (S.bytes s);
-  S.close s
-
 let test_buffer_sink_appends_lines () =
   let buf = Buffer.create 64 in
   let s = S.buffer buf in
@@ -91,32 +81,6 @@ let test_file_max_bytes_backpressure () =
       check_int "bytes accessor matches the file" (String.length contents)
         (S.bytes s))
 
-let test_sampling_keeps_every_kth () =
-  let buf = Buffer.create 64 in
-  let s = S.sampling ~every:2 (S.buffer buf) in
-  let accepted = feed s in
-  S.close s;
-  check_bool "alternate lines kept" true
-    (accepted = [ true; false; true; false; true ]);
-  check_int "skips count as dropped" 2 (S.dropped s);
-  check_string "kept lines forwarded"
-    (List.nth lines 0 ^ "\n" ^ List.nth lines 2 ^ "\n" ^ List.nth lines 4 ^ "\n")
-    (Buffer.contents buf);
-  Alcotest.check_raises "every < 1 rejected"
-    (Invalid_argument "Sink.sampling: every must be >= 1") (fun () ->
-      ignore (S.sampling ~every:0 (S.null ())))
-
-let test_sampling_every_one_is_identity () =
-  let buf = Buffer.create 64 in
-  let s = S.sampling ~every:1 (S.buffer buf) in
-  let accepted = feed s in
-  S.close s;
-  check_bool "every line accepted" true (List.for_all Fun.id accepted);
-  check_int "nothing dropped" 0 (S.dropped s);
-  check_string "byte-identical to the unsampled sink"
-    (String.concat "" (List.map (fun l -> l ^ "\n") lines))
-    (Buffer.contents buf)
-
 let test_file_max_bytes_smaller_than_one_line () =
   (* a line that does not fit is dropped whole — never written as a
      prefix — while a later, shorter line that does fit still lands *)
@@ -163,18 +127,12 @@ let test_create_accounting_tracks_refusals () =
 
 let suite =
   [
-    Alcotest.test_case "null sink accepts everything" `Quick
-      test_null_accepts_everything;
     Alcotest.test_case "buffer sink appends lines" `Quick
       test_buffer_sink_appends_lines;
     Alcotest.test_case "file sink byte-identical at any chunk size" `Quick
       test_file_bytes_identical_at_any_chunk_size;
     Alcotest.test_case "file sink max-bytes backpressure" `Quick
       test_file_max_bytes_backpressure;
-    Alcotest.test_case "sampling sink keeps every kth" `Quick
-      test_sampling_keeps_every_kth;
-    Alcotest.test_case "sampling every=1 is the identity" `Quick
-      test_sampling_every_one_is_identity;
     Alcotest.test_case "max-bytes below one line drops it whole" `Quick
       test_file_max_bytes_smaller_than_one_line;
     Alcotest.test_case "close idempotent, emit-after-close raises" `Quick

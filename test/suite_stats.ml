@@ -33,10 +33,6 @@ let test_summarize () =
   check_float "mean" 2.0 s.mean;
   check_float "median" 2.0 s.median
 
-let test_summarize_ints () =
-  let s = Sim.Stats.summarize_ints [ 10; 20 ] in
-  check_float "mean" 15.0 s.Sim.Stats.mean
-
 let test_linear_fit () =
   let slope, intercept = Sim.Stats.linear_fit [ (0.0, 1.0); (1.0, 3.0); (2.0, 5.0) ] in
   check_float "slope" 2.0 slope;
@@ -50,14 +46,6 @@ let test_linear_fit_degenerate () =
 let test_log2 () =
   check_float "log2 8" 3.0 (Sim.Stats.log2 8.0);
   check_float "log2 1" 0.0 (Sim.Stats.log2 1.0)
-
-let test_growth_exponent_linear () =
-  let pts = List.init 20 (fun i -> let x = float_of_int (i + 1) in (x, 7.0 *. x)) in
-  check_bool "exponent ~1" true (Float.abs (Sim.Stats.growth_exponent pts -. 1.0) < 0.01)
-
-let test_growth_exponent_quadratic () =
-  let pts = List.init 20 (fun i -> let x = float_of_int (i + 1) in (x, 0.5 *. x *. x)) in
-  check_bool "exponent ~2" true (Float.abs (Sim.Stats.growth_exponent pts -. 2.0) < 0.01)
 
 let qcheck_percentile_bounds =
   QCheck.Test.make ~name:"percentile stays within min..max" ~count:300
@@ -76,11 +64,8 @@ let suite =
     Alcotest.test_case "stddev singleton" `Quick test_stddev_singleton;
     Alcotest.test_case "percentile" `Quick test_percentile;
     Alcotest.test_case "summarize" `Quick test_summarize;
-    Alcotest.test_case "summarize ints" `Quick test_summarize_ints;
     Alcotest.test_case "linear fit" `Quick test_linear_fit;
     Alcotest.test_case "linear fit degenerate" `Quick test_linear_fit_degenerate;
     Alcotest.test_case "log2" `Quick test_log2;
-    Alcotest.test_case "growth exponent linear" `Quick test_growth_exponent_linear;
-    Alcotest.test_case "growth exponent quadratic" `Quick test_growth_exponent_quadratic;
     QCheck_alcotest.to_alcotest qcheck_percentile_bounds;
   ]

@@ -55,8 +55,9 @@ let test_restrict_to_depth () =
   check_int "depth 2 full" 4 (T.size r2)
 
 let test_mark_first_visits () =
-  Alcotest.(check (list (pair int bool)))
-    "marks" [ (0, true); (1, true); (0, false); (2, true); (0, false) ]
+  (* position i packs (node lsl 1) lor first *)
+  Alcotest.(check (array int))
+    "marks" [| 1; 3; 0; 5; 0 |]
     (W.mark_first_visits [ 0; 1; 0; 2; 0 ])
 
 let test_singleton_tour () =
