@@ -118,21 +118,45 @@ let random_connected rng ~n ~extra_edges =
   for v = 1 to n - 1 do
     edges := (v, Sim.Rng.int rng v) :: !edges
   done;
+  (* Extra edges by rejection sampling; cap attempts so dense requests
+     on tiny graphs terminate.  Dedup through an open-addressing set of
+     normalised edge codes [min * n + max] (linear probing, -1 empty):
+     the same accept/reject decisions, hence the same rng stream and
+     the same graph, as scanning the edge list, at O(1) a probe.  It
+     holds at most every pair once, and stays at most half full. *)
+  let most = min (n - 1 + max 0 extra_edges) (n * (n - 1) / 2) in
+  let bits =
+    let b = ref 4 in
+    while 1 lsl !b < 2 * most do
+      incr b
+    done;
+    !b
+  in
+  let mask = (1 lsl bits) - 1 in
+  let slots = Array.make (mask + 1) (-1) in
+  (* Fibonacci hashing: the top [bits] bits of the code times 2^62/phi *)
+  let home c = (c * 0x278D_DE6E_5FD2_9F05) lsr (63 - bits) in
+  (* adds [c]; true when it was absent *)
+  let add c =
+    let i = ref (home c) in
+    while slots.(!i) >= 0 && slots.(!i) <> c do
+      i := (!i + 1) land mask
+    done;
+    if slots.(!i) = c then false
+    else begin
+      slots.(!i) <- c;
+      true
+    end
+  in
+  let code u v = if u < v then (u * n) + v else (v * n) + u in
+  List.iter (fun (u, v) -> ignore (add (code u v) : bool)) !edges;
   let added = ref 0 in
   let attempts = ref 0 in
-  (* Extra edges by rejection sampling; cap attempts so dense requests
-     on tiny graphs terminate.  Dedup through a set of normalised edge
-     codes — same accept/reject decisions (hence the same rng stream
-     and the same graph) as scanning the edge list, at O(1) a probe. *)
-  let seen = Hashtbl.create (2 * (n + extra_edges)) in
-  let code u v = if u < v then (u * n) + v else (v * n) + u in
-  List.iter (fun (u, v) -> Hashtbl.replace seen (code u v) ()) !edges;
   while !added < extra_edges && !attempts < 100 * (extra_edges + 1) do
     incr attempts;
     let u = Sim.Rng.int rng n and v = Sim.Rng.int rng n in
-    if u <> v && not (Hashtbl.mem seen (code u v)) then begin
+    if u <> v && add (code u v) then begin
       edges := (u, v) :: !edges;
-      Hashtbl.replace seen (code u v) ();
       incr added
     end
   done;

@@ -28,67 +28,84 @@ let slot g u v =
   done;
   if !lo < stop && targets.(!lo) = v then !lo else -1
 
+(* The CSR in O(n + m), by two stable counting sorts over the 2m
+   directed entries: by target into [by_target] (which keeps only the
+   sources), then, walking the targets in increasing order, by source
+   into [raw].  Each source's slice of [raw] is then sorted by target,
+   so duplicate edges sit side by side and one pass drops them.  An
+   undirected edge is counted once per endpoint, so the in- and
+   out-degree counts are the same [start] array. *)
 let of_edges ~n edges =
   if n <= 0 then invalid_arg "Graph.of_edges: n must be positive";
   let check v =
     if v < 0 || v >= n then
       invalid_arg (Printf.sprintf "Graph.of_edges: node %d out of [0,%d)" v n)
   in
+  let start = Array.make (n + 1) 0 in
   List.iter
     (fun (u, v) ->
       check u;
       check v;
       if u = v then
-        invalid_arg (Printf.sprintf "Graph.of_edges: self-loop at %d" u))
+        invalid_arg (Printf.sprintf "Graph.of_edges: self-loop at %d" u);
+      start.(u + 1) <- start.(u + 1) + 1;
+      start.(v + 1) <- start.(v + 1) + 1)
     edges;
-  (* Encode each direction as [u * n + v]: sorting the codes with the
-     monomorphic int order yields every CSR slice already sorted, and
-     duplicate edges collapse as adjacent duplicates — no intermediate
-     tuple-keyed table. *)
-  let codes = Array.make (2 * List.length edges) 0 in
-  List.iteri
-    (fun i (u, v) ->
-      codes.(2 * i) <- (u * n) + v;
-      codes.((2 * i) + 1) <- (v * n) + u)
-    edges;
-  Array.sort Int.compare codes;
-  let unique = ref 0 in
-  Array.iteri
-    (fun i c -> if i = 0 || codes.(i - 1) <> c then incr unique)
-    codes;
-  let slots = !unique in
-  let offsets = Array.make (n + 1) 0 in
-  let targets = Array.make slots 0 in
-  let filled = ref 0 in
-  Array.iteri
-    (fun i c ->
-      if i = 0 || codes.(i - 1) <> c then begin
-        offsets.((c / n) + 1) <- offsets.((c / n) + 1) + 1;
-        targets.(!filled) <- c mod n;
-        incr filled
-      end)
-    codes;
   for u = 0 to n - 1 do
-    offsets.(u + 1) <- offsets.(u) + offsets.(u + 1)
+    start.(u + 1) <- start.(u) + start.(u + 1)
   done;
-  let g =
-    { size = n; offsets; targets; uedge = Array.make slots 0; edge_count = slots / 2 }
-  in
-  (* Undirected ids: assigned in order of first (smaller-endpoint)
-     appearance; the reverse direction looks its id up in the forward
-     slice. *)
-  let next = ref 0 in
+  let entries = start.(n) in
+  let next = Array.sub start 0 n in
+  let by_target = Array.make entries 0 in
+  List.iter
+    (fun (u, v) ->
+      by_target.(next.(v)) <- u;
+      next.(v) <- next.(v) + 1;
+      by_target.(next.(u)) <- v;
+      next.(u) <- next.(u) + 1)
+    edges;
+  Array.blit start 0 next 0 n;
+  let raw = Array.make entries 0 in
+  for v = 0 to n - 1 do
+    for k = start.(v) to start.(v + 1) - 1 do
+      let u = by_target.(k) in
+      raw.(next.(u)) <- v;
+      next.(u) <- next.(u) + 1
+    done
+  done;
+  (* drop duplicates in place: the write cursor never passes the read *)
+  let offsets = Array.make (n + 1) 0 in
+  let w = ref 0 in
+  for u = 0 to n - 1 do
+    for k = start.(u) to start.(u + 1) - 1 do
+      if k = start.(u) || raw.(k) <> raw.(k - 1) then begin
+        raw.(!w) <- raw.(k);
+        incr w
+      end
+    done;
+    offsets.(u + 1) <- !w
+  done;
+  let slots = !w in
+  let targets = if slots = entries then raw else Array.sub raw 0 slots in
+  (* Undirected ids in order of the smaller endpoint's slice.  [u]'s
+     slots below [u] name, in increasing order, the smaller endpoints
+     that reach [u] in that same order, so a cursor per node finds the
+     reverse slot without a search. *)
+  let uedge = Array.make slots 0 in
+  let below = Array.sub offsets 0 n in
+  let id = ref 0 in
   for u = 0 to n - 1 do
     for d = offsets.(u) to offsets.(u + 1) - 1 do
       let v = targets.(d) in
       if u < v then begin
-        g.uedge.(d) <- !next;
-        incr next
+        uedge.(d) <- !id;
+        uedge.(below.(v)) <- !id;
+        below.(v) <- below.(v) + 1;
+        incr id
       end
-      else g.uedge.(d) <- g.uedge.(slot g v u)
     done
   done;
-  g
+  { size = n; offsets; targets; uedge; edge_count = slots / 2 }
 
 let n g = g.size
 let m g = g.edge_count

@@ -1,200 +1,169 @@
+(* A rooted tree as flat int arrays indexed by node id, each sized by
+   the largest member id:
+   - [parent.(v)] is [v]'s parent, -1 at the root and [off] at an id
+     that is not a member;
+   - [v]'s children are [kids.(first.(v)) .. kids.(first.(v + 1) - 1)],
+     in increasing order (a CSR, as in [Graph]);
+   - [order] lists the members in preorder. *)
 type t = {
   root : int;
-  parents : (int, int) Hashtbl.t;  (* child -> parent; no entry for root *)
-  kids : (int, int list) Hashtbl.t;  (* parent -> sorted children *)
-  members : (int, unit) Hashtbl.t;
-  size : int;
+  parent : int array;
+  first : int array;  (* length Array.length parent + 1 *)
+  kids : int array;  (* length size - 1 *)
+  order : int array;
 }
 
-let mem t v = Hashtbl.mem t.members v
+let off = -2
 
 let check_member t v =
-  if not (mem t v) then
+  if v < 0 || v >= Array.length t.parent || t.parent.(v) = off then
     invalid_arg (Printf.sprintf "Tree: node %d is not a member" v)
 
+(* [parent] holds every member's parent, -1 at [root] and [off]
+   elsewhere, and every parent is a member.  The children CSR comes
+   from a counting sort by parent over increasing child ids, so each
+   slice is sorted; the preorder from an explicit stack, stack-safe at
+   any height.  Every member has one parent, so a member that the walk
+   down from the root misses lies on a cycle. *)
+let build ~fn ~root parent =
+  let len = Array.length parent in
+  let first = Array.make (len + 1) 0 in
+  Array.iter (fun p -> if p >= 0 then first.(p + 1) <- first.(p + 1) + 1) parent;
+  for v = 0 to len - 1 do
+    first.(v + 1) <- first.(v) + first.(v + 1)
+  done;
+  let size = first.(len) + 1 in
+  let kids = Array.make (size - 1) 0 in
+  let next = Array.sub first 0 len in
+  Array.iteri
+    (fun v p ->
+      if p >= 0 then begin
+        kids.(next.(p)) <- v;
+        next.(p) <- next.(p) + 1
+      end)
+    parent;
+  (* pop a node, push its children largest first *)
+  let order = Array.make size root and stack = Array.make size root in
+  let top = ref 1 and count = ref 0 in
+  while !top > 0 do
+    decr top;
+    let v = stack.(!top) in
+    order.(!count) <- v;
+    incr count;
+    for k = first.(v + 1) - 1 downto first.(v) do
+      stack.(!top) <- kids.(k);
+      incr top
+    done
+  done;
+  if !count < size then invalid_arg (Printf.sprintf "Tree.%s: cycle detected" fn);
+  { root; parent; first; kids; order }
+
 let of_parents ~root ~parents =
-  let members = Hashtbl.create (List.length parents + 1) in
-  Hashtbl.replace members root ();
+  let refuse_negative v =
+    if v < 0 then
+      invalid_arg (Printf.sprintf "Tree.of_parents: negative node id %d" v)
+  in
+  refuse_negative root;
+  let largest =
+    List.fold_left
+      (fun acc (v, _) ->
+        refuse_negative v;
+        max acc v)
+      root parents
+  in
+  let parent = Array.make (largest + 1) off in
+  parent.(root) <- -1;
+  (* members first, each marked with -1 until its parent is checked *)
   List.iter
     (fun (v, _) ->
       if v = root then
         invalid_arg "Tree.of_parents: the root cannot have a parent";
-      if Hashtbl.mem members v then
+      if parent.(v) <> off then
         invalid_arg (Printf.sprintf "Tree.of_parents: duplicate entry for %d" v);
-      Hashtbl.replace members v ())
+      parent.(v) <- -1)
     parents;
-  let parent_tbl = Hashtbl.create (List.length parents) in
   List.iter
     (fun (v, p) ->
-      if not (Hashtbl.mem members p) then
+      if p < 0 || p > largest || parent.(p) = off then
         invalid_arg
           (Printf.sprintf "Tree.of_parents: parent %d of %d is not a member" p v);
-      Hashtbl.replace parent_tbl v p)
+      parent.(v) <- p)
     parents;
-  (* Reject cycles: walking up from any node must reach the root.  The
-     on-path set makes each climb O(path length) — every node is walked
-     over at most twice across all climbs, so the whole check is linear
-     even on a single 10^5-deep path. *)
-  let verified = Hashtbl.create 16 in
-  Hashtbl.replace verified root ();
-  let on_path = Hashtbl.create 16 in
-  let rec climb path v =
-    if Hashtbl.mem verified v then
-      List.iter (fun u -> Hashtbl.replace verified u ()) path
-    else if Hashtbl.mem on_path v then
-      invalid_arg "Tree.of_parents: cycle detected"
-    else begin
-      Hashtbl.replace on_path v ();
-      match Hashtbl.find_opt parent_tbl v with
-      | None -> invalid_arg "Tree.of_parents: disconnected node"
-      | Some p -> climb (v :: path) p
-    end
-  in
-  List.iter
-    (fun (v, _) ->
-      Hashtbl.reset on_path;
-      climb [] v)
-    parents;
-  let kids = Hashtbl.create (List.length parents + 1) in
-  List.iter
-    (fun (v, p) ->
-      let existing = Option.value ~default:[] (Hashtbl.find_opt kids p) in
-      Hashtbl.replace kids p (v :: existing))
-    parents;
-  Hashtbl.iter
-    (fun p l -> Hashtbl.replace kids p (List.sort compare l))
-    (Hashtbl.copy kids);
-  {
-    root;
-    parents = parent_tbl;
-    kids;
-    members;
-    size = List.length parents + 1;
-  }
+  build ~fn:"of_parents" ~root parent
 
-let singleton v = of_parents ~root:v ~parents:[]
+let of_parent_array ~root parent =
+  let len = Array.length parent in
+  if root < 0 || root >= len then
+    invalid_arg
+      (Printf.sprintf "Tree.of_parent_array: root %d out of [0,%d)" root len);
+  if parent.(root) >= 0 then
+    invalid_arg "Tree.of_parent_array: the root cannot have a parent";
+  Array.iteri
+    (fun v p ->
+      if p >= len || (p >= 0 && p <> root && parent.(p) < 0) then
+        invalid_arg
+          (Printf.sprintf
+             "Tree.of_parent_array: parent %d of %d is not a member" p v))
+    parent;
+  Array.iteri (fun v p -> if p < 0 && v <> root then parent.(v) <- off) parent;
+  parent.(root) <- -1;
+  build ~fn:"of_parent_array" ~root parent
 
 let root t = t.root
-let size t = t.size
+let size t = Array.length t.order
 
 let parent t v =
   check_member t v;
-  Hashtbl.find_opt t.parents v
+  let p = t.parent.(v) in
+  if p < 0 then None else Some p
 
 let children t v =
   check_member t v;
-  Option.value ~default:[] (Hashtbl.find_opt t.kids v)
+  let acc = ref [] in
+  for k = t.first.(v + 1) - 1 downto t.first.(v) do
+    acc := t.kids.(k) :: !acc
+  done;
+  !acc
 
-(* Preorder via an explicit worklist (children prepended keep the
-   recursive visit order); stack-safe at any height, O(n) total. *)
-let preorder_from t v0 =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | v :: rest -> go (v :: acc) (children t v @ rest)
-  in
-  go [] [ v0 ]
-
-let nodes t = preorder_from t t.root
-
-let leaves t = List.filter (fun v -> children t v = []) (nodes t)
+let nodes t = Array.to_list t.order
 
 let depth_of t v =
   check_member t v;
-  let rec up v acc =
-    match Hashtbl.find_opt t.parents v with
-    | None -> acc
-    | Some p -> up p (acc + 1)
-  in
+  let rec up v acc = if t.parent.(v) < 0 then acc else up t.parent.(v) (acc + 1) in
   up v 0
 
-let height t =
-  (* one preorder pass with memoised depths: parents precede children *)
-  let depth = Hashtbl.create t.size in
-  Hashtbl.replace depth t.root 0;
-  List.fold_left
-    (fun acc v ->
-      let d =
-        match Hashtbl.find_opt t.parents v with
-        | None -> 0
-        | Some p -> Hashtbl.find depth p + 1
-      in
-      Hashtbl.replace depth v d;
-      max acc d)
-    0 (nodes t)
+(* depth by node id, filled in preorder: parents precede children *)
+let depths t =
+  let depth = Array.make (Array.length t.parent) 0 in
+  Array.iter
+    (fun v -> if t.parent.(v) >= 0 then depth.(v) <- depth.(t.parent.(v)) + 1)
+    t.order;
+  depth
 
-let subtree_nodes t v =
-  check_member t v;
-  preorder_from t v
-
-let subtree_size t v = List.length (subtree_nodes t v)
-
-let is_ancestor t ~anc ~desc =
-  check_member t anc;
-  check_member t desc;
-  let rec up v = v = anc || (match Hashtbl.find_opt t.parents v with
-    | None -> false
-    | Some p -> up p)
-  in
-  up desc
+let height t = Array.fold_left max 0 (depths t)
 
 let path_from_root t v =
   check_member t v;
   let rec up v acc =
-    match Hashtbl.find_opt t.parents v with
-    | None -> v :: acc
-    | Some p -> up p (v :: acc)
+    let p = t.parent.(v) in
+    if p < 0 then v :: acc else up p (v :: acc)
   in
   up v []
 
-let path_between t u v =
-  if not (mem t u) || not (mem t v) then None
-  else begin
-    let pu = path_from_root t u and pv = path_from_root t v in
-    (* Strip the common prefix; the last common node is the LCA. *)
-    let rec strip lca pu pv =
-      match (pu, pv) with
-      | x :: pu', y :: pv' when x = y -> strip x pu' pv'
-      | _ -> (lca, pu, pv)
-    in
-    match (pu, pv) with
-    | x :: pu', y :: pv' when x = y ->
-        let lca, up_part, down_part = strip x pu' pv' in
-        Some (List.rev up_part @ [ lca ] @ down_part)
-    | _ -> None  (* different roots: impossible within one tree *)
-  end
-
 let edges t =
-  List.filter_map
-    (fun v ->
-      match Hashtbl.find_opt t.parents v with
-      | None -> None
-      | Some p -> Some (p, v))
-    (nodes t)
+  let acc = ref [] in
+  for i = Array.length t.order - 1 downto 1 do
+    let v = t.order.(i) in
+    acc := (t.parent.(v), v) :: !acc
+  done;
+  !acc
 
 let map_nodes f t =
-  let pairs =
-    Hashtbl.fold (fun v p acc -> (f v, f p) :: acc) t.parents []
-  in
-  let mapped = of_parents ~root:(f t.root) ~parents:pairs in
-  if mapped.size <> t.size then
-    invalid_arg "Tree.map_nodes: mapping is not injective on members";
-  mapped
-
-let spans t g =
-  size t = Graph.n g
-  && List.for_all (fun v -> 0 <= v && v < Graph.n g) (nodes t)
-  && List.for_all (fun (p, v) -> Graph.has_edge g p v) (edges t)
-
-let is_subgraph t g =
-  List.for_all (fun (p, v) -> Graph.has_edge g p v) (edges t)
+  of_parents ~root:(f t.root)
+    ~parents:(List.map (fun (p, v) -> (f v, f p)) (edges t))
 
 let pp ppf t =
-  (* same output as the recursive prefix renderer, via a worklist *)
-  let rec render = function
-    | [] -> ()
-    | (prefix, v) :: rest ->
-        Format.fprintf ppf "%s%d@." prefix v;
-        let deeper = prefix ^ "  " in
-        render (List.map (fun c -> (deeper, c)) (children t v) @ rest)
-  in
-  render [ ("", t.root) ]
+  let depth = depths t in
+  Array.iter
+    (fun v -> Format.fprintf ppf "%s%d@." (String.make (2 * depth.(v)) ' ') v)
+    t.order

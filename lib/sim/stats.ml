@@ -55,20 +55,4 @@ let summarize xs =
         p90 = percentile 90.0 xs;
       }
 
-let linear_fit pts =
-  match pts with
-  | [] | [ _ ] -> invalid_arg "Stats.linear_fit: need at least two points"
-  | _ ->
-      let n = float_of_int (List.length pts) in
-      let sx = List.fold_left (fun a (x, _) -> a +. x) 0.0 pts in
-      let sy = List.fold_left (fun a (_, y) -> a +. y) 0.0 pts in
-      let sxx = List.fold_left (fun a (x, _) -> a +. (x *. x)) 0.0 pts in
-      let sxy = List.fold_left (fun a (x, y) -> a +. (x *. y)) 0.0 pts in
-      let denom = (n *. sxx) -. (sx *. sx) in
-      if Float.abs denom < 1e-12 then
-        invalid_arg "Stats.linear_fit: x-coordinates are all equal";
-      let slope = ((n *. sxy) -. (sx *. sy)) /. denom in
-      let intercept = (sy -. (slope *. sx)) /. n in
-      (slope, intercept)
-
 let log2 x = log x /. log 2.0

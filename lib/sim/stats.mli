@@ -24,10 +24,5 @@ val percentile : float -> float list -> float
 (** [percentile q xs] is the nearest-rank [q]-percentile of [xs] for
     [q] in [0,100]. *)
 
-val linear_fit : (float * float) list -> float * float
-(** [linear_fit pts] returns [(slope, intercept)] of the least-squares
-    line through [pts].  Requires at least two points with distinct
-    x-coordinates. *)
-
 val log2 : float -> float
 (** Base-2 logarithm, as used throughout the paper's bounds. *)

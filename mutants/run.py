@@ -125,6 +125,18 @@ MUTANTS = [
         "cases": [("compile", "flooding minor words per event")],
     },
     {
+        # the BFS tree handed over as the (child, parent) pair list it
+        # was once built from: the same tree, more minor words per node
+        "name": "bfs-tree-through-pair-list",
+        "file": "lib/graph/spanning.ml",
+        "old": "      done\n  done;\n  Tree.of_parent_array ~root parent\n",
+        "new": "      done\n  done;\n"
+               "  Tree.of_parents ~root ~parents:(List.filter_map (fun v -> "
+               "if parent.(v) >= 0 then Some (v, parent.(v)) else None) "
+               "(List.init (Graph.n g) Fun.id))\n",
+        "cases": [("compile", "set-up minor words per node")],
+    },
+    {
         # the Theorem 5 monitor's budget cut from 6n to n
         "name": "monitor-election-budget-n",
         "file": "lib/hardware/monitor.ml",

@@ -109,6 +109,43 @@ let qcheck_builders_connected =
         [ B.path n; B.ring n; B.star n; B.complete n;
           B.grid ~rows:3 ~cols:n; B.caterpillar ~spine:n ~legs:1 ])
 
+(* The hash-table dedup that the open-addressing set replaced, kept as
+   the differential reference. *)
+let reference_random_connected rng ~n ~extra_edges =
+  let edges = ref [] in
+  for v = 1 to n - 1 do
+    edges := (v, Sim.Rng.int rng v) :: !edges
+  done;
+  let added = ref 0 in
+  let attempts = ref 0 in
+  let seen = Hashtbl.create (2 * (n + extra_edges)) in
+  let code u v = if u < v then (u * n) + v else (v * n) + u in
+  List.iter (fun (u, v) -> Hashtbl.replace seen (code u v) ()) !edges;
+  while !added < extra_edges && !attempts < 100 * (extra_edges + 1) do
+    incr attempts;
+    let u = Sim.Rng.int rng n and v = Sim.Rng.int rng n in
+    if u <> v && not (Hashtbl.mem seen (code u v)) then begin
+      edges := (u, v) :: !edges;
+      Hashtbl.replace seen (code u v) ();
+      incr added
+    end
+  done;
+  G.of_edges ~n !edges
+
+(* The same edges, and the same draws left in the stream, over random
+   sizes; up to n^2 extra edges on small n asks for more than the
+   complete graph, so the attempt cap ends those requests. *)
+let qcheck_random_connected_matches_reference =
+  QCheck.Test.make ~name:"random_connected equals the hash-table reference"
+    ~count:300
+    QCheck.(triple (int_range 0 10_000) (int_range 1 40) (int_range 0 1600))
+    (fun (seed, n, extra) ->
+      let extra_edges = extra mod ((n * n) + 1) in
+      let rng = Sim.Rng.create ~seed and rng' = Sim.Rng.create ~seed in
+      let g = B.random_connected rng ~n ~extra_edges in
+      let r = reference_random_connected rng' ~n ~extra_edges in
+      G.edges g = G.edges r && Sim.Rng.int rng 1_000_000 = Sim.Rng.int rng' 1_000_000)
+
 let suite =
   [
     Alcotest.test_case "path" `Quick test_path;
@@ -128,4 +165,5 @@ let suite =
     Alcotest.test_case "random tree" `Quick test_random_tree;
     Alcotest.test_case "random connected" `Quick test_random_connected;
     QCheck_alcotest.to_alcotest qcheck_builders_connected;
+    QCheck_alcotest.to_alcotest qcheck_random_connected_matches_reference;
   ]

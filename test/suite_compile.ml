@@ -227,10 +227,10 @@ let test_bpaths_words_per_event () =
 
 (* The same budget for the election (Section 4): an untraced,
    registry-free run with every node a starter, one engine event per
-   system call and one per hop.  37.4 minor words per event measured,
+   system call and one per hop.  31.3 minor words per event measured,
    54.6 with the hash-table INOUT domains and the announcement rebuilt
    through a Tree. *)
-let election_words_per_event_bound = 40.0
+let election_words_per_event_bound = 34.5
 
 let test_election_words_per_event () =
   let art = Cache.random_connected ~seed:11 ~n:512 ~extra_edges:256 in
@@ -301,7 +301,7 @@ let test_heal_words_per_syscall () =
    counts this domain alone: [Gc.quick_stat] also sums what other
    domains allocated (the parallel suite's workers, say), so its
    reading varies with GC timing and test order. *)
-let repeat_major_words_per_node_bound = 3.0
+let repeat_major_words_per_node_bound = 2.2
 
 let test_repeat_broadcast_major_words () =
   let n = 4096 in
@@ -323,9 +323,9 @@ let test_repeat_broadcast_major_words () =
 (* A network holds no record per link or per node: link state is one
    packed int per link and handler contexts are built at activation,
    so [Network.create]'s minor allocation does not grow with n.
-   84 words measured at both sizes; 7,766 at n=1024 and 30,806
+   68 words measured at both sizes; 7,766 at n=1024 and 30,806
    at n=4096 with a record per link and a context per node. *)
-let create_minor_words_bound = 256.0
+let create_minor_words_bound = 75.0
 
 let test_network_create_words () =
   List.iter
@@ -344,6 +344,28 @@ let test_network_create_words () =
         Alcotest.failf "Network.create at n=%d: %.0f minor words, bound %.0f"
           n words create_minor_words_bound)
     [ 1024; 4096 ]
+
+(* The broadcast's set-up (Section 3.1, step (1)): build the graph,
+   its BFS tree and the labelling, the compile cache's cold path.  Big
+   arrays go straight to the major heap, so the minor words per node
+   count what the set-up builds in small blocks: lists, pairs, options
+   and closures.  26.1 measured at n=4096; 152.4 with a hash table
+   deduplicating edges, three per tree and two more per labelling. *)
+let setup_minor_words_per_node_bound = 28.5
+
+let test_setup_minor_words_per_node () =
+  let n = 4096 in
+  let setup () =
+    let g = B.random_connected (Sim.Rng.create ~seed:11) ~n ~extra_edges:(n / 2) in
+    Core.Labels.compute (Netgraph.Spanning.bfs_tree g ~root:0)
+  in
+  ignore (setup ());
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (setup ()));
+  let per_node = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_node > setup_minor_words_per_node_bound then
+    Alcotest.failf "set-up at n=%d: %.2f minor words per node, bound %.1f" n
+      per_node setup_minor_words_per_node_bound
 
 let test_stats_and_pp_stats () =
   Cache.clear ();
@@ -502,6 +524,8 @@ let suite =
       test_heal_words_per_syscall;
     Alcotest.test_case "Network.create allocates O(1)" `Quick
       test_network_create_words;
+    Alcotest.test_case "set-up minor words per node" `Quick
+      test_setup_minor_words_per_node;
     Alcotest.test_case "a repeat broadcast allocates O(1) major words" `Quick
       test_repeat_broadcast_major_words;
     QCheck_alcotest.to_alcotest qcheck_routes_match_reference;

@@ -124,7 +124,7 @@ let test_spanning_tree_byproduct () =
     let o = E.run ~rng ~graph:g () in
     let tree = Lazy.force o.E.spanning_tree in
     check_bool "leader's INOUT tree spans the network" true
-      (Netgraph.Tree.spans tree g);
+      (Suite_tree.spans tree g);
     check_int "rooted at the leader" o.E.leader (Netgraph.Tree.root tree)
   done
 

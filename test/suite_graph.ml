@@ -160,6 +160,83 @@ let qcheck_degree_sum =
       let g = G.of_edges ~n edges in
       G.fold_nodes (fun v acc -> acc + G.degree g v) g 0 = 2 * G.m g)
 
+(* The sort-based CSR build that the counting sorts replaced, kept as
+   the differential reference: every direction coded [u * n + v] and
+   sorted, adjacent duplicates dropped, undirected ids assigned in the
+   smaller endpoint's slice and looked up by binary search for the
+   reverse direction.  Returns [(offsets, targets, uedge)]. *)
+let reference_csr ~n edges =
+  let codes = Array.make (2 * List.length edges) 0 in
+  List.iteri
+    (fun i (u, v) ->
+      codes.(2 * i) <- (u * n) + v;
+      codes.((2 * i) + 1) <- (v * n) + u)
+    edges;
+  Array.sort Int.compare codes;
+  let unique =
+    List.sort_uniq Int.compare (Array.to_list codes) |> Array.of_list
+  in
+  let offsets = Array.make (n + 1) 0 in
+  Array.iter (fun c -> offsets.((c / n) + 1) <- offsets.((c / n) + 1) + 1) unique;
+  for u = 0 to n - 1 do
+    offsets.(u + 1) <- offsets.(u) + offsets.(u + 1)
+  done;
+  let targets = Array.map (fun c -> c mod n) unique in
+  let slot u v =
+    let rec go d = if targets.(d) = v then d else go (d + 1) in
+    go offsets.(u)
+  in
+  let uedge = Array.make (Array.length targets) 0 in
+  let next = ref 0 in
+  for u = 0 to n - 1 do
+    for d = offsets.(u) to offsets.(u + 1) - 1 do
+      let v = targets.(d) in
+      if u < v then begin
+        uedge.(d) <- !next;
+        incr next
+      end
+      else uedge.(d) <- uedge.(slot v u)
+    done
+  done;
+  (offsets, targets, uedge)
+
+(* Random edge lists with repeats in both orientations; the graph's
+   CSR, read through the flat directed-edge accessors, equals the
+   reference's. *)
+let qcheck_csr_matches_reference =
+  QCheck.Test.make ~name:"CSR equals the sort-based reference" ~count:300
+    QCheck.(pair (int_range 1 30) (int_range 0 10_000))
+    (fun (n, salt) ->
+      let rng = Sim.Rng.create ~seed:((n * 7919) + salt) in
+      let pairs =
+        List.filter
+          (fun (u, v) -> u <> v)
+          (List.init (Sim.Rng.int rng (3 * n)) (fun _ ->
+               (Sim.Rng.int rng n, Sim.Rng.int rng n)))
+      in
+      let repeats =
+        List.filter_map
+          (fun (u, v) ->
+            match Sim.Rng.int rng 4 with
+            | 0 -> Some (u, v)
+            | 1 -> Some (v, u)
+            | _ -> None)
+          pairs
+      in
+      let edges = pairs @ repeats in
+      let offsets, targets, uedge = reference_csr ~n edges in
+      let g = G.of_edges ~n edges in
+      let dirs = G.directed_edge_count g in
+      G.m g = dirs / 2
+      && Array.init (n + 1) (fun u ->
+             G.fold_nodes (fun v acc -> if v < u then acc + G.degree g v else acc) g 0)
+         = offsets
+      && List.for_all
+           (fun u -> G.degree g u = 0 || G.edge_id g u 1 = offsets.(u))
+           (List.init n Fun.id)
+      && Array.init dirs (G.edge_target g) = targets
+      && Array.init dirs (G.edge_uid g) = uedge)
+
 let suite =
   [
     Alcotest.test_case "basic counts" `Quick test_basic_counts;
@@ -184,4 +261,5 @@ let suite =
     Alcotest.test_case "induced validation" `Quick test_induced_validation;
     QCheck_alcotest.to_alcotest qcheck_induced_component_connected;
     QCheck_alcotest.to_alcotest qcheck_degree_sum;
+    QCheck_alcotest.to_alcotest qcheck_csr_matches_reference;
   ]

@@ -284,7 +284,7 @@ let test_spanning_tree_when_out_empty () =
     [ 1; 4; 2; 3 ];
   check_ints "OUT empty" [] (I.out_nodes !t);
   let tree = I.spanning_tree !t in
-  check_bool "spans the ring" true (Netgraph.Tree.spans tree g)
+  check_bool "spans the ring" true (Suite_tree.spans tree g)
 
 let qcheck_random_merge_sequences =
   QCheck.Test.make ~name:"random capture sequences keep invariants" ~count:60

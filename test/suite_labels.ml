@@ -11,7 +11,7 @@ let check_bool = Alcotest.(check bool)
 let tree_of graph root = S.bfs_tree graph ~root
 
 let test_leaf_label_zero () =
-  let l = L.compute (T.singleton 0) in
+  let l = L.compute (T.of_parents ~root:0 ~parents:[]) in
   check_int "singleton label" 0 (L.max_label l)
 
 let test_path_labels () =

@@ -11,7 +11,7 @@ let check_bool = Alcotest.(check bool)
 let test_bfs_tree_spans () =
   let g = B.grid ~rows:4 ~cols:5 in
   let t = S.bfs_tree g ~root:7 in
-  check_bool "spans" true (T.spans t g)
+  check_bool "spans" true (Suite_tree.spans t g)
 
 let test_bfs_tree_min_hop () =
   (* depth in the BFS tree equals the graph distance - the "minimum hop
@@ -30,12 +30,12 @@ let test_bfs_tree_component_only () =
   let g = Netgraph.Graph.of_edges ~n:5 [ (0, 1); (1, 2); (3, 4) ] in
   let t = S.bfs_tree g ~root:0 in
   check_int "covers component" 3 (T.size t);
-  check_bool "3 excluded" false (T.mem t 3)
+  check_bool "3 excluded" false (List.mem 3 (T.nodes t))
 
 let test_dfs_tree_spans () =
   let g = B.hypercube 4 in
   let t = S.dfs_tree g ~root:0 in
-  check_bool "spans" true (T.spans t g);
+  check_bool "spans" true (Suite_tree.spans t g);
   check_int "size" 16 (T.size t)
 
 let test_dfs_tree_path_is_path () =
@@ -46,7 +46,7 @@ let test_random_spanning_tree () =
   let rng = Sim.Rng.create ~seed:123 in
   let g = B.complete 12 in
   let t = S.random_spanning_tree rng g ~root:0 in
-  check_bool "spans" true (T.spans t g)
+  check_bool "spans" true (Suite_tree.spans t g)
 
 let qcheck_bfs_tree_depth_matches_distance =
   QCheck.Test.make ~name:"BFS tree realises graph distances" ~count:100

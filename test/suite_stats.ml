@@ -33,16 +33,6 @@ let test_summarize () =
   check_float "mean" 2.0 s.mean;
   check_float "median" 2.0 s.median
 
-let test_linear_fit () =
-  let slope, intercept = Sim.Stats.linear_fit [ (0.0, 1.0); (1.0, 3.0); (2.0, 5.0) ] in
-  check_float "slope" 2.0 slope;
-  check_float "intercept" 1.0 intercept
-
-let test_linear_fit_degenerate () =
-  Alcotest.check_raises "same x"
-    (Invalid_argument "Stats.linear_fit: x-coordinates are all equal") (fun () ->
-      ignore (Sim.Stats.linear_fit [ (1.0, 1.0); (1.0, 2.0) ]))
-
 let test_log2 () =
   check_float "log2 8" 3.0 (Sim.Stats.log2 8.0);
   check_float "log2 1" 0.0 (Sim.Stats.log2 1.0)
@@ -64,8 +54,6 @@ let suite =
     Alcotest.test_case "stddev singleton" `Quick test_stddev_singleton;
     Alcotest.test_case "percentile" `Quick test_percentile;
     Alcotest.test_case "summarize" `Quick test_summarize;
-    Alcotest.test_case "linear fit" `Quick test_linear_fit;
-    Alcotest.test_case "linear fit degenerate" `Quick test_linear_fit_degenerate;
     Alcotest.test_case "log2" `Quick test_log2;
     QCheck_alcotest.to_alcotest qcheck_percentile_bounds;
   ]

@@ -61,9 +61,9 @@ let test_mark_first_visits () =
     (W.mark_first_visits [ 0; 1; 0; 2; 0 ])
 
 let test_singleton_tour () =
-  check_ints "singleton" [ 5 ] (W.euler_tour (T.singleton 5));
+  check_ints "singleton" [ 5 ] (W.euler_tour (T.of_parents ~root:5 ~parents:[]));
   check_ints "singleton truncated" [ 5 ]
-    (W.truncate (W.euler_tour (T.singleton 5)))
+    (W.truncate (W.euler_tour (T.of_parents ~root:5 ~parents:[])))
 
 let qcheck_tour_consecutive_edges =
   QCheck.Test.make ~name:"euler tour steps are tree edges" ~count:100
