@@ -18,18 +18,18 @@ let predicted_time_units tree = Labels.max_path_depth (Labels.compute tree)
    labelling and chains as [Labels.compute (tree_for ...)], without
    building either:
    (1) a BFS over the CSR that skips masked links; [order] lists the
-       reached nodes layer by layer;
-   (2) the parent of a node is its smallest-id neighbour in the
-       previous layer: scanning [u] in ascending order finds it first,
-       and [link] keeps the parent's local link index to the child, so
-       no hop needs a [Graph.link_index] search;
-   (3) labels in reverse BFS order (children lie one layer deeper, so
+       reached nodes layer by layer.  The parent of a node is its
+       smallest-id neighbour in the previous layer: its first
+       discoverer, replaced by any later neighbour of that layer with
+       a smaller id; [link] keeps the parent's local link index to the
+       child, so no hop needs a [Graph.link_index] search;
+   (2) labels in reverse BFS order (children lie one layer deeper, so
        it is a post-order), pushing each label into its parent's two
        largest child labels;
-   (4) the same-label child continuing a chain, unique by Lemma 1;
-   (5) each head's chains, in ascending child order, written straight
-       into ANR codes: a copy on every hop after the first, then the
-       NCU.
+   (3) the same-label child continuing a chain, unique by Lemma 1;
+   (4) each head's chains, in ascending child id order (ascending
+       local link index in the CSR), written straight into ANR codes:
+       a copy on every hop after the first, then the NCU.
    The BFS [parent] array ships beside the table: recovery acks climb
    it to the root. *)
 let compile_routes ?edge_up graph ~root =
@@ -38,32 +38,31 @@ let compile_routes ?edge_up graph ~root =
     match edge_up with None -> true | Some up -> up (Graph.edge_uid graph e)
   in
   let dist = Array.make n (-1) and order = Array.make n root in
+  let parent = Array.make n (-1) and link = Array.make n 0 in
   dist.(root) <- 0;
   let reached = ref 1 and next_out = ref 0 in
   while !next_out < !reached do
     let u = order.(!next_out) in
     incr next_out;
+    let below = dist.(u) + 1 in
     for i = 1 to Graph.degree graph u do
       let e = Graph.edge_id graph u i in
       let v = Graph.edge_target graph e in
-      if dist.(v) < 0 && up e then begin
-        dist.(v) <- dist.(u) + 1;
-        order.(!reached) <- v;
-        incr reached
+      let d = dist.(v) in
+      if d < 0 then begin
+        if up e then begin
+          dist.(v) <- below;
+          parent.(v) <- u;
+          link.(v) <- i;
+          order.(!reached) <- v;
+          incr reached
+        end
+      end
+      else if d = below && u < parent.(v) && up e then begin
+        parent.(v) <- u;
+        link.(v) <- i
       end
     done
-  done;
-  let parent = Array.make n (-1) and link = Array.make n 0 in
-  for u = 0 to n - 1 do
-    if dist.(u) >= 0 then
-      for i = 1 to Graph.degree graph u do
-        let e = Graph.edge_id graph u i in
-        let v = Graph.edge_target graph e in
-        if dist.(v) = dist.(u) + 1 && parent.(v) < 0 && up e then begin
-          parent.(v) <- u;
-          link.(v) <- i
-        end
-      done
   done;
   (* a node gets top+1 when >= 2 children carry the maximal child
      label, else top (0 at a leaf) *)
@@ -83,15 +82,20 @@ let compile_routes ?edge_up graph ~root =
       end
       else if l > second.(p) then second.(p) <- l
   done;
-  let chain_next = Array.make n (-1) in
+  (* the labels are final: [top] becomes each node's chain successor
+     and [second] its count of chains headed *)
+  let chain_next = top and heads = second in
+  Array.fill chain_next 0 n (-1);
+  Array.fill heads 0 n 0;
   for k = 1 to !reached - 1 do
     let v = order.(k) in
     let p = parent.(v) in
-    if label.(v) = label.(p) then begin
+    if label.(v) = label.(p) && p <> root then begin
       (* two same-label children would contradict Lemma 1 *)
       assert (chain_next.(p) = -1);
       chain_next.(p) <- v
     end
+    else heads.(p) <- heads.(p) + 1
   done;
   (* the chain a head starts through child [c]: one code per walk
      node, the last one delivering *)
@@ -111,28 +115,18 @@ let compile_routes ?edge_up graph ~root =
     done;
     Hardware.Anr.route_of_codes codes
   in
-  let heads u c = parent.(c) = u && (u = root || label.(c) <> label.(u)) in
   let none = Hardware.Anr.route_of_codes [||] in
   let table = Array.make n [||] in
   for u = 0 to n - 1 do
-    if dist.(u) >= 0 then begin
-      let deg = Graph.degree graph u in
-      let count = ref 0 in
-      for i = 1 to deg do
-        if heads u (Graph.peer_via graph u i) then incr count
-      done;
-      if !count > 0 then begin
-        let routes = Array.make !count none in
-        let j = ref 0 in
-        for i = 1 to deg do
-          let c = Graph.peer_via graph u i in
-          if heads u c then begin
-            routes.(!j) <- chain_route c;
-            incr j
-          end
-        done;
-        table.(u) <- routes
-      end
+    if heads.(u) > 0 then table.(u) <- Array.make heads.(u) none
+  done;
+  (* children in descending id order fill each row from its end, so a
+     row lists its chains in ascending child order *)
+  for c = n - 1 downto 0 do
+    let p = parent.(c) in
+    if p >= 0 && chain_next.(p) <> c then begin
+      heads.(p) <- heads.(p) - 1;
+      table.(p).(heads.(p)) <- chain_route c
     end
   done;
   { table; parent }

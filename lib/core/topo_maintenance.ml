@@ -74,7 +74,9 @@ type node_state = {
   db : Topology.db;
   mutable seq : int;
   local_up : Bytes.t;  (* byte [i-1] = link [i] believed up *)
-  relayed : (int * int, unit) Hashtbl.t;
+  relayed : unit Topology.Itbl.t;
+      (* the (origin, seq) pairs already relayed, each keyed by the int
+         [seq * n + origin], which [origin < n] keeps collision-free *)
   mutable routes : Anr.route array array;
       (* the branching-paths table of the believed tree rooted here *)
   mutable routes_at : int;  (* the db version [routes] was built at *)
@@ -140,7 +142,7 @@ let run ?(params = default_params ()) ?(chaos = []) ~graph ~events () =
               ();
           seq = 0;
           local_up = Bytes.make (Graph.degree graph v) '\001';
-          relayed = Hashtbl.create 16;
+          relayed = Topology.Itbl.create 16;
           routes = [||];
           routes_at = -1;
         })
@@ -221,7 +223,7 @@ let run ?(params = default_params ()) ?(chaos = []) ~graph ~events () =
     match params.method_ with
     | Flood ->
         let m = { origin = v; seq = st.seq; views; routes = [||] } in
-        Hashtbl.replace st.relayed (v, st.seq) ();
+        Topology.Itbl.replace st.relayed ((st.seq * n) + v) ();
         send_local_links ctx v st ~except:None m ~label:"topo-flood"
     | Branching ->
         (* the headers are a function of the believed edge set alone:
@@ -235,7 +237,7 @@ let run ?(params = default_params ()) ?(chaos = []) ~graph ~events () =
           st.routes_at <- version
         end;
         let m = { origin = v; seq = st.seq; views; routes = st.routes } in
-        Hashtbl.replace st.relayed (v, st.seq) ();
+        Topology.Itbl.replace st.relayed ((st.seq * n) + v) ();
         send_routes ctx m st.routes.(v)
     | Dfs_token -> (
         let tree =
@@ -254,12 +256,13 @@ let run ?(params = default_params ()) ?(chaos = []) ~graph ~events () =
             in
             Network.send ~label:"topo-dfs" ctx ~route m)
   in
-  let relay st m =
-    if not (Hashtbl.mem st.relayed (m.origin, m.seq)) then begin
-      Hashtbl.replace st.relayed (m.origin, m.seq) ();
+  let relay st (m : msg) =
+    let key = (m.seq * n) + m.origin in
+    if Topology.Itbl.mem st.relayed key then false
+    else begin
+      Topology.Itbl.add st.relayed key ();
       true
     end
-    else false
   in
   let handlers v =
     {
@@ -325,12 +328,13 @@ let run ?(params = default_params ()) ?(chaos = []) ~graph ~events () =
   in
   if params.preseed then begin
     (* full pre-failure knowledge at every node, as ONE shared seq-0
-       base array — Θ(n) total, not Θ(n²) hashtable entries *)
+       base array — Θ(n) total, not Θ(n²) hashtable entries — whose
+       believed-edge bitset is derived once and copied *)
     let base =
       Array.init n (fun o ->
           { Topology.origin = o; seq = 0; downs = Topology.no_downs })
     in
-    Array.iter (fun st -> Topology.attach_base st.db base) states
+    Topology.preseed (Array.map (fun st -> st.db) states) base
   end;
   (* the link events arm ahead of the chaos plan, through the same
      Fault_plan, so both get the recovery hook below *)
@@ -349,7 +353,7 @@ let run ?(params = default_params ()) ?(chaos = []) ~graph ~events () =
          sequence-number lesson) *)
       let st = states.(node) in
       Topology.clear st.db;
-      Hashtbl.reset st.relayed;
+      Topology.Itbl.reset st.relayed;
       Topology.set_own st.db (own_view node)
     end;
     if alive then

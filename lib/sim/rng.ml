@@ -45,11 +45,6 @@ let chance t p =
   else if p >= 1.0 then true
   else Random.State.float t 1.0 < p
 
-let exponential t ~mean =
-  if mean <= 0.0 then invalid_arg "Rng.exponential: mean must be positive";
-  let u = 1.0 -. Random.State.float t 1.0 in
-  -.mean *. log u
-
 let pick_array t xs =
   if Array.length xs = 0 then invalid_arg "Rng.pick_array: empty array";
   xs.(Random.State.int t (Array.length xs))

@@ -52,10 +52,6 @@ val bool : t -> bool
 val chance : t -> float -> bool
 (** [chance t p] is true with probability [p] (clamped to [0,1]). *)
 
-val exponential : t -> mean:float -> float
-(** [exponential t ~mean] draws from an exponential distribution with
-    the given mean.  Requires [mean > 0]. *)
-
 val pick : t -> 'a list -> 'a
 (** [pick t xs] draws a uniform element of [xs].
     @raise Invalid_argument on the empty list. *)

@@ -18,7 +18,6 @@ val summarize : float list -> summary
     @raise Invalid_argument on the empty list. *)
 
 val mean : float list -> float
-val stddev : float list -> float
 
 val percentile : float -> float list -> float
 (** [percentile q xs] is the nearest-rank [q]-percentile of [xs] for

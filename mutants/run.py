@@ -186,6 +186,35 @@ MUTANTS = [
         ],
     },
     {
+        # two down-sets of one length compared as equal, so a changed
+        # delta of the same size leaves the believed-edge bitset stale
+        "name": "same-downs-length-only",
+        "file": "lib/core/topology.ml",
+        "old": "  i < 0 || (a.(i) = b.(i) && same_from a b (i - 1))",
+        "new": "  i < 0 || same_from a b (i - 1)",
+        "cases": [("core.topology", "view database equals the Hashtbl reference")],
+    },
+    {
+        # a preseeded database gets the copied bits but its version
+        # stands still, so tables derived from the empty view survive
+        "name": "preseed-version-not-moved",
+        "file": "lib/core/topology.ml",
+        "old": "          db.version <- db.version + t.version\n",
+        "new": "          ()\n",
+        "cases": [
+            ("core.topology", "view database equals the Hashtbl reference"),
+            ("core.topology", "preseeding k databases equals attaching each"),
+        ],
+    },
+    {
+        # the BFS pass keeps the largest-id parent of the previous layer
+        "name": "bfs-pass-parent-largest-id",
+        "file": "lib/core/branching_paths.ml",
+        "old": "      else if d = below && u < parent.(v) && up e then begin",
+        "new": "      else if d = below && u > parent.(v) && up e then begin",
+        "cases": [("compile", "compile_routes equals the labelling reference")],
+    },
+    {
         # E7's closed-form column printed as 2^k instead of 2^(k-1)
         "name": "experiments-e7-closed-form",
         "file": "lib/experiments/e7_s_of_t.ml",

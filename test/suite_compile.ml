@@ -395,8 +395,19 @@ let reference_routes ?edge_up g ~root =
              Suite_anr.Ref.(route (of_walk ~copy_at:(fun _ -> true) g walk)))
            (Core.Labels.paths_from l v)))
 
+(* [Spanning.bfs_tree]'s parents as an array over all nodes: -1 at
+   the root and outside its component. *)
+let reference_parent ?edge_up g ~root =
+  let tree = Netgraph.Spanning.bfs_tree ?edge_up g ~root in
+  let parent = Array.make (G.n g) (-1) in
+  List.iter
+    (fun v -> Option.iter (fun p -> parent.(v) <- p) (Netgraph.Tree.parent tree v))
+    (Netgraph.Tree.nodes tree);
+  parent
+
 (* Random connected graphs, each edge kept with a per-case probability
-   (low ones disconnect the graph), compiled from every root. *)
+   (low ones disconnect the graph), compiled from every root: the
+   table, and the smallest-id parent the BFS pass picks. *)
 let qcheck_routes_match_reference =
   QCheck.Test.make ~name:"compile_routes equals the labelling reference"
     ~count:200
@@ -409,8 +420,12 @@ let qcheck_routes_match_reference =
       let edge_up = Array.get up in
       List.for_all
         (fun root ->
-          (BP.compile_routes ~edge_up g ~root).table = reference_routes ~edge_up g ~root
-          && (BP.compile_routes g ~root).table = reference_routes g ~root)
+          let masked = BP.compile_routes ~edge_up g ~root
+          and whole = BP.compile_routes g ~root in
+          masked.table = reference_routes ~edge_up g ~root
+          && masked.parent = reference_parent ~edge_up g ~root
+          && whole.table = reference_routes g ~root
+          && whole.parent = reference_parent g ~root)
         (List.init n Fun.id))
 
 (* The ack climb against the walk it replaced: the path up

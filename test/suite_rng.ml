@@ -49,22 +49,6 @@ let test_chance_extremes () =
   check "p<0 never" false (Sim.Rng.chance r (-0.5));
   check "p>1 always" true (Sim.Rng.chance r 1.5)
 
-let test_exponential_positive () =
-  let r = Sim.Rng.create ~seed:11 in
-  for _ = 1 to 1000 do
-    check "positive" true (Sim.Rng.exponential r ~mean:2.0 > 0.0)
-  done
-
-let test_exponential_mean () =
-  let r = Sim.Rng.create ~seed:13 in
-  let n = 20_000 in
-  let total = ref 0.0 in
-  for _ = 1 to n do
-    total := !total +. Sim.Rng.exponential r ~mean:3.0
-  done;
-  let mean = !total /. float_of_int n in
-  check "mean within 10%" true (Float.abs (mean -. 3.0) < 0.3)
-
 let test_pick () =
   let r = Sim.Rng.create ~seed:17 in
   for _ = 1 to 100 do
@@ -197,8 +181,6 @@ let suite =
     Alcotest.test_case "int_in inclusive" `Quick test_int_in;
     Alcotest.test_case "float range" `Quick test_float_range;
     Alcotest.test_case "chance extremes" `Quick test_chance_extremes;
-    Alcotest.test_case "exponential positive" `Quick test_exponential_positive;
-    Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "pick" `Quick test_pick;
     Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
     Alcotest.test_case "split independence" `Quick test_split_independence;

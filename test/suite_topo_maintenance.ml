@@ -380,12 +380,13 @@ let test_outcome_golden () =
 (* The all-origin allocation budget.  An untraced, registry-free
    preseeded run with a link cut before the first check, converging in
    round 2 (perfbench's [maintenance] shape), allocates a deterministic
-   number of minor words per system call for a given binary: 104.0
-   measured at n=64 with route tables compiled straight from the
-   masked BFS, 183.6 when they went through a tree and a labelling,
-   537.3 before the cached route tables and the believed-edge
-   bitsets. *)
-let words_per_syscall_bound = 114.0
+   number of minor words per system call for a given binary: 70.7
+   measured at n=64 (dev profile) with the int-keyed view and relay
+   tables, 104.0 before them with the polymorphic [Hashtbl]s and
+   option lookups, 183.6 when the route tables went through a tree
+   and a labelling, 537.3 before the cached route tables and the
+   believed-edge bitsets. *)
+let words_per_syscall_bound = 77.5
 
 let test_maintenance_words_per_syscall () =
   let n = 64 in

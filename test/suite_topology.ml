@@ -245,6 +245,228 @@ let qcheck_live_check_exact =
              && T.consistent_live db live ~node = reference)
            graph true)
 
+(* -- the view database against its polymorphic-Hashtbl reference ------- *)
+
+(* The database as it was before its int-keyed overlay: a polymorphic
+   [Hashtbl] keyed by origin, option-returning lookups, and a base
+   attached to each database on its own. *)
+module Ref = struct
+  type db = {
+    mutable base : T.local_view array option;
+    tbl : (int, T.local_view) Hashtbl.t;
+    graph : G.t option;
+    edges : Bytes.t;
+    mutable version : int;
+  }
+
+  let bit_mem bits e = Char.code (Bytes.get bits (e lsr 3)) land (1 lsl (e land 7)) <> 0
+
+  let bit_flip bits e =
+    let i = e lsr 3 in
+    Bytes.set bits i (Char.chr (Char.code (Bytes.get bits i) lxor (1 lsl (e land 7))))
+
+  let create ?graph () =
+    {
+      base = None;
+      tbl = Hashtbl.create 16;
+      graph;
+      edges =
+        (match graph with Some g -> Bytes.make ((G.m g + 7) / 8) '\000' | None -> Bytes.empty);
+      version = 0;
+    }
+
+  let find db origin =
+    match Hashtbl.find_opt db.tbl origin with
+    | Some _ as v -> v
+    | None -> (
+        match db.base with
+        | Some b when origin >= 0 && origin < Array.length b -> Some b.(origin)
+        | _ -> None)
+
+  let believed_edge db u v =
+    match (find db u, find db v) with
+    | None, None -> false
+    | Some vu, None -> not (T.reports_down vu v)
+    | None, Some vv -> not (T.reports_down vv u)
+    | Some vu, Some vv -> (not (T.reports_down vu v)) && not (T.reports_down vv u)
+
+  let refresh_origin db g origin =
+    let flipped = ref false in
+    List.iter
+      (fun peer ->
+        let id = G.undirected_edge_id g origin peer in
+        if believed_edge db origin peer <> bit_mem db.edges id then begin
+          bit_flip db.edges id;
+          flipped := true
+        end)
+      (G.neighbors g origin);
+    if !flipped then db.version <- db.version + 1
+
+  let store db old (view : T.local_view) =
+    Hashtbl.replace db.tbl view.origin view;
+    match (db.graph, old) with
+    | None, _ -> ()
+    | Some _, Some (o : T.local_view) when o.downs = view.downs -> ()
+    | Some g, _ -> refresh_origin db g view.origin
+
+  let attach_base db views =
+    db.base <- Some views;
+    match db.graph with
+    | None -> ()
+    | Some g -> G.iter_nodes (refresh_origin db g) g
+
+  let clear db =
+    Hashtbl.reset db.tbl;
+    db.base <- None;
+    Bytes.fill db.edges 0 (Bytes.length db.edges) '\000';
+    db.version <- db.version + 1
+
+  let update db (view : T.local_view) =
+    match find db view.origin with
+    | Some stored when stored.seq >= view.seq -> false
+    | old ->
+        store db old view;
+        true
+
+  let set_own db (view : T.local_view) = store db (find db view.origin) view
+
+  let all_views db =
+    match db.base with
+    | None ->
+        Hashtbl.fold (fun _ v acc -> v :: acc) db.tbl []
+        |> List.sort (fun (a : T.local_view) b -> compare a.origin b.origin)
+    | Some b ->
+        Array.to_list
+          (Array.mapi
+             (fun o bv -> match Hashtbl.find_opt db.tbl o with Some v -> v | None -> bv)
+             b)
+end
+
+(* A random view of [o] over [g]: no downs, or a random set of its
+   peers, sometimes as a fresh copy of the array so that equal deltas
+   are not always the same physical array. *)
+let random_view rng g o =
+  let downs = List.filter (fun _ -> Sim.Rng.bool rng) (G.neighbors g o) in
+  let v = view o (Sim.Rng.int rng 6) downs in
+  if Sim.Rng.bool rng then { v with T.downs = Array.copy v.T.downs } else v
+
+let random_base rng g =
+  Array.init (G.n g) (fun o ->
+      if Sim.Rng.chance rng 0.7 then view o 0 [] else random_view rng g o)
+
+type step = Update of T.local_view | Set_own of T.local_view | Attach of T.local_view array | Clear
+
+let random_step rng g =
+  match Sim.Rng.int rng 20 with
+  | 0 -> Clear
+  | 1 | 2 -> Attach (random_base rng g)
+  | k ->
+      let v = random_view rng g (Sim.Rng.int rng (G.n g)) in
+      if k < 12 then Update v else Set_own v
+
+(* One step on both databases: whether [update]'s verdicts agree.
+   [attach] installs a base: [T.attach_base], or [T.preseed] on this
+   database alone. *)
+let apply ~attach db rdb = function
+  | Update v -> T.update db v = Ref.update rdb v
+  | Set_own v -> T.set_own db v; Ref.set_own rdb v; true
+  | Attach b -> attach db b; Ref.attach_base rdb b; true
+  | Clear -> T.clear db; Ref.clear rdb; true
+
+let same_state g db rdb =
+  List.for_all (fun o -> T.find db o = Ref.find rdb o) (List.init (G.n g + 1) Fun.id)
+  && T.all_views db = Ref.all_views rdb
+  && List.for_all
+       (fun (u, v) -> T.believed_edge db u v = Ref.believed_edge rdb u v)
+       (G.edges g)
+  && (Option.is_none rdb.Ref.graph
+     || List.for_all
+          (fun e -> T.believes db e = Ref.bit_mem rdb.Ref.edges e)
+          (List.init (G.m g) Fun.id))
+
+let qcheck_db_matches_reference =
+  QCheck.Test.make ~name:"view database equals the Hashtbl reference" ~count:300
+    QCheck.(pair (int_range 1 10) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Sim.Rng.create ~seed in
+      let g = B.random_connected rng ~n ~extra_edges:(Sim.Rng.int rng (n + 1)) in
+      let graph = if Sim.Rng.chance rng 0.8 then Some g else None in
+      let db = T.create ?graph () and rdb = Ref.create ?graph () in
+      let attach =
+        if Sim.Rng.bool rng then T.attach_base else fun db b -> T.preseed [| db |] b
+      in
+      let rec go k =
+        k = 0
+        ||
+        let step = random_step rng g in
+        let before = T.version db and rbefore = rdb.Ref.version in
+        apply ~attach db rdb step
+        && (T.version db <> before) = (rdb.Ref.version <> rbefore)
+        && same_state g db rdb
+        && go (k - 1)
+      in
+      go (Sim.Rng.int_in rng 1 (4 * n + 4)))
+
+(* Preseeding k databases at once, some fresh, some cleared, some
+   already holding views, over one of two graphs or none: each ends
+   with the bits, the views and the version change that attaching the
+   base to it alone gives. *)
+let qcheck_preseed_equals_attach =
+  QCheck.Test.make ~name:"preseeding k databases equals attaching each" ~count:300
+    QCheck.(pair (int_range 1 10) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Sim.Rng.create ~seed in
+      let random_graph () =
+        B.random_connected rng ~n ~extra_edges:(Sim.Rng.int rng (n + 1))
+      in
+      let g1 = random_graph () and g2 = random_graph () in
+      let k = Sim.Rng.int_in rng 1 5 in
+      let setups =
+        List.init k (fun _ ->
+            let graph =
+              match Sim.Rng.int rng 4 with 0 -> None | 1 -> Some g2 | _ -> Some g1
+            in
+            let steps =
+              match Sim.Rng.int rng 3 with
+              | 0 -> []
+              | 1 -> List.init (Sim.Rng.int_in rng 1 (2 * n)) (fun _ -> random_step rng g1) @ [ Clear ]
+              | _ -> List.init (Sim.Rng.int_in rng 1 (2 * n)) (fun _ -> random_step rng g1)
+            in
+            (graph, steps))
+      in
+      let build () =
+        List.map
+          (fun (graph, steps) ->
+            let db = T.create ?graph () and rdb = Ref.create ?graph () in
+            List.iter (fun step -> ignore (apply ~attach:T.attach_base db rdb step : bool)) steps;
+            (graph, db))
+          setups
+      in
+      let together = build () and alone = build () in
+      let base = random_base rng g1 in
+      let moved dbs f =
+        let before = List.map (fun (_, db) -> T.version db) dbs in
+        f ();
+        List.map2 (fun (_, db) b -> T.version db - b) dbs before
+      in
+      let moved_together =
+        moved together (fun () -> T.preseed (Array.of_list (List.map snd together)) base)
+      and moved_alone =
+        moved alone (fun () -> List.iter (fun (_, db) -> T.attach_base db base) alone)
+      in
+      moved_together = moved_alone
+      && List.for_all2
+           (fun (graph, db) (_, adb) ->
+             T.all_views db = T.all_views adb
+             &&
+             match graph with
+             | None -> true
+             | Some g ->
+                 List.for_all
+                   (fun e -> T.believes db e = T.believes adb e)
+                   (List.init (G.m g) Fun.id))
+           together alone)
+
 let suite =
   [
     Alcotest.test_case "update freshness" `Quick test_update_freshness;
@@ -267,4 +489,6 @@ let suite =
     Alcotest.test_case "stale up claim rejected" `Quick
       test_consistency_rejects_stale_up_claim;
     QCheck_alcotest.to_alcotest qcheck_live_check_exact;
+    QCheck_alcotest.to_alcotest qcheck_db_matches_reference;
+    QCheck_alcotest.to_alcotest qcheck_preseed_equals_attach;
   ]
