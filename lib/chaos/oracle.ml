@@ -20,20 +20,6 @@ let observe t event =
 
 let deliveries t = t.receives
 
-let trace_complete ~capacity trace =
-  let evicted = Sim.Trace.recorded trace - capacity in
-  {
-    Monitor.monitor = "trace-complete";
-    ok = evicted <= 0;
-    detail =
-      (if evicted <= 0 then "ring buffer kept every event"
-       else
-         Printf.sprintf
-           "%d events recorded: a traced replay's %d-event ring would miss \
-            the oldest %d"
-           (Sim.Trace.recorded trace) capacity evicted);
-  }
-
 let worst_node counts limit_of =
   let worst = ref None in
   Array.iteri

@@ -31,22 +31,35 @@ type outcome =
   | Identical of int  (** both streams carry the same [n] events *)
   | Diverged of divergence
 
+val of_seq :
+  ?window:int ->
+  ?c:float ->
+  baseline:Sim.Trace.event Seq.t ->
+  Sim.Trace.event Seq.t ->
+  outcome
+(** [of_seq ~baseline candidate] compares structurally, event by
+    event, forcing the baseline's next event and then the candidate's
+    and stopping at the first disagreement: neither stream is forced
+    past it, and each is traversed once, so ephemeral sequences (a
+    live replay, a file being read) are fine.  [window] (default 4096)
+    bounds how many common-prefix events the predecessor chain can
+    reach back through; [c] is the hop cost used to rank binding
+    constraints (default 0, the new model).  Indices, the chain's
+    included, count from the start of the streams, whatever the
+    window. *)
+
 val of_events :
   ?window:int ->
   ?c:float ->
   baseline:Sim.Trace.event list ->
   Sim.Trace.event list ->
   outcome
-(** [of_events ~baseline candidate] compares structurally, event by
-    event.  [window] (default 4096) bounds how many common-prefix
-    events the predecessor chain can reach back through; [c] is the
-    hop cost used to rank binding constraints (default 0, the new
-    model). *)
+(** {!of_seq} over two event lists. *)
 
 val of_files :
   ?window:int -> ?c:float -> baseline:string -> string -> (outcome, string) result
-(** Same over two schema-v2 JSONL streams; headers, truncation and
-    telemetry records are skipped (events only are compared). *)
+(** {!of_seq} over two schema-v2 JSONL streams; headers, truncation
+    and telemetry records are skipped (events only are compared). *)
 
 val report : baseline:string -> candidate:string -> outcome -> string
 (** Human-readable multi-line report.  [baseline]/[candidate] name the

@@ -42,13 +42,13 @@ let disabled () =
     consumer = None;
   }
 
-let streaming ?(keep = false) ?capacity ~consumer () =
+let streaming ?(keep = false) ~consumer () =
   {
     items = [];
     count = 0;
     recorded = 0;
     sink_dropped = 0;
-    capacity;
+    capacity = None;
     enabled = true;
     keep;
     consumer = Some consumer;
@@ -97,12 +97,6 @@ let dropped_ring t = if t.keep then t.recorded - length t else 0
 let dropped_sink t = t.sink_dropped
 let dropped t = dropped_ring t + dropped_sink t
 
-let clear t =
-  t.items <- [];
-  t.count <- 0;
-  t.recorded <- 0;
-  t.sink_dropped <- 0
-
 let time_of = function
   | Hop { time; _ }
   | Syscall { time; _ }
@@ -112,9 +106,6 @@ let time_of = function
   | Link_change { time; _ }
   | Custom { time; _ } ->
       time
-
-let filter f t = List.filter f (events t)
-let count f t = List.length (filter f t)
 
 let pp_event ppf = function
   | Hop { src; dst; time; msg_id } ->
@@ -131,6 +122,3 @@ let pp_event ppf = function
       Format.fprintf ppf "[%8.3f] link %d-%d %s" time u v
         (if up then "up" else "down")
   | Custom { time; label } -> Format.fprintf ppf "[%8.3f] %s" time label
-
-let pp ppf t =
-  List.iter (fun e -> Format.fprintf ppf "%a@." pp_event e) (events t)

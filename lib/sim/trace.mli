@@ -30,15 +30,14 @@ val create : ?capacity:int -> unit -> t
 val disabled : unit -> t
 (** A recorder that discards every event (zero-cost tracing off). *)
 
-val streaming :
-  ?keep:bool -> ?capacity:int -> consumer:(event -> bool) -> unit -> t
+val streaming : ?keep:bool -> consumer:(event -> bool) -> unit -> t
 (** [streaming ~consumer ()] returns a recorder that hands every event
     to [consumer] as it is recorded.  A [false] return from [consumer]
     means the downstream sink refused the event; such refusals are
     counted in {!dropped_sink}.  By default ([keep = false]) nothing is
     retained in memory — {!events} is empty and the run streams in
-    O(sink buffer) space; pass [~keep:true] (optionally bounded by
-    [capacity]) to also keep the ring for monitors that replay it. *)
+    O(sink buffer) space; pass [~keep:true] to also keep every event,
+    unbounded, for monitors that replay them. *)
 
 val enabled : t -> bool
 (** Whether {!record} retains events.  Hot paths test this before
@@ -51,9 +50,8 @@ val events : t -> event list
 val length : t -> int
 
 val recorded : t -> int
-(** Total events offered to {!record} since creation (or the last
-    {!clear}), including events a bounded recorder has since
-    evicted. *)
+(** Total events offered to {!record} since creation, including
+    events a bounded recorder has since evicted. *)
 
 val dropped_ring : t -> int
 (** Events lost to the ring-buffer capacity bound (evicted oldest
@@ -69,12 +67,5 @@ val dropped : t -> int
     export computed over a trace with [dropped > 0] is missing events
     and must say so. *)
 
-val clear : t -> unit
-
 val time_of : event -> float
-val filter : (event -> bool) -> t -> event list
-
-val count : (event -> bool) -> t -> int
-
 val pp_event : Format.formatter -> event -> unit
-val pp : Format.formatter -> t -> unit

@@ -78,8 +78,7 @@ let stream_header ?(kind = "trace") ?(fields = []) () =
 
 let event_consumer sink e = Sink.emit sink (jsonl_of_event e)
 
-let stream_trace ?keep ?capacity sink =
-  Trace.streaming ?keep ?capacity ~consumer:(event_consumer sink) ()
+let stream_trace sink = Trace.streaming ~consumer:(event_consumer sink) ()
 
 (* The leading-record trick of [to_jsonl] is impossible when lines
    have already left the process, so a streamed export announces loss

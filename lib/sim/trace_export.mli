@@ -56,7 +56,7 @@ val stream_header : ?kind:string -> ?fields:(string * string) list -> unit ->
 val event_consumer : Sink.t -> Trace.event -> bool
 (** Serialise one event through the sink; [false] when refused. *)
 
-val stream_trace : ?keep:bool -> ?capacity:int -> Sink.t -> Trace.t
+val stream_trace : Sink.t -> Trace.t
 (** [stream_trace sink] is
     [Trace.streaming ~consumer:(event_consumer sink) ()]: a trace whose
     events stream through [sink] as they happen. *)

@@ -371,6 +371,31 @@ let test_diff_window_bounds_chain () =
         d.D.chain
   | D.Identical _ -> Alcotest.fail "mutation not detected"
 
+(* Two 300,000-event streams, one event changed near the end: the
+   lockstep diff keeps only its window, yet reports the index, and the
+   chain's indices, from the start of the streams. *)
+let test_diff_of_seq_past_any_ring () =
+  let length = 300_000 and at = 290_000 in
+  let stream ~changed =
+    Seq.init length (fun i ->
+        T.Syscall
+          {
+            node = i mod 4;
+            time = float_of_int i;
+            label = (if changed && i = at then "changed" else "x");
+          })
+  in
+  match D.of_seq ~baseline:(stream ~changed:false) (stream ~changed:true) with
+  | D.Diverged d ->
+      check_int "index" at d.D.index;
+      check_bool "node" true (d.D.node = Some (at mod 4));
+      (* each activation queues behind its node's previous one *)
+      Alcotest.(check (list int))
+        "chain indices absolute"
+        (List.init 8 (fun k -> at - (4 * (k + 1))))
+        (List.map (fun (i, _, _) -> i) d.D.chain)
+  | D.Identical _ -> Alcotest.fail "mutation not detected"
+
 let suite =
   [
     Alcotest.test_case "histo exact on constant stream" `Quick
@@ -406,6 +431,8 @@ let suite =
     Alcotest.test_case "diff pins planted mutation" `Quick
       test_diff_pins_planted_mutation;
     Alcotest.test_case "diff short stream" `Quick test_diff_short_stream;
+    Alcotest.test_case "diff of_seq past any ring" `Quick
+      test_diff_of_seq_past_any_ring;
     Alcotest.test_case "diff window bounds chain" `Quick
       test_diff_window_bounds_chain;
   ]
