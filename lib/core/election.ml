@@ -6,7 +6,7 @@ type token = {
   torigin : int;  (* the candidate's origin *)
   tsize : int;  (* domain size at tour start: level = (tsize, torigin) *)
   entry : int;  (* o, the OUT node through which the tour entered *)
-  home_walk : int array;  (* walk from [entry] back to [torigin] *)
+  home : int array;  (* packed route from [entry] back to [torigin] *)
   hops_used : int;  (* direct messages spent on this tour *)
   tepoch : int;  (* recovery epoch the token belongs to (0 without recovery) *)
 }
@@ -28,7 +28,7 @@ type origin_state = {
 
 type captured_state = {
   frozen : Inout.t;  (* the INOUT tree as of capture time *)
-  parent_walk : int array;  (* walk from this node to F's origin *)
+  parent_route : Anr.route;  (* from this node to F's origin, compiled at capture *)
 }
 
 type role = Unstarted | Origin of origin_state | Captured of captured_state
@@ -161,19 +161,20 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
         match rs.dogs.(v) with Some d -> Sim.Timer.cancel d | None -> ())
   in
 
-  let send ctx ~label walk m =
-    max_route := max !max_route (Array.length walk - 1);
-    obs_route (Array.length walk - 1);
-    Network.send_walk ~label ctx ~walk m
+  let send ctx ~label route m =
+    let hops = Anr.route_length route - 1 in
+    max_route := max !max_route hops;
+    obs_route hops;
+    Network.send ~label ctx ~route m
   in
 
   (* Route from [v] (currently holding the token) back to the token's
      origin: first to [entry] along the INOUT tree [v] recorded when it
      was (or still is) an origin — the tour reached [v] by climbing
      virtual-tree parents, so [entry] lies in that tree — then along
-     the reverse walk the token carried from its origin.  Both pieces
-     are int arrays; splicing them (the walk-home shares [entry]) is
-     two blits into one exact-size array. *)
+     the home route the token carried from its origin.  Both pieces
+     are packed ANR elements; splicing them is two blits into one
+     exact-size array, the first without its closing NCU element. *)
   let walk_home v token =
     let inout =
       match roles.(v) with
@@ -181,12 +182,15 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
       | Captured cap -> cap.frozen
       | Unstarted -> invalid_arg "Election.walk_home: unstarted node"
     in
-    let to_entry = Inout.route_array inout ~src:v ~dst:token.entry in
-    let a = Array.length to_entry and b = Array.length token.home_walk in
-    let walk = Array.make (a + b - 1) 0 in
-    Array.blit to_entry 0 walk 0 a;
-    Array.blit token.home_walk 1 walk a (b - 1);
-    walk
+    if v = token.entry then Anr.route_of_codes token.home
+    else begin
+      let to_entry = Inout.route_to inout token.entry in
+      let a = Array.length to_entry - 1 and b = Array.length token.home in
+      let codes = Array.make (a + b) 0 in
+      Array.blit to_entry 0 codes 0 a;
+      Array.blit token.home 0 codes a b;
+      Anr.route_of_codes codes
+    end
   in
 
   let return_unsuccessful ctx v token =
@@ -208,7 +212,7 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
         obs_capture ();
         cancel_dog v;
         let home = walk_home v token in
-        roles.(v) <- Captured { frozen = st.inout; parent_walk = home };
+        roles.(v) <- Captured { frozen = st.inout; parent_route = home };
         send ctx ~label:"election" home
           (Return
              {
@@ -246,14 +250,12 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
         end
         else begin
           let o = choose_target st in
-          let walk = Inout.route_array st.inout ~src:v ~dst:o in
-          let len = Array.length walk in
           let token =
             {
               torigin = v;
               tsize = Inout.size st.inout;
               entry = o;
-              home_walk = Array.init len (fun i -> walk.(len - 1 - i));
+              home = Inout.route_home st.inout o;
               hops_used = 1;
               tepoch = epoch_of v;
             }
@@ -261,7 +263,9 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
           st.cstatus <- `Touring;
           incr tours;
           obs_tour ();
-          send ctx ~label:"election" walk (Tour token);
+          send ctx ~label:"election"
+            (Anr.route_of_codes (Inout.route_to st.inout o))
+            (Tour token);
           arm_dog ctx v
         end
     | Captured _ | Unstarted -> assert false
@@ -335,14 +339,11 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
         begin_tour ctx v
 
   (* The leader's spanning tree, toured once with a copy at every
-     first visit; the tour comes packed straight from the table. *)
+     first visit; the route comes compiled straight from the table. *)
   and announce ctx v st =
-    let tour = Inout.tour st.inout in
-    if Array.length tour > 1 then
-      let route =
-        Anr.of_walk_marked (Network.graph (Network.network ctx)) tour
-      in
-      Network.send ~label:"announce" ctx ~route
+    let tour = Inout.tour ~graph st.inout in
+    if Array.length tour > 0 then
+      Network.send ~label:"announce" ctx ~route:(Anr.route_of_codes tour)
         (Announce { leader = v; aepoch = epoch_of v })
   in
 
@@ -428,7 +429,7 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
           return_unsuccessful ctx v token
         else
           let token = { token with hops_used = token.hops_used + 1 } in
-          send ctx ~label:"election" cap.parent_walk (Tour token)
+          send ctx ~label:"election" cap.parent_route (Tour token)
   in
 
   let process_return ctx v verdict =
@@ -447,7 +448,7 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
                 (fun u ->
                   if u <> v then
                     send ctx ~label:"notify"
-                      (Inout.route_array st.inout ~src:v ~dst:u)
+                      (Anr.route_of_codes (Inout.route_to st.inout u))
                       (Announce { leader = v; aepoch = epoch_of v }))
                 (Inout.in_nodes victim_inout));
         resolve_waiting ctx v;

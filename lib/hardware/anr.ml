@@ -22,7 +22,8 @@ let of_walk ?(copy_at = fun _ -> false) g walk =
     codes
   end
 
-(* [walk.(i)] is [(node lsl 1) lor flag], as {!Inout.tour} emits it. *)
+(* [walk.(i)] is [(node lsl 1) lor flag], as [Walks.mark_first_visits]
+   emits it. *)
 let of_walk_marked g walk =
   let len = Array.length walk in
   if len = 0 then invalid_arg "Anr.of_walk_marked: empty walk"

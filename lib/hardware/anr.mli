@@ -40,9 +40,9 @@ val of_walk_marked : Netgraph.Graph.t -> int array -> route
 (** Like {!of_walk} but with an explicit copy flag per walk position,
     so a walk that revisits a node (e.g. a depth-first tour) can copy
     at chosen visits only.  Position [i] packs
-    [(node lsl 1) lor flag], as [Walks.mark_first_visits] and
-    [Inout.tour] emit it; the flag requests a copy at that node as the
-    packet passes through it towards position [i+1].  The first
+    [(node lsl 1) lor flag], as [Walks.mark_first_visits] emits it;
+    the flag requests a copy at that node as the packet passes through
+    it towards position [i+1].  The first
     position's flag is ignored (the injector already has the message)
     and the final node always receives the packet.
     @raise Invalid_argument if the walk is empty. *)

@@ -239,6 +239,50 @@ MUTANTS = [
         ],
     },
     {
+        # a captured node copies its compiled parent route on every
+        # relay instead of sending the one it compiled at capture: the
+        # same trace, more minor words per event
+        "name": "relay-copies-parent-route",
+        "file": "lib/core/election.ml",
+        "old": "send ctx ~label:\"election\" cap.parent_route (Tour token)",
+        "new": "send ctx ~label:\"election\"\n"
+               "            (let r = cap.parent_route in\n"
+               "             Anr.route_of_codes\n"
+               "               (Array.init (Anr.route_length r) (fun i ->\n"
+               "                    Anr.code ~link:(Anr.route_link r i)\n"
+               "                      ~copy:(Anr.route_copy r i))))\n"
+               "            (Tour token)",
+        "cases": [("compile", "election minor words per event")],
+    },
+    {
+        # re-rooting a captured domain keeps each chain node's own link
+        # pair instead of its old child's turned around, so the routes
+        # through a re-rooted chain name the wrong local links
+        "name": "reroot-keeps-old-link-pair",
+        "file": "lib/core/inout.ml",
+        "old": "    let l = links.(!child) in\n"
+               "    absorb winner !v ~parent:victim.keys.(!child)\n"
+               "      ~links:(pack_links ~down:(up_of l) ~up:(down_of l))\n",
+        "new": "    absorb winner !v ~parent:victim.keys.(!child)\n"
+               "      ~links:links.(s)\n",
+        "cases": [
+            ("core.inout", "table matches the Hashtbl reference"),
+            ("core.election", "trace digests pinned"),
+        ],
+    },
+    {
+        # election rule 1 with one hop more than the phase + 1 budget
+        "name": "election-rule1-budget-plus-one",
+        "file": "lib/core/election.ml",
+        "old": "if token.hops_used > phase token.tsize then",
+        "new": "if token.hops_used > phase token.tsize + 1 then",
+        "cases": [
+            ("scale_parity", "election random n=64 pinned"),
+            ("chaos", "verdict digests pinned"),
+        ],
+        "diffs": [("test/experiments_all.out", "test/golden/experiments_all.txt")],
+    },
+    {
         # E7's closed-form column printed as 2^k instead of 2^(k-1)
         "name": "experiments-e7-closed-form",
         "file": "lib/experiments/e7_s_of_t.ml",

@@ -227,10 +227,12 @@ let test_bpaths_words_per_event () =
 
 (* The same budget for the election (Section 4): an untraced,
    registry-free run with every node a starter, one engine event per
-   system call and one per hop.  31.3 minor words per event measured,
-   54.6 with the hash-table INOUT domains and the announcement rebuilt
-   through a Tree. *)
-let election_words_per_event_bound = 34.5
+   system call and one per hop.  30.32 minor words per event measured;
+   30.53 when a captured node copied its parent route on every relay,
+   31.3 when every send built its header from a node walk, 54.6 with
+   the hash-table INOUT domains and the announcement rebuilt through a
+   Tree.  The bound sits just under the per-relay copy. *)
+let election_words_per_event_bound = 30.4
 
 let test_election_words_per_event () =
   let art = Cache.random_connected ~seed:11 ~n:512 ~extra_edges:256 in

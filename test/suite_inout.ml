@@ -1,6 +1,7 @@
 (* Tests for Core.Inout: the election's domain trees. *)
 
 module I = Core.Inout
+module A = Hardware.Anr
 module B = Netgraph.Builders
 module G = Netgraph.Graph
 
@@ -8,7 +9,13 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_ints = Alcotest.(check (list int))
 
-let route t ~src ~dst = Array.to_list (I.route_array t ~src ~dst)
+(* A route's packed elements, as the table's routes list them. *)
+let elems r =
+  List.init (A.route_length r) (fun i ->
+      A.code ~link:(A.route_link r i) ~copy:(A.route_copy r i))
+
+(* The header [Anr.of_walk] builds from a node walk. *)
+let walk_codes g walk = elems (A.of_walk g walk)
 
 (* [merge_into] on a winner the caller owns, returning it *)
 let merged ~winner ~victim ~entry =
@@ -18,7 +25,11 @@ let merged ~winner ~victim ~entry =
 (* The hash-table INOUT structure the flat table replaced, kept as the
    reference model: three [Hashtbl]s (parents, IN, OUT) and a re-rooting
    that copies the victim's parent map.  [out_min] is the head of the
-   sorted OUT list, the specification the table's lazy heap meets. *)
+   sorted OUT list, the specification the table's lazy heap meets.
+   Routes are node walks here — [route_array] between any two members,
+   and [tour] the first-visit-marked Euler tour.  Compiled by
+   [Anr.of_walk] and [Anr.of_walk_marked], which search the graph, they
+   give the headers the table writes from its stored link indices. *)
 module Ref = struct
   type t = {
     origin : int;
@@ -91,6 +102,10 @@ module Ref = struct
     fill_down dst (len - 1);
     arr
 
+  let tour t =
+    Core.Walks.mark_first_visits
+      (Core.Walks.truncate (Core.Walks.euler_tour (spanning_tree t)))
+
   let rerooted_parents t r =
     let parents = Hashtbl.copy t.parents in
     let rec flip v =
@@ -123,8 +138,9 @@ module Ref = struct
       victim.outset
 end
 
-(* Everything a caller can observe of a domain: the route of every
-   member pair, the tree's edges and the packed announcement tour. *)
+(* Everything a caller can observe of a domain: its sets, the route to
+   and home from every member, the tree's edges and the announcement
+   route, each header as a list of packed elements. *)
 type view = {
   ins : int list;
   outs : int list;
@@ -132,43 +148,46 @@ type view = {
   out_size : int;
   out_min : int option;
   routes : int list list;
+  homes : int list list;
   edges : (int * int) list;
   tour : int list;
 }
 
 let tree_edges tree = List.sort compare (Netgraph.Tree.edges tree)
 
-let view_of ~ins ~outs ~size ~out_size ~out_min ~route ~tree ~tour =
-  let members = ins @ outs in
+let view g t =
+  let members = I.in_nodes t @ I.out_nodes t in
+  let each f = List.map (fun v -> Array.to_list (f t v)) members in
   {
-    ins;
-    outs;
-    size;
-    out_size;
-    out_min;
-    routes =
-      List.concat_map
-        (fun src -> List.map (fun dst -> route ~src ~dst) members)
-        members;
-    edges = tree_edges tree;
-    tour;
+    ins = I.in_nodes t;
+    outs = I.out_nodes t;
+    size = I.size t;
+    out_size = I.out_size t;
+    out_min = I.out_min t;
+    routes = each I.route_to;
+    homes = each I.route_home;
+    edges = tree_edges (I.spanning_tree t);
+    tour = Array.to_list (I.tour ~graph:g t);
   }
 
-let view t =
-  view_of ~ins:(I.in_nodes t) ~outs:(I.out_nodes t) ~size:(I.size t)
-    ~out_size:(I.out_size t) ~out_min:(I.out_min t) ~route:(route t)
-    ~tree:(I.spanning_tree t) ~tour:(Array.to_list (I.tour t))
-
-let ref_view r =
-  let tree = Ref.spanning_tree r in
-  view_of ~ins:(Ref.in_nodes r) ~outs:(Ref.out_nodes r) ~size:(Ref.size r)
-    ~out_size:(Ref.out_size r) ~out_min:(Ref.out_min r)
-    ~route:(fun ~src ~dst -> Array.to_list (Ref.route_array r ~src ~dst))
-    ~tree
-    ~tour:
-      (Array.to_list
-         (Core.Walks.mark_first_visits
-            (Core.Walks.truncate (Core.Walks.euler_tour tree))))
+(* The reference's view: each route compiled from its walk, each home
+   route from the reversed walk, the announcement from the marked
+   tour. *)
+let ref_view g r =
+  let members = Ref.in_nodes r @ Ref.out_nodes r in
+  let walk v = Ref.route_array r ~src:r.Ref.origin ~dst:v in
+  let rev a = Array.of_list (List.rev (Array.to_list a)) in
+  {
+    ins = Ref.in_nodes r;
+    outs = Ref.out_nodes r;
+    size = Ref.size r;
+    out_size = Ref.out_size r;
+    out_min = Ref.out_min r;
+    routes = List.map (fun v -> walk_codes g (walk v)) members;
+    homes = List.map (fun v -> walk_codes g (rev (walk v))) members;
+    edges = tree_edges (Ref.spanning_tree r);
+    tour = elems (A.of_walk_marked g (Ref.tour r));
+  }
 
 (* The first field on which two views differ, if any. *)
 let view_diff a b =
@@ -180,7 +199,8 @@ let view_diff a b =
       ("size", a.size = b.size);
       ("out_size", a.out_size = b.out_size);
       ("out_min", a.out_min = b.out_min);
-      ("route_array", a.routes = b.routes);
+      ("route_to", a.routes = b.routes);
+      ("route_home", a.homes = b.homes);
       ("spanning_tree edges", a.edges = b.edges);
       ("tour", a.tour = b.tour);
     ]
@@ -203,15 +223,17 @@ let test_singleton_leaf () =
 let test_route_singleton () =
   let g = B.star 4 in
   let t = I.singleton ~graph:g 0 in
-  check_ints "origin to out" [ 0; 2 ] (route t ~src:0 ~dst:2);
-  check_ints "out to out" [ 1; 0; 2 ] (route t ~src:1 ~dst:2);
-  check_ints "self" [ 0 ] (route t ~src:0 ~dst:0)
+  check_ints "origin to out" (walk_codes g [| 0; 2 |])
+    (Array.to_list (I.route_to t 2));
+  check_ints "out to origin" (walk_codes g [| 1; 0 |])
+    (Array.to_list (I.route_home t 1));
+  check_ints "self" [] (Array.to_list (I.route_to t 0))
 
 let test_route_unrecorded_rejected () =
   let g = B.path 4 in
   let t = I.singleton ~graph:g 0 in
   check_bool "raises" true
-    (try ignore (I.route_array t ~src:0 ~dst:3); false
+    (try ignore (I.route_to t 3); false
      with Invalid_argument _ -> true)
 
 let test_merge_simple () =
@@ -224,7 +246,8 @@ let test_merge_simple () =
   check_ints "OUT" [ 2 ] (I.out_nodes m);
   check_int "size" 2 (I.size m);
   check_bool "valid" true (I.is_valid ~graph:g m);
-  check_ints "route across merge" [ 0; 1; 2 ] (route m ~src:0 ~dst:2)
+  check_ints "route across merge" (walk_codes g [| 0; 1; 2 |])
+    (Array.to_list (I.route_to m 2))
 
 let test_merge_entry_must_be_winner_out () =
   let g = B.path 4 in
@@ -261,8 +284,8 @@ let test_merge_chain_routes_stay_linear () =
   done;
   check_int "all IN" n (I.size !t);
   check_ints "OUT empty" [] (I.out_nodes !t);
-  let r = route !t ~src:0 ~dst:(n - 1) in
-  check_bool "linear route" true (List.length r <= n)
+  let r = I.route_to !t (n - 1) in
+  check_bool "linear route" true (Array.length r <= n)
 
 let test_merge_nested_domains () =
   (* 1 captures 2; then 0 captures 1's merged domain *)
@@ -274,7 +297,8 @@ let test_merge_nested_domains () =
   check_ints "OUT" [ 3 ] (I.out_nodes d0);
   check_bool "valid" true (I.is_valid ~graph:g d0);
   (* route from the deep node back to the origin *)
-  check_ints "route 2 -> 0" [ 2; 1; 0 ] (route d0 ~src:2 ~dst:0)
+  check_ints "route 2 -> 0" (walk_codes g [| 2; 1; 0 |])
+    (Array.to_list (I.route_home d0 2))
 
 let test_spanning_tree_when_out_empty () =
   let g = B.ring 5 in
@@ -350,13 +374,13 @@ let qcheck_differential_against_reference =
         let entry = Sim.Rng.pick rng (Ref.out_nodes rw) in
         let vo = owner_of entry in
         let v, rv = Option.get domains.(vo) in
-        let before = view v in
+        let before = view g v in
         I.merge_into ~winner:w ~victim:v ~entry;
         Ref.merge_into ~winner:rw ~victim:rv ~entry;
-        (match view_diff (view w) (ref_view rw) with
+        (match view_diff (view g w) (ref_view g rw) with
         | Some field -> fail !step ("winner " ^ field ^ " differs")
         | None -> ());
-        (match view_diff (view v) before with
+        (match view_diff (view g v) before with
         | Some field -> fail !step ("victim " ^ field ^ " changed")
         | None -> ());
         if not (I.is_valid ~graph:g w) then fail !step "winner invalid";
